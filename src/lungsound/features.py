@@ -8,6 +8,7 @@ the defaults reproduce that shape for 20 s of audio at 22050 Hz.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import asdict, dataclass
@@ -137,6 +138,19 @@ def dct_matrix(n_out: int, n_in: int) -> np.ndarray:
     return d
 
 
+@functools.lru_cache(maxsize=8)
+def mfcc_matrices(cfg: MfccConfig):
+    """(mel filterbank, DCT matrix) for cfg, built once per config.
+
+    The arrays are shared by every caller, so they are returned read-only.
+    """
+    fb = mel_filterbank(cfg)
+    dct = dct_matrix(cfg.n_coefficients, cfg.n_mel_filters)
+    fb.setflags(write=False)
+    dct.setflags(write=False)
+    return fb, dct
+
+
 def pad_or_truncate(mat: np.ndarray, target: int) -> np.ndarray:
     """Pad the frame axis with zero columns or keep the first `target` ones."""
     if mat.shape[1] >= target:
@@ -162,7 +176,8 @@ def extract_mfcc(clip: AudioClip, cfg: MfccConfig) -> np.ndarray:
     frames = frame_and_window(y, cfg)
     spec = np.fft.rfft(frames, n=cfg.n_fft, axis=1)
     power = spec.real ** 2 + spec.imag ** 2
-    mel_energy = power @ mel_filterbank(cfg).T
+    fb, dct = mfcc_matrices(cfg)
+    mel_energy = power @ fb.T
     log_energy = np.log(np.maximum(mel_energy, cfg.log_floor))
-    coeffs = dct_matrix(cfg.n_coefficients, cfg.n_mel_filters) @ log_energy.T
+    coeffs = dct @ log_energy.T
     return pad_or_truncate(coeffs, cfg.target_frames)

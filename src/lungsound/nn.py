@@ -6,6 +6,19 @@ pooling and (in training) inverted dropout, ending in global average pooling,
 a dense head and softmax. The architecture is parameterized by CnnSpec so the
 same code runs both the production geometry and shrunken clones for
 finite-difference gradient checks.
+
+Each conv -> ReLU -> pool stage is evaluated by pool phase (polyphase): the
+conv is computed separately at the four slots (di, dj) of the 2x2 pool
+windows, from stride-2 patches at offset (di, dj), in one GEMM. Max pooling is
+then an elementwise max of four dense maps, and the odd trailing conv row and
+column that pooling drops are never computed. Bias and ReLU are applied once,
+to the pooled map. Rounding is monotone, so this equals conv + bias -> ReLU ->
+pool bit for bit. The one difference is the tie rule: the first-occurrence
+argmax that routes the gradient is taken before the bias is added, so it can
+differ from the unfused order only where adding the bias rounds two unequal
+values to a tie. The backward keeps the phase structure: the conv gradient of
+phase p is the pooled gradient masked by (argmax == p), and the kernel
+gradient is one GEMM over all phases.
 """
 
 from __future__ import annotations
@@ -123,6 +136,9 @@ def init_params(rng: np.random.Generator, spec: CnnSpec = CnnSpec(),
 
 # -- layer primitives ----------------------------------------------------
 
+_POOL_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 def _im2col(x: np.ndarray) -> np.ndarray:
     """(B, H, W, C) -> (B * (H-1) * (W-1), 4C) patch matrix for 2x2 kernels."""
     b, h, w, c = x.shape
@@ -133,99 +149,112 @@ def _im2col(x: np.ndarray) -> np.ndarray:
     return win.reshape(b * (h - 1) * (w - 1), 4 * c)
 
 
-def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Valid (no padding) stride-1 cross-correlation with a 2x2 kernel.
+def _phase_im2col(x: np.ndarray) -> np.ndarray:
+    """(B, H, W, C) -> (4 * B * Hp * Wp, 4C) 2x2 patches grouped by pool phase.
 
-    Accepts a single (H, W, C) map or a (B, H, W, C) batch.
+    Row block phase = 2*di + dj holds, for i < Hp = (H-1)//2 and
+    j < Wp = (W-1)//2, the patch whose conv output sits at (2i + di, 2j + dj):
+    slot (di, dj) of pool window (i, j). The odd trailing conv row and column
+    that pooling drops get no patch.
     """
-    single = x.ndim == 3
-    if single:
-        x = x[None]
-    b, h, w, c_in = x.shape
-    kh, kw, kc, c_out = kernel.shape
-    if (kh, kw) != (2, 2) or kc != c_in or h < 2 or w < 2:
-        raise ShapeMismatch(f"conv2d: input {x.shape[1:]} vs kernel {kernel.shape}")
-    cols = _im2col(x)
-    out = cols @ kernel.reshape(4 * c_in, c_out) + bias
-    out = out.reshape(b, h - 1, w - 1, c_out)
-    return out[0] if single else out
+    b, h, w, c = x.shape
+    hp, wp = (h - 1) // 2, (w - 1) // 2
+    s0, s1, s2, s3 = x.strides
+    win = np.lib.stride_tricks.as_strided(
+        x, shape=(2, 2, b, hp, wp, 2, 2, c),
+        strides=(s1, s2, s0, 2 * s1, 2 * s2, s1, s2, s3), writeable=False)
+    if c == 1:
+        # reshape would copy one element per inner loop here; copying tap by
+        # tap runs the inner loop along a whole row of windows (~4x faster)
+        cols = np.empty(win.shape, dtype=x.dtype)
+        for ki, kj in _POOL_OFFSETS:
+            cols[..., ki, kj, :] = win[..., ki, kj, :]
+        win = cols
+    return win.reshape(4 * b * hp * wp, 4 * c)
 
 
-def _conv_forward(x, kernel, bias, want_cols):
+def _conv_forward(x, kernel, bias, keep_trace):
+    """Fused valid 2x2 conv -> ReLU -> 2x2/stride-2 max pool of a (B, H, W, C) batch.
+
+    One GEMM evaluates the conv at the four pool phases, and pooling is the
+    elementwise max of the four phase maps. Bias and ReLU are applied once, on
+    the pooled map; rounding is monotone, so max(fl(a+b), fl(c+b)) ==
+    fl(max(a, c) + b) and the result equals conv+bias -> ReLU -> pool exactly.
+    Returns (pooled, idx, cols). idx is the within-window argmax slot (row-major,
+    first occurrence on ties, taken before the bias is added) and cols the phase
+    patch matrix; both are None unless keep_trace.
+    """
     b, h, w, c_in = x.shape
     c_out = kernel.shape[3]
-    if kernel.shape[2] != c_in or h < 2 or w < 2:
-        raise ShapeMismatch(f"conv: input {x.shape} vs kernel {kernel.shape}")
-    cols = _im2col(x)
-    out = cols @ kernel.reshape(4 * c_in, c_out)
+    if kernel.shape[:3] != (2, 2, c_in) or h < 3 or w < 3:
+        raise ShapeMismatch(f"conv stage: input {x.shape} vs kernel {kernel.shape}")
+    hp, wp = (h - 1) // 2, (w - 1) // 2
+    cols = _phase_im2col(x)
+    z = (cols @ kernel.reshape(4 * c_in, c_out)).reshape(4, b, hp, wp, c_out)
+    top = np.maximum(z[0], z[1])
+    bottom = np.maximum(z[2], z[3])
+    out = np.maximum(top, bottom)
     out += bias
-    return out.reshape(b, h - 1, w - 1, c_out), (cols if want_cols else None)
+    np.maximum(out, 0, out=out)
+    if not keep_trace:
+        return out, None, None
+    # branch-free select of the slot; np.where is several times slower on
+    # masks as irregular as these
+    lower = (bottom > top).view(np.int8)
+    left = (z[1] > z[0]).view(np.int8)
+    right = (z[3] > z[2]).view(np.int8)
+    idx = left + lower * (right + 2 - left)
+    return out, idx, cols
 
 
-def _conv_backward(dy, cols, kernel, x_shape, need_dx=True):
-    b, h, w, c_in = x_shape
+def _conv_backward(dy, cols, kernel, x_shape, need_dx, idx):
+    """Backward of the fused stage; returns (dx, dkernel, dbias).
+
+    dy is the gradient at the pooled map with the ReLU mask already applied;
+    cols and idx come from _conv_forward. Each pooled gradient flows to the
+    conv output its window selected, so the phase-stacked conv gradient is
+    dy * (idx == phase).
+    """
+    b, _, _, c_in = x_shape
     c_out = kernel.shape[3]
-    dy2 = dy.reshape(-1, c_out)
-    db = dy2.sum(axis=0)
-    dk = (cols.T @ dy2).reshape(2, 2, c_in, c_out)
+    hp, wp = dy.shape[1:3]
+    dz = np.empty((4,) + dy.shape, dtype=dy.dtype)
+    for phase in range(4):
+        np.multiply(dy, idx == phase, out=dz[phase])
+    dz = dz.reshape(-1, c_out)
+    db = dy.reshape(-1, c_out).sum(axis=0)
+    dk = (cols.T @ dz).reshape(2, 2, c_in, c_out)
     if not need_dx:
         return None, dk, db
-    dcols = (dy2 @ kernel.reshape(4 * c_in, c_out).T).reshape(b, h - 1, w - 1, 2, 2, c_in)
+    dcols = (dz @ kernel.reshape(4 * c_in, c_out).T).reshape(4, b, hp, wp, 2, 2, c_in)
     dx = np.zeros(x_shape, dtype=dy.dtype)
-    for di in range(2):
-        for dj in range(2):
-            dx[:, di:di + h - 1, dj:dj + w - 1, :] += dcols[:, :, :, di, dj, :]
+    for phase, (di, dj) in enumerate(_POOL_OFFSETS):
+        for ki, kj in _POOL_OFFSETS:
+            r, c = di + ki, dj + kj
+            dx[:, r:r + 2 * hp:2, c:c + 2 * wp:2, :] += dcols[phase, :, :, :, ki, kj, :]
     return dx, dk, db
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+def _maxpool_core(x: np.ndarray) -> np.ndarray:
+    """Unfused 2x2/stride-2 max pool; trailing odd rows/columns are dropped.
 
-
-def relu_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return dy * (x > 0)
-
-
-_POOL_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
-def _maxpool_core(x: np.ndarray, want_idx: bool):
+    The network pools inside _conv_forward; this serves _kink_margin.
+    """
     b, h, w, c = x.shape
     if h < 2 or w < 2:
         raise ShapeMismatch(f"maxpool2d: input {x.shape[1:]} smaller than window")
     hp, wp = h // 2, w // 2
-    v00 = x[:, 0:2 * hp:2, 0:2 * wp:2, :]
-    v01 = x[:, 0:2 * hp:2, 1:2 * wp:2, :]
-    v10 = x[:, 1:2 * hp:2, 0:2 * wp:2, :]
-    v11 = x[:, 1:2 * hp:2, 1:2 * wp:2, :]
-    top = np.maximum(v00, v01)
-    bottom = np.maximum(v10, v11)
-    out = np.maximum(top, bottom)
-    if not want_idx:
-        return out, None
-    # slot = within-window argmax, row-major, first occurrence on ties
-    idx = np.where(bottom > top,
-                   2 + (v11 > v10).astype(np.int8),
-                   (v01 > v00).astype(np.int8)).astype(np.int8, copy=False)
-    return out, idx
-
-
-def maxpool2d(x: np.ndarray):
-    """2x2 window, stride 2, trailing odd rows/columns dropped.
-
-    Returns (pooled, idx) where idx holds the within-window argmax slot
-    (row-major, first occurrence on ties) needed by the backward pass.
-    """
-    single = x.ndim == 3
-    if single:
-        x = x[None]
-    out, idx = _maxpool_core(x, want_idx=True)
-    if single:
-        return out[0], idx[0]
-    return out, idx
+    top = np.maximum(x[:, 0:2 * hp:2, 0:2 * wp:2, :], x[:, 0:2 * hp:2, 1:2 * wp:2, :])
+    bottom = np.maximum(x[:, 1:2 * hp:2, 0:2 * wp:2, :], x[:, 1:2 * hp:2, 1:2 * wp:2, :])
+    return np.maximum(top, bottom)
 
 
 def maxpool2d_backward(dy: np.ndarray, idx: np.ndarray, x_shape) -> np.ndarray:
+    """Unfused max-pool backward: route dy to each window's argmax slot.
+
+    The training path does this inside _conv_backward; this is the reference
+    the fused stage is tested against.
+    """
     single = dy.ndim == 3
     if single:
         dy, idx = dy[None], idx[None]
@@ -315,9 +344,7 @@ def forward_batch(params: ModelParams, xs: np.ndarray, training: bool = False,
     trace = ForwardTrace(params=params, training=training, dropout_rate=dropout_rate, x=a)
     for kernel, bias in zip(params.conv_kernels, params.conv_biases):
         trace.conv_in_shapes.append(a.shape)
-        z, cols = _conv_forward(a, kernel, bias, want_cols=keep_trace)
-        np.maximum(z, 0, out=z)  # relu; the pre-activation is not needed again
-        a, idx = _maxpool_core(z, want_idx=keep_trace)
+        a, idx, cols = _conv_forward(a, kernel, bias, keep_trace)
         if keep_trace:
             trace.conv_cols.append(cols)
             trace.pool_out.append(a)
@@ -385,12 +412,8 @@ def backward_from_dp(trace: ForwardTrace, dp: np.ndarray) -> ModelParams:
         # relu mask in the pooled domain: the selected pre-activation is
         # positive exactly when the pooled value is
         da = da * (trace.pool_out[i] > 0)
-        in_shape = trace.conv_in_shapes[i]
-        dz = maxpool2d_backward(da, trace.pool_idx[i],
-                                (in_shape[0], in_shape[1] - 1, in_shape[2] - 1,
-                                 params.conv_kernels[i].shape[3]))
-        da, dk, db = _conv_backward(dz, trace.conv_cols[i], params.conv_kernels[i],
-                                    in_shape, need_dx=i > 0)
+        da, dk, db = _conv_backward(da, trace.conv_cols[i], params.conv_kernels[i],
+                                    trace.conv_in_shapes[i], i > 0, trace.pool_idx[i])
         grads.conv_kernels[i][:] = dk
         grads.conv_biases[i][:] = db
     return grads
@@ -463,8 +486,9 @@ def weighted_gradient_step(params: ModelParams, opt_state: AdamState, terms,
         if weight == 0.0 or len(xs) == 0:
             losses.append(0.0)
             continue
-        probs, trace = forward_batch(params, xs, training=True, rng=rng)
+        _, trace = forward_batch(params, xs, training=True, rng=rng)
         loss, grads = loss_and_backward(params, trace, targets, loss_kind)
+        del trace  # free this term's activations before the next term's forward
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"{loss_kind} loss is {loss}")
         losses.append(loss)
@@ -495,9 +519,10 @@ def _kink_margin(params: ModelParams, xs: np.ndarray) -> float:
     margin = np.inf
     a = np.asarray(xs, dtype=np.float64)[..., None]
     for kernel, bias in zip(params.conv_kernels, params.conv_biases):
-        z = conv2d(a, kernel, bias)
+        b, h, w, c_in = a.shape
+        z = (_im2col(a) @ kernel.reshape(4 * c_in, -1) + bias).reshape(b, h - 1, w - 1, -1)
         margin = min(margin, float(np.abs(z).min()))
-        r = relu(z)
+        r = np.maximum(z, 0)
         _, h, w, _ = r.shape
         hp, wp = h // 2, w // 2
         stack = np.stack([r[:, di:2 * hp:2, dj:2 * wp:2, :] for di, dj in _POOL_OFFSETS])
@@ -506,7 +531,7 @@ def _kink_margin(params: ModelParams, xs: np.ndarray) -> float:
         positive = top2[1] > 0
         if positive.any():
             margin = min(margin, float(gaps[positive].min()))
-        a, _ = _maxpool_core(r, want_idx=False)
+        a = _maxpool_core(r)
     return margin
 
 
@@ -526,10 +551,14 @@ def gradient_check(spec: CnnSpec, seed: int = 0, eps: float = 1e-3,
         xs = rng.normal(0.0, 0.5, size=(batch,) + spec.input_shape)
         targets = rng.random((batch, spec.n_classes)) + 0.1
         targets /= targets.sum(axis=1, keepdims=True)
-        if _kink_margin(params, xs) > 8 * eps:
+        # a stage with no positive output passes no gradient down: every conv
+        # gradient would be zero on both sides and the check would compare zeros
+        _, trace = forward_batch(params, xs, training=False, keep_trace=True)
+        live = all((a > 0).any() for a in trace.pool_out)
+        if live and _kink_margin(params, xs) > 8 * eps:
             break
     else:
-        raise RuntimeError("could not find a kink-free probe point")
+        raise RuntimeError("could not find a live, kink-free probe point")
 
     def loss_at():
         probs, trace = forward_batch(params, xs, training=False, keep_trace=True)

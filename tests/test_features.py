@@ -175,6 +175,26 @@ def test_amplitude_monotonicity(rng):
     assert np.allclose(loud[1:], base[1:], atol=1e-6)  # higher rows capture shape, not gain
 
 
+def test_mfcc_matrices_built_once_and_read_only(monkeypatch, rng):
+    cfg = MfccConfig(clip_seconds=1.0, target_frames=44, pre_emphasis=0.95)  # not yet cached
+    built = []
+    monkeypatch.setattr(features, "mel_filterbank",
+                        lambda c: built.append(c) or mel_filterbank(c))
+    clips = [AudioClip(rng.uniform(-0.5, 0.5, 22050), 22050) for _ in range(3)]
+    outs = [extract_mfcc(clip, cfg) for clip in clips]
+    assert built == [cfg]
+    for clip, out in zip(clips, outs):
+        # the chain with matrices built afresh for this clip
+        frames = frame_and_window(pre_emphasize(clip.samples, cfg.pre_emphasis), cfg)
+        spec = np.fft.rfft(frames, n=cfg.n_fft, axis=1)
+        mel = (spec.real ** 2 + spec.imag ** 2) @ mel_filterbank(cfg).T
+        coeffs = dct_matrix(40, 128) @ np.log(np.maximum(mel, cfg.log_floor)).T
+        assert np.array_equal(out, pad_or_truncate(coeffs, cfg.target_frames))
+    for arr in features.mfcc_matrices(cfg):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         MfccConfig(pre_emphasis=1.5)

@@ -5,29 +5,14 @@ from lungsound import nn
 from lungsound.errors import MalformedHeader, NonFiniteLoss, ShapeMismatch, StaleTrace
 from lungsound.rng import substream
 
+import nn_oracle as oracle
+
 SMALL = nn.CnnSpec(input_shape=(8, 16), channels=(2, 3))
-
-
-def conv2d_loop(x, kernel, bias):
-    """Quadruple-loop reference convolution."""
-    h, w, c_in = x.shape
-    kh, kw, _, c_out = kernel.shape
-    out = np.zeros((h - kh + 1, w - kw + 1, c_out))
-    for i in range(h - kh + 1):
-        for j in range(w - kw + 1):
-            for o in range(c_out):
-                acc = bias[o]
-                for di in range(kh):
-                    for dj in range(kw):
-                        for c in range(c_in):
-                            acc += x[i + di, j + dj, c] * kernel[di, dj, c, o]
-                out[i, j, o] = acc
-    return out
 
 
 def test_conv2d_full_overlap_sums_input():
     x = np.arange(4, dtype=float).reshape(2, 2, 1)
-    out = nn.conv2d(x, np.ones((2, 2, 1, 1)), np.zeros(1))
+    out = oracle.conv2d(x, np.ones((2, 2, 1, 1)), np.zeros(1))
     assert out.shape == (1, 1, 1)
     assert out[0, 0, 0] == 6.0
 
@@ -36,7 +21,7 @@ def test_conv2d_identity_kernel_crops(rng):
     x = rng.normal(size=(5, 7, 1))
     k = np.zeros((2, 2, 1, 1))
     k[0, 0, 0, 0] = 1.0
-    out = nn.conv2d(x, k, np.zeros(1))
+    out = oracle.conv2d(x, k, np.zeros(1))
     assert np.allclose(out[:, :, 0], x[:4, :6, 0])
 
 
@@ -44,32 +29,32 @@ def test_conv2d_matches_loop_oracle(rng):
     x = rng.normal(size=(4, 4, 3))
     k = rng.normal(size=(2, 2, 3, 5))
     b = rng.normal(size=5)
-    assert np.allclose(nn.conv2d(x, k, b), conv2d_loop(x, k, b), rtol=1e-12, atol=1e-12)
+    assert np.allclose(oracle.conv2d(x, k, b), oracle.conv2d_loop(x, k, b), rtol=1e-12, atol=1e-12)
 
 
 def test_conv2d_shape_errors(rng):
     with pytest.raises(ShapeMismatch):
-        nn.conv2d(rng.normal(size=(4, 4, 2)), rng.normal(size=(2, 2, 3, 5)), np.zeros(5))
+        oracle.conv2d(rng.normal(size=(4, 4, 2)), rng.normal(size=(2, 2, 3, 5)), np.zeros(5))
     with pytest.raises(ShapeMismatch):
-        nn.conv2d(rng.normal(size=(1, 4, 3)), rng.normal(size=(2, 2, 3, 5)), np.zeros(5))
+        oracle.conv2d(rng.normal(size=(1, 4, 3)), rng.normal(size=(2, 2, 3, 5)), np.zeros(5))
 
 
 def test_maxpool_basics():
     x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1)
-    out, idx = nn.maxpool2d(x)
+    out, idx = oracle.maxpool2d(x)
     assert out[0, 0, 0] == 4.0
     assert idx[0, 0, 0] == 3
 
 
 def test_maxpool_drops_odd_trailing(rng):
     x = rng.normal(size=(5, 7, 2))
-    out, _ = nn.maxpool2d(x)
+    out, _ = oracle.maxpool2d(x)
     assert out.shape == (2, 3, 2)
 
 
 def test_maxpool_tie_routes_first_occurrence():
     x = np.full((2, 2, 1), 5.0)
-    out, idx = nn.maxpool2d(x)
+    out, idx = oracle.maxpool2d(x)
     assert idx[0, 0, 0] == 0
     dy = np.array([[[2.0]]])
     dx = nn.maxpool2d_backward(dy, idx, (2, 2, 1))
@@ -79,7 +64,7 @@ def test_maxpool_tie_routes_first_occurrence():
 
 def test_maxpool_backward_matches_manual(rng):
     x = rng.normal(size=(1, 4, 6, 3))
-    out, idx = nn.maxpool2d(x)
+    out, idx = oracle.maxpool2d(x)
     dy = rng.normal(size=out.shape)
     dx = nn.maxpool2d_backward(dy, idx, x.shape)
     # each window's gradient lands on its argmax
@@ -94,9 +79,75 @@ def test_maxpool_backward_matches_manual(rng):
 
 def test_relu_and_backward():
     x = np.array([-2.0, -0.0, 0.0, 3.0])
-    assert np.array_equal(nn.relu(x), [0.0, 0.0, 0.0, 3.0])
+    assert np.array_equal(oracle.relu(x), [0.0, 0.0, 0.0, 3.0])
     dy = np.ones(4)
-    assert np.array_equal(nn.relu_backward(dy, x), [0.0, 0.0, 0.0, 1.0])
+    assert np.array_equal(oracle.relu_backward(dy, x), [0.0, 0.0, 0.0, 1.0])
+
+
+# conv output 7x7, 8x8 and 7x10: odd and even heights and widths
+STAGE_SHAPES = [(3, 8, 8, 1), (2, 9, 9, 4), (2, 8, 11, 3)]
+
+
+def _stage_case(rng, shape, c_out=5):
+    x = rng.normal(size=shape).astype(np.float32)
+    k = rng.normal(size=(2, 2, shape[3], c_out)).astype(np.float32)
+    b = rng.normal(0.0, 0.5, size=c_out).astype(np.float32)
+    return x, k, b
+
+
+@pytest.mark.parametrize("shape", STAGE_SHAPES)
+def test_fused_stage_forward_bit_identical(rng, shape):
+    x, k, b = _stage_case(rng, shape)
+    pooled, idx, _ = nn._conv_forward(x, k, b, True)
+    want, want_idx, z = oracle.stage_forward(x, k, b)
+    assert pooled.dtype == np.float32
+    assert np.array_equal(pooled, want)
+    positive = want > 0
+    assert 0 < positive.mean() < 1
+    assert np.array_equal(idx[positive], want_idx[positive])
+    assert np.array_equal(nn._conv_forward(x, k, b, False)[0], want)
+    # the unfused pool that _kink_margin uses agrees with the oracle as well
+    assert np.array_equal(nn._maxpool_core(oracle.relu(z)), want)
+
+
+@pytest.mark.parametrize("shape", STAGE_SHAPES)
+def test_fused_stage_backward_matches_oracle(rng, shape):
+    x, k, b = _stage_case(rng, shape)
+    x, k, b = x.astype(np.float64), k.astype(np.float64), b.astype(np.float64)
+    pooled, idx, cols = nn._conv_forward(x, k, b, True)
+    _, want_idx, z = oracle.stage_forward(x, k, b)
+    dy = rng.normal(size=pooled.shape)
+    dx, dk, db = nn._conv_backward(dy * (pooled > 0), cols, k, x.shape, True, idx)
+    want_dx, want_dk, want_db = oracle.stage_backward(dy, x, k, z, want_idx)
+    assert np.allclose(dx, want_dx, rtol=1e-12, atol=1e-12)
+    assert np.allclose(dk, want_dk, rtol=1e-12, atol=1e-12)
+    assert np.allclose(db, want_db, rtol=1e-12, atol=1e-12)
+    no_dx, dk2, db2 = nn._conv_backward(dy * (pooled > 0), cols, k, x.shape, False, idx)
+    assert no_dx is None
+    assert np.array_equal(dk2, dk) and np.array_equal(db2, db)
+
+
+def test_fused_stage_too_small_raises(rng):
+    k = rng.normal(size=(2, 2, 1, 3)).astype(np.float32)
+    b = np.zeros(3, dtype=np.float32)
+    for shape in [(1, 2, 5, 1), (1, 5, 2, 1)]:
+        with pytest.raises(ShapeMismatch):
+            nn._conv_forward(np.zeros(shape, np.float32), k, b, True)
+    with pytest.raises(ShapeMismatch):
+        nn._conv_forward(np.zeros((1, 5, 5, 2), np.float32), k, b, True)
+    # the second stage sees a 2x7 map: the conv would leave a single row
+    params = nn.init_params(substream(0, "init"), SMALL)
+    with pytest.raises(ShapeMismatch):
+        nn.forward_batch(params, np.zeros((1, 5, 16), np.float32))
+
+
+def test_inference_bit_identical_to_unfused_network(rng):
+    params = nn.init_params(substream(6, "init"))
+    for bias in params.conv_biases:
+        bias[:] = rng.normal(0.0, 0.05, size=bias.shape)
+    xs = rng.normal(size=(2, 40, 862)).astype(np.float32)
+    probs, _ = nn.forward_batch(params, xs, training=False)
+    assert np.array_equal(probs, oracle.forward_probs(params, xs))
 
 
 def test_global_avg_pool_constant():
