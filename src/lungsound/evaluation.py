@@ -15,9 +15,10 @@ from decimal import ROUND_HALF_UP, Decimal
 import numpy as np
 
 from .dataset import CLASS_NAMES
-from .errors import EmptyEvaluation, LengthMismatch, OutOfRangeLabel
+from .errors import DataError, EmptyEvaluation, LengthMismatch, OutOfRangeLabel
 
 N_CLASSES = len(CLASS_NAMES)
+_METRIC_KEYS = ("precision", "recall", "f1-score", "support")
 
 
 def confusion(y_true, y_pred, n_classes: int = N_CLASSES) -> np.ndarray:
@@ -56,18 +57,22 @@ class ClassificationReport:
 
     @classmethod
     def from_json(cls, text: str) -> "ClassificationReport":
-        d = json.loads(text)
-        rows = [d[name] for name in CLASS_NAMES]
-        return cls(
-            precision=np.array([r["precision"] for r in rows]),
-            recall=np.array([r["recall"] for r in rows]),
-            f1=np.array([r["f1-score"] for r in rows]),
-            support=np.array([r["support"] for r in rows], dtype=np.int64),
-            accuracy=float(d["accuracy"]),
-            macro_avg=tuple(d["macro avg"][k] for k in ("precision", "recall", "f1-score")),
-            weighted_avg=tuple(d["weighted avg"][k] for k in ("precision", "recall", "f1-score")),
-            total=int(d["macro avg"]["support"]),
-        )
+        """Inverse of to_json; a missing or non-numeric entry raises DataError."""
+        try:
+            d = json.loads(text)
+            rows = [[d[label][k] for k in _METRIC_KEYS]
+                    for label in CLASS_NAMES + ("macro avg", "weighted avg")]
+            if not all(type(v) in (int, float) for v in [d["accuracy"], *sum(rows, [])]):
+                raise TypeError("a metric is not a number")
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"not a classification report ({type(exc).__name__}: {exc})") \
+                from None
+        precision, recall, f1, support = zip(*rows[:N_CLASSES])
+        macro, weighted = rows[N_CLASSES:]
+        return cls(precision=np.array(precision), recall=np.array(recall), f1=np.array(f1),
+                   support=np.array(support, dtype=np.int64), accuracy=float(d["accuracy"]),
+                   macro_avg=tuple(macro[:3]), weighted_avg=tuple(weighted[:3]),
+                   total=int(macro[3]))
 
     def __eq__(self, other):
         if not isinstance(other, ClassificationReport):

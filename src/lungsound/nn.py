@@ -364,14 +364,6 @@ def forward_batch(params: ModelParams, xs: np.ndarray, training: bool = False,
     return probs, trace
 
 
-def forward(params: ModelParams, x: np.ndarray, training: bool = False,
-            rng: np.random.Generator | None = None, dropout_rate: float = 0.2):
-    """Single-input forward; returns (probability vector, trace)."""
-    probs, trace = forward_batch(params, np.asarray(x)[None], training=training,
-                                 rng=rng, dropout_rate=dropout_rate, keep_trace=True)
-    return probs[0], trace
-
-
 def _loss_and_dp(probs, targets, loss_kind):
     """Mean loss over the batch and dL/dprobs."""
     n = probs.shape[0]
@@ -615,39 +607,47 @@ def save_checkpoint(path, params: ModelParams, metadata: dict) -> None:
 
 
 def load_checkpoint(path):
-    """Inverse of save_checkpoint; returns (ModelParams, metadata dict)."""
+    """Inverse of save_checkpoint; returns (ModelParams, metadata dict).
+
+    A truncated or damaged file raises MalformedHeader.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != _CKPT_MAGIC:
         raise MalformedHeader(f"{path}: not a checkpoint file")
-    (version,) = struct.unpack_from("<H", data, 4)
-    if version != _CKPT_VERSION:
-        raise MalformedHeader(f"{path}: unsupported checkpoint version {version}")
-    pos = 6
-    tensors = {}
-    while True:
-        (name_len,) = struct.unpack_from("<H", data, pos)
-        pos += 2
-        if name_len == 0:
-            break
-        name = data[pos:pos + name_len].decode()
-        pos += name_len
-        dtype_code, rank = struct.unpack_from("<BB", data, pos)
-        pos += 2
-        if dtype_code != _DTYPE_F32:
-            raise MalformedHeader(f"{path}: unknown dtype code {dtype_code}")
-        dims = struct.unpack_from(f"<{rank}I", data, pos)
-        pos += 4 * rank
-        n_bytes = 4 * int(np.prod(dims, dtype=np.int64)) if rank else 4
-        tensors[name] = np.frombuffer(data[pos:pos + n_bytes], dtype="<f4").reshape(dims)
-        pos += n_bytes
-    metadata = json.loads(data[pos:].decode()) if pos < len(data) else {}
+    try:
+        (version,) = struct.unpack_from("<H", data, 4)
+        if version != _CKPT_VERSION:
+            raise MalformedHeader(f"{path}: unsupported checkpoint version {version}")
+        pos = 6
+        tensors = {}
+        while True:
+            (name_len,) = struct.unpack_from("<H", data, pos)
+            pos += 2
+            if name_len == 0:
+                break
+            name = data[pos:pos + name_len].decode()
+            pos += name_len
+            dtype_code, rank = struct.unpack_from("<BB", data, pos)
+            pos += 2
+            if dtype_code != _DTYPE_F32:
+                raise MalformedHeader(f"{path}: unknown dtype code {dtype_code}")
+            dims = struct.unpack_from(f"<{rank}I", data, pos)
+            pos += 4 * rank
+            n_bytes = 4 * int(np.prod(dims, dtype=np.int64)) if rank else 4
+            tensors[name] = np.frombuffer(data[pos:pos + n_bytes], dtype="<f4").reshape(dims)
+            pos += n_bytes
+        metadata = json.loads(data[pos:].decode()) if pos < len(data) else {}
 
-    n_conv = sum(1 for name in tensors if name.endswith(".kernel"))
-    params = ModelParams(
-        conv_kernels=[tensors[f"conv{i}.kernel"].copy() for i in range(n_conv)],
-        conv_biases=[tensors[f"conv{i}.bias"].copy() for i in range(n_conv)],
-        dense_w=tensors["dense.weight"].copy(),
-        dense_b=tensors["dense.bias"].copy(),
-    )
+        n_conv = sum(1 for name in tensors if name.endswith(".kernel"))
+        params = ModelParams(
+            conv_kernels=[tensors[f"conv{i}.kernel"].copy() for i in range(n_conv)],
+            conv_biases=[tensors[f"conv{i}.bias"].copy() for i in range(n_conv)],
+            dense_w=tensors["dense.weight"].copy(),
+            dense_b=tensors["dense.bias"].copy(),
+        )
+    except (struct.error, ValueError, KeyError) as exc:
+        # short reads; bad UTF-8, bad JSON or short tensors; missing tensors
+        raise MalformedHeader(f"{path}: damaged checkpoint ({type(exc).__name__}: {exc})") \
+            from None
     return params, metadata

@@ -11,6 +11,10 @@ Three ways of exploiting an unlabeled pool next to a labeled one:
 
 Pseudo-label construction never backpropagates into the model that produced
 it: all targets are built from inference-mode forwards and held constant.
+Each is one batch's work inside `training._run_pass`, which supplies the
+batches and the dropout stream. The benchmark tracer wraps `mixmatch`,
+`augment`, `mixup` and the two co steps by name, and counts the inference
+forwards made inside them as target forwards.
 """
 
 from __future__ import annotations
@@ -55,16 +59,6 @@ class SslConfig:
                          augment_max_mask_frames=0, fixed_lambda=1.0)
 
 
-@dataclass
-class MixedBatch:
-    inputs: list                      # feature matrices
-    targets: list                     # soft label vectors
-    origin: list                      # True where the item came from the labeled pool
-
-    def __len__(self):
-        return len(self.inputs)
-
-
 def is_soft_label(p, tol: float = 1e-6) -> bool:
     p = np.asarray(p)
     return bool(p.shape == (nn.N_CLASSES,) and (p >= -tol).all()
@@ -105,13 +99,15 @@ def sharpen(p: np.ndarray, temperature: float) -> np.ndarray:
     return q / q.sum()
 
 
-def guess_label(params: nn.ModelParams, u: np.ndarray, k: int, temperature: float,
-                rng: np.random.Generator, noise_scale: float = 0.05,
-                max_mask_frames: int = 40) -> np.ndarray:
-    """Sharpened mean of inference predictions over k augmentations of u."""
-    copies = np.stack([augment(u, rng, noise_scale, max_mask_frames) for _ in range(k)])
+def guess_labels(params: nn.ModelParams, copies: np.ndarray, k: int,
+                 temperature: float) -> np.ndarray:
+    """Sharpened mean inference prediction over each item's k augmented copies.
+
+    `copies` holds k consecutive rows per item; returns one label per item.
+    """
     probs, _ = nn.forward_batch(params, copies, training=False, keep_trace=False)
-    return sharpen(probs.astype(np.float64).mean(axis=0), temperature)
+    probs = probs.astype(np.float64).reshape(len(copies) // k, k, -1)
+    return np.stack([sharpen(p.mean(axis=0), temperature) for p in probs])
 
 
 def mixup(x1, y1, x2, y2, alpha: float, rng: np.random.Generator,
@@ -137,54 +133,27 @@ def mixmatch(labeled_x, labeled_y, unlabeled_x, params: nn.ModelParams, cfg: Ssl
     Labeled items are augmented once and keep their targets; each unlabeled
     item contributes n_augmentations copies sharing one guessed label. The
     union is mixup-paired against a shuffled copy of itself. Returns
-    (X_batch, U_batch): the mixed items of labeled and unlabeled origin.
+    ((x_inputs, x_targets), (u_inputs, u_targets)): the mixed items of
+    labeled and of unlabeled origin, as stacked arrays.
     """
     if len(labeled_x) == 0:
         raise ValueError("mixmatch needs a non-empty labeled batch")
-    k = cfg.n_augmentations
-    all_x = [augment(x, rng_augment, cfg.augment_noise_scale, cfg.augment_max_mask_frames)
-             for x in labeled_x]
-    all_y = [np.asarray(y, dtype=np.float64) for y in labeled_y]
-    origin = [True] * len(all_x)
-
+    k, n_lab = cfg.n_augmentations, len(labeled_x)
+    noise, mask = cfg.augment_noise_scale, cfg.augment_max_mask_frames
+    all_x = np.stack([augment(x, rng_augment, noise, mask) for x in labeled_x]
+                     + [augment(u, rng_augment, noise, mask)
+                        for u in unlabeled_x for _ in range(k)])
+    all_y = np.asarray(labeled_y, dtype=np.float64)
     if len(unlabeled_x):
-        copies = np.stack([augment(u, rng_augment, cfg.augment_noise_scale,
-                                   cfg.augment_max_mask_frames)
-                           for u in unlabeled_x for _ in range(k)])
-        probs, _ = nn.forward_batch(params, copies, training=False, keep_trace=False)
-        probs = probs.astype(np.float64).reshape(len(unlabeled_x), k, -1)
-        guesses = [sharpen(p.mean(axis=0), cfg.temperature) for p in probs]
-        for i in range(len(unlabeled_x)):
-            for j in range(k):
-                all_x.append(copies[i * k + j])
-                all_y.append(guesses[i])
-                origin.append(False)
+        guesses = guess_labels(params, all_x[n_lab:], k, cfg.temperature)
+        all_y = np.concatenate([all_y, np.repeat(guesses, k, axis=0)])
 
     perm = rng_mixup.permutation(len(all_x))
-    mixed_x, mixed_y = [], []
-    for i in range(len(all_x)):
-        j = int(perm[i])
-        mx, my = mixup(all_x[i], all_y[i], all_x[j], all_y[j],
-                       cfg.mixup_alpha, rng_mixup, cfg.fixed_lambda)
-        mixed_x.append(mx)
-        mixed_y.append(my)
-
-    n_lab = len(labeled_x)
-    x_batch = MixedBatch(mixed_x[:n_lab], mixed_y[:n_lab], origin[:n_lab])
-    u_batch = MixedBatch(mixed_x[n_lab:], mixed_y[n_lab:], origin[n_lab:])
-    return x_batch, u_batch
-
-
-def mixmatch_loss(params: nn.ModelParams, x_batch: MixedBatch, u_batch: MixedBatch,
-                  unlabeled_weight: float):
-    """(total, supervised CE, unlabeled MSE) under inference-mode predictions."""
-    probs_x, _ = nn.forward_batch(params, np.stack(x_batch.inputs), keep_trace=False)
-    sup = nn.loss_value(probs_x, np.stack(x_batch.targets), "cross_entropy")
-    unsup = 0.0
-    if len(u_batch) and unlabeled_weight > 0:
-        probs_u, _ = nn.forward_batch(params, np.stack(u_batch.inputs), keep_trace=False)
-        unsup = nn.loss_value(probs_u, np.stack(u_batch.targets), "squared_error")
-    return sup + unlabeled_weight * unsup, sup, unsup
+    mixed_x, mixed_y = np.empty_like(all_x), np.empty_like(all_y)
+    for i, j in enumerate(perm):
+        mixed_x[i], mixed_y[i] = mixup(all_x[i], all_y[i], all_x[j], all_y[j],
+                                       cfg.mixup_alpha, rng_mixup, cfg.fixed_lambda)
+    return (mixed_x[:n_lab], mixed_y[:n_lab]), (mixed_x[n_lab:], mixed_y[n_lab:])
 
 
 def co_refinement_step(params: nn.ModelParams, opt_state: nn.AdamState,
@@ -230,8 +199,6 @@ def co_refurbishing_step(params: nn.ModelParams, opt_state: nn.AdamState,
         preds, _ = nn.forward_batch(params, labeled_x[chosen], training=False,
                                     keep_trace=False)
         targets[chosen] = refurbish_targets(targets[chosen], preds, weight)
-    elif n_ref > 0:
-        rng.choice(n, size=n_ref, replace=False)  # keep the stream aligned
 
     terms = [(1.0, labeled_x, targets, "cross_entropy", dropout_rng)]
     if weight < 1.0 and len(unlabeled_x):

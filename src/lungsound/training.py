@@ -1,11 +1,16 @@
 """Training schedules.
 
-Baseline mode is plain supervised training on the labeled split with a
-validation slice, early stopping, and best-checkpoint restoration. Semi mode
-runs, per epoch: one mixmatch pass over paired labeled/unlabeled batches,
-then one co-refinement pass, then one co-refurbishing pass, and after the
-loop fine-tunes on the full labeled set with the same validation machinery.
-Ablations skip the selected co passes.
+One schedule runs every mode: SSL epochs, then supervised epochs with a
+validation slice, early stopping and best-epoch restoration. Semi mode runs a
+mixmatch, a co-refinement and a co-refurbishing pass per SSL epoch (ablations
+drop co passes), then a refit; baseline is the schedule with zero SSL epochs.
+
+Every pass is one batch loop, `_run_pass`, that owns batch order, unlabeled
+cycling, dropout substreams, error context and loss means; a pass only
+defines its gradient step. The benchmark tracer wraps `run_supervised_epoch`,
+`run_mixmatch_epoch`, `_run_co_pass` (reading `args[2]` and the pass id in
+`args[7]`), `_accuracy`, `_prepare` and the entry points by module-global
+name, so the schedule calls them through this namespace.
 
 All randomness flows from the single config seed through named substreams
 keyed by (epoch, pass, batch), so runs replay exactly and independent stages
@@ -33,10 +38,10 @@ log = logging.getLogger(__name__)
 # pass ids keying the batch/dropout streams; supervised epochs share the
 # mixmatch slot so a fully neutralized semi epoch replays a supervised one
 PASS_MAIN = 0
-PASS_CO_REFINEMENT = 1
-PASS_CO_REFURBISHING = 2
+CO_PASSES = {"co_refinement": 1, "co_refurbishing": 2}  # name -> pass id, in run order
+PASS_CO_REFINEMENT = CO_PASSES["co_refinement"]
 
-VALID_DROPS = {"co_refinement", "co_refurbishing", "both"}
+VALID_DROPS = {*CO_PASSES, "both"}
 
 
 @dataclass(frozen=True)
@@ -134,11 +139,6 @@ def _accuracy(params, xs, ys) -> float:
     return float((predict_batch(params, xs) == np.asarray(ys)).mean())
 
 
-def _batches(order: np.ndarray, batch_size: int):
-    for i in range(0, len(order), batch_size):
-        yield order[i:i + batch_size]
-
-
 @contextmanager
 def _numeric_context(epoch: int, batch: int):
     """Attach the offending epoch/batch to numerical failures."""
@@ -169,93 +169,71 @@ def _ramp_weight(cfg: TrainConfig, epoch: int) -> float:
     return cfg.ssl.unlabeled_loss_weight * min(1.0, (epoch + 1) / ramp)
 
 
+def _run_pass(xs_lab, ys_onehot, xs_unlab, cfg: TrainConfig, epoch: int, pass_id: int,
+              step):
+    """The batch loop of every pass; returns size-weighted mean (labeled,
+    unlabeled) losses of `step(b, x, y, u, dropout_rng)`, one step per batch.
+
+    Each labeled batch is paired with as many unlabeled rows, read from the
+    number of labeled rows consumed so far in a cycled unlabeled permutation.
+    """
+    order = substream(cfg.seed, "batch", epoch, pass_id).permutation(len(xs_lab))
+    if len(xs_unlab):
+        u_order = np.resize(substream(cfg.seed, "unlabeled", epoch, pass_id)
+                            .permutation(len(xs_unlab)), len(xs_lab))
+    lab_total, unlab_total = 0.0, 0.0
+    for b, start in enumerate(range(0, len(order), cfg.batch_size)):
+        batch = order[start:start + cfg.batch_size]
+        u = xs_unlab[u_order[start:start + len(batch)]] if len(xs_unlab) else xs_unlab
+        with _numeric_context(epoch, b):
+            lab, unlab = step(b, xs_lab[batch], ys_onehot[batch], u,
+                              substream(cfg.seed, "dropout", epoch, pass_id, b))
+        lab_total += lab * len(batch)
+        unlab_total += unlab * len(batch)
+    n = max(len(order), 1)
+    return lab_total / n, unlab_total / n
+
+
 def run_supervised_epoch(params, opt_state, xs, ys_onehot, cfg: TrainConfig, epoch: int):
     """One pass of cross-entropy steps over shuffled batches; returns mean loss."""
-    order = substream(cfg.seed, "batch", epoch, PASS_MAIN).permutation(len(xs))
-    total, n = 0.0, 0
-    for b, batch in enumerate(_batches(order, cfg.batch_size)):
-        drop_rng = substream(cfg.seed, "dropout", epoch, PASS_MAIN, b)
-        with _numeric_context(epoch, b):
-            _, _, losses = nn.weighted_gradient_step(
-                params, opt_state,
-                [(1.0, xs[batch], ys_onehot[batch], "cross_entropy", drop_rng)],
-                lr=cfg.learning_rate)
-        total += losses[0] * len(batch)
-        n += len(batch)
-    return total / max(n, 1)
+    def step(b, x, y, u, dropout_rng):
+        _, _, losses = nn.weighted_gradient_step(
+            params, opt_state, [(1.0, x, y, "cross_entropy", dropout_rng)], cfg.learning_rate)
+        return losses[0], 0.0
+    return _run_pass(xs, ys_onehot, xs[:0], cfg, epoch, PASS_MAIN, step)[0]
 
 
 def run_mixmatch_epoch(params, opt_state, xs_lab, ys_onehot, xs_unlab,
                        cfg: TrainConfig, epoch: int):
-    """One mixmatch pass: paired labeled/unlabeled batches, mixed and stepped.
-
-    The unlabeled sequence cycles when shorter than the labeled one; epoch
-    length is the labeled batch count. Returns mean (supervised, unlabeled)
-    loss components.
-    """
+    """One mixmatch pass; returns mean (supervised, unlabeled) loss components."""
     lu_eff = _ramp_weight(cfg, epoch)
-    order = substream(cfg.seed, "batch", epoch, PASS_MAIN).permutation(len(xs_lab))
-    if len(xs_unlab):
-        u_order = substream(cfg.seed, "unlabeled", epoch, PASS_MAIN).permutation(len(xs_unlab))
-        u_order = np.resize(u_order, len(xs_lab))
-    sup_total, unsup_total, n = 0.0, 0.0, 0
-    u_pos = 0
-    for b, batch in enumerate(_batches(order, cfg.batch_size)):
-        rng_aug = substream(cfg.seed, "augment", epoch, b)
-        rng_mix = substream(cfg.seed, "mixup", epoch, b)
-        drop_rng = substream(cfg.seed, "dropout", epoch, PASS_MAIN, b)
-        if len(xs_unlab):
-            u_batch_ids = u_order[u_pos:u_pos + len(batch)]
-            u_pos += len(batch)
-            unlabeled = xs_unlab[u_batch_ids]
-        else:
-            unlabeled = xs_unlab[:0]
-        x_mix, u_mix = ssl.mixmatch(xs_lab[batch], ys_onehot[batch], unlabeled,
-                                    params, cfg.ssl, rng_aug, rng_mix)
-        terms = [(1.0, np.stack(x_mix.inputs), np.stack(x_mix.targets),
-                  "cross_entropy", drop_rng)]
-        if len(u_mix) and lu_eff > 0:
-            terms.append((lu_eff, np.stack(u_mix.inputs), np.stack(u_mix.targets),
-                          "squared_error", drop_rng))
-        with _numeric_context(epoch, b):
-            _, _, losses = nn.weighted_gradient_step(params, opt_state, terms,
-                                                     cfg.learning_rate)
-        sup_total += losses[0] * len(batch)
-        unsup_total += (losses[1] if len(losses) > 1 else 0.0) * len(batch)
-        n += len(batch)
-    return sup_total / max(n, 1), unsup_total / max(n, 1)
+
+    def step(b, x, y, u, dropout_rng):
+        (x_in, x_tgt), (u_in, u_tgt) = ssl.mixmatch(
+            x, y, u, params, cfg.ssl, substream(cfg.seed, "augment", epoch, b),
+            substream(cfg.seed, "mixup", epoch, b))
+        _, _, losses = nn.weighted_gradient_step(
+            params, opt_state, [(1.0, x_in, x_tgt, "cross_entropy", dropout_rng),
+                                (lu_eff, u_in, u_tgt, "squared_error", dropout_rng)],
+            cfg.learning_rate)
+        return losses
+    return _run_pass(xs_lab, ys_onehot, xs_unlab, cfg, epoch, PASS_MAIN, step)
 
 
 def _run_co_pass(params, opt_state, xs_lab, ys_onehot, xs_unlab, cfg: TrainConfig,
                  epoch: int, pass_id: int):
-    """Shared batch loop for the co-refinement / co-refurbishing passes."""
-    order = substream(cfg.seed, "batch", epoch, pass_id).permutation(len(xs_lab))
-    if len(xs_unlab):
-        u_order = substream(cfg.seed, "unlabeled", epoch, pass_id).permutation(len(xs_unlab))
-        u_order = np.resize(u_order, len(xs_lab))
-    total, n = 0.0, 0
-    u_pos = 0
-    for b, batch in enumerate(_batches(order, cfg.batch_size)):
-        drop_rng = substream(cfg.seed, "dropout", epoch, pass_id, b)
-        if len(xs_unlab):
-            unlabeled = xs_unlab[u_order[u_pos:u_pos + len(batch)]]
-            u_pos += len(batch)
-        else:
-            unlabeled = xs_unlab[:0]
-        with _numeric_context(epoch, b):
-            if pass_id == PASS_CO_REFINEMENT:
-                _, _, losses = ssl.co_refinement_step(
-                    params, opt_state, xs_lab[batch], ys_onehot[batch], unlabeled,
-                    cfg.ssl.refinement_weight, drop_rng, lr=cfg.learning_rate)
-            else:
-                ref_rng = substream(cfg.seed, "refurbish", epoch, b)
-                _, _, losses = ssl.co_refurbishing_step(
-                    params, opt_state, xs_lab[batch], ys_onehot[batch], unlabeled,
-                    cfg.ssl.refurbish_weight, cfg.ssl.refurbish_fraction,
-                    ref_rng, drop_rng, lr=cfg.learning_rate)
-        total += losses[0] * len(batch)
-        n += len(batch)
-    return total / max(n, 1)
+    """One co-refinement or co-refurbishing pass, by pass id; returns the mean
+    labeled loss."""
+    def step(b, x, y, u, dropout_rng):
+        if pass_id == PASS_CO_REFINEMENT:
+            return ssl.co_refinement_step(params, opt_state, x, y, u,
+                                          cfg.ssl.refinement_weight, dropout_rng,
+                                          lr=cfg.learning_rate)[2]
+        return ssl.co_refurbishing_step(params, opt_state, x, y, u, cfg.ssl.refurbish_weight,
+                                        cfg.ssl.refurbish_fraction,
+                                        substream(cfg.seed, "refurbish", epoch, b),
+                                        dropout_rng, lr=cfg.learning_rate)[2]
+    return _run_pass(xs_lab, ys_onehot, xs_unlab, cfg, epoch, pass_id, step)[0]
 
 
 class _EarlyStopper:
@@ -302,88 +280,96 @@ def _prepare(cache: FeatureCache, split: SplitManifest):
     return lab_ids, norm.apply(xs_lab), ys_lab, norm.apply(xs_unlab), norm
 
 
-def _supervised_phase(params, opt_state, xs_fit, ys_fit, xs_val, ys_val, cfg,
-                      max_epochs, epoch_offset, phase, rows, schedule):
-    """Supervised epochs with optional validation-based early stopping."""
-    onehot = one_hot(ys_fit)
-    stopper = _EarlyStopper(cfg.early_stop_patience)
-    validate = len(xs_val) > 0
-    for e in range(max_epochs):
-        epoch = epoch_offset + e
-        loss = run_supervised_epoch(params, opt_state, xs_fit, onehot, cfg, epoch)
-        row = {"epoch": epoch, "phase": phase, "loss": loss}
-        schedule.append({"epoch": epoch, "passes": ["supervised"]})
-        if validate:
-            acc = _accuracy(params, xs_val, ys_val)
-            row["val_accuracy"] = acc
-            rows.append(row)
-            if stopper.update(epoch, acc, params):
-                break
-        else:
-            rows.append(row)
-    if validate and stopper.best_params is not None:
-        for dst, src in zip(params.arrays(), stopper.best_params.arrays()):
-            dst[:] = src
-        return stopper.best_epoch, stopper.best_acc
-    return epoch_offset + max_epochs - 1 if max_epochs else None, None
-
-
-def _finish(manifest, t0, params, out_dir, tag, norm):
+def _write_run(manifest: RunManifest, t0: float, out_dir, tag: str, params=None) -> None:
+    """Stamp the wall clock and save the manifest under out_dir, after the
+    checkpoint when `params` are given (a completed run)."""
     manifest.wall_clock_s = time.monotonic() - t0
-    manifest.normalizer = norm.to_meta()
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out_dir is None:
+        return
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    if params is not None:
         ckpt = out / f"{tag}.lsnn"
-        meta = {"seed": manifest.seed, "mode": manifest.mode,
-                "ablation": manifest.ablation, "best_epoch": manifest.best_epoch,
-                "config_hash": manifest.feature_config_hash}
-        meta.update(norm.to_meta())
-        nn.save_checkpoint(ckpt, params, meta)
+        nn.save_checkpoint(ckpt, params, {
+            "seed": manifest.seed, "mode": manifest.mode, "ablation": manifest.ablation,
+            "best_epoch": manifest.best_epoch, "config_hash": manifest.feature_config_hash,
+            **manifest.normalizer})
         manifest.checkpoint_path = str(ckpt)
-        manifest.save(out / f"{tag}-manifest.json")
-    return params, manifest
+    manifest.save(out / f"{tag}-manifest.json")
 
 
-def _abort(manifest, t0, out_dir, tag, epoch, exc):
-    manifest.aborted = {"epoch": epoch, "error": str(exc)}
-    manifest.wall_clock_s = time.monotonic() - t0
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        manifest.save(out / f"{tag}-manifest.json")
-
-
-def train_baseline(cfg: TrainConfig, cache: FeatureCache, split: SplitManifest,
-                   out_dir=None):
-    """Supervised training on the labeled split; returns (params, manifest)."""
+def _train(cfg: TrainConfig, cache: FeatureCache, split: SplitManifest, out_dir,
+           mode: str, drop: str | None = None):
+    """SSL epochs, then supervised ones with a fresh optimizer; returns (params,
+    manifest). Semi runs cfg.epochs + cfg.refit_epochs, baseline 0 + cfg.epochs."""
+    ssl_epochs, sup_epochs, phase = ((0, cfg.epochs, "supervised") if mode == "baseline"
+                                     else (cfg.epochs, cfg.refit_epochs, "refit"))
+    co_passes = [name for name in CO_PASSES if drop not in (name, "both")]
     t0 = time.monotonic()
-    lab_ids, xs_lab, ys_lab, _, norm = _prepare(cache, split)
+    lab_ids, xs_lab, ys_lab, xs_unlab, norm = _prepare(cache, split)
     fit_ids, val_ids = _stratified_validation(lab_ids, ys_lab, cfg.validation_fraction,
                                               cfg.seed)
     idx = {int(r): i for i, r in enumerate(lab_ids)}
     fit_sel = np.array([idx[int(r)] for r in fit_ids], dtype=np.int64)
     val_sel = np.array([idx[int(r)] for r in val_ids], dtype=np.int64)
+    xs_fit, onehot_fit = xs_lab[fit_sel], one_hot(ys_lab[fit_sel])
+    xs_val, ys_val = xs_lab[val_sel], ys_lab[val_sel]
 
     params = nn.init_params(substream(cfg.seed, "init"))
-    opt_state = nn.AdamState.for_params(params)
-    manifest = RunManifest(mode="baseline", seed=cfg.seed, ablation=None,
-                           config=_config_dict(cfg), cache_path=cache.path,
-                           split_seed=split.seed,
+    manifest = RunManifest(mode=mode, seed=cfg.seed, ablation=drop, config=asdict(cfg),
+                           cache_path=cache.path, split_seed=split.seed,
                            feature_config_hash=cache.config_hash.hex(),
                            cache_sha256=cache.file_sha256)
-    tag = f"baseline-seed{cfg.seed}"
+    tag = f"{mode}{'-drop-' + drop if drop else ''}-seed{cfg.seed}"
+
+    def record(row, passes):
+        """Validate, then log and keep one epoch row; returns its accuracy."""
+        if len(xs_val):
+            row["val_accuracy"] = _accuracy(params, xs_val, ys_val)
+        manifest.epoch_rows.append(row)
+        manifest.schedule.append({"epoch": row["epoch"], "passes": passes})
+        log.info("%s epoch %d: %s", row["phase"], row["epoch"], row)
+        return row.get("val_accuracy")
+
+    stopper = _EarlyStopper(cfg.early_stop_patience)
     try:
-        best_epoch, best_acc = _supervised_phase(
-            params, opt_state, xs_lab[fit_sel], ys_lab[fit_sel],
-            xs_lab[val_sel], ys_lab[val_sel], cfg, cfg.epochs, 0, "supervised",
-            manifest.epoch_rows, manifest.schedule)
+        opt_state = nn.AdamState.for_params(params)
+        for epoch in range(ssl_epochs):
+            row = {"epoch": epoch, "phase": "ssl"}
+            row["mixmatch_ce"], row["mixmatch_mse"] = run_mixmatch_epoch(
+                params, opt_state, xs_fit, onehot_fit, xs_unlab, cfg, epoch)
+            row["unlabeled_weight"] = _ramp_weight(cfg, epoch)
+            for name in co_passes:
+                row[f"{name}_ce"] = _run_co_pass(params, opt_state, xs_fit, onehot_fit,
+                                                 xs_unlab, cfg, epoch, CO_PASSES[name])
+            record(row, ["mixmatch", *co_passes])
+
+        opt_state = nn.AdamState.for_params(params)  # fresh optimizer state
+        for epoch in range(ssl_epochs, ssl_epochs + sup_epochs):
+            loss = run_supervised_epoch(params, opt_state, xs_fit, onehot_fit, cfg, epoch)
+            acc = record({"epoch": epoch, "phase": phase, "loss": loss}, ["supervised"])
+            if acc is not None and stopper.update(epoch, acc, params):
+                break
     except NonFiniteLoss as exc:
-        _abort(manifest, t0, out_dir, tag, len(manifest.epoch_rows), exc)
+        manifest.aborted = {"epoch": len(manifest.epoch_rows), "error": str(exc)}
+        _write_run(manifest, t0, out_dir, tag)
         raise
-    manifest.best_epoch = best_epoch
-    manifest.final_val_accuracy = best_acc
-    return _finish(manifest, t0, params, out_dir, tag, norm)
+
+    if stopper.best_params is not None:
+        for dst, src in zip(params.arrays(), stopper.best_params.arrays()):
+            dst[:] = src
+        manifest.best_epoch, manifest.final_val_accuracy = stopper.best_epoch, stopper.best_acc
+    elif sup_epochs:
+        manifest.best_epoch = ssl_epochs + sup_epochs - 1
+    manifest.normalizer = norm.to_meta()
+    _write_run(manifest, t0, out_dir, tag, params)
+    return params, manifest
+
+
+def train_baseline(cfg: TrainConfig, cache: FeatureCache, split: SplitManifest,
+                   out_dir=None):
+    """Supervised training on the labeled split; returns (params, manifest)."""
+    return _train(cfg, cache, split, out_dir, "baseline")
 
 
 def train_semi(cfg: TrainConfig, cache: FeatureCache, split: SplitManifest,
@@ -396,74 +382,7 @@ def train_semi(cfg: TrainConfig, cache: FeatureCache, split: SplitManifest,
     """
     if drop is not None and drop not in VALID_DROPS:
         raise ValueError(f"drop must be one of {sorted(VALID_DROPS)}, got {drop!r}")
-    dropped = {"co_refinement", "co_refurbishing"} if drop == "both" else {drop} - {None}
-
-    t0 = time.monotonic()
-    lab_ids, xs_lab, ys_lab, xs_unlab, norm = _prepare(cache, split)
-    fit_ids, val_ids = _stratified_validation(lab_ids, ys_lab, cfg.validation_fraction,
-                                              cfg.seed)
-    idx = {int(r): i for i, r in enumerate(lab_ids)}
-    fit_sel = np.array([idx[int(r)] for r in fit_ids], dtype=np.int64)
-    val_sel = np.array([idx[int(r)] for r in val_ids], dtype=np.int64)
-    xs_fit, ys_fit = xs_lab[fit_sel], ys_lab[fit_sel]
-    xs_val, ys_val = xs_lab[val_sel], ys_lab[val_sel]
-    onehot_fit = one_hot(ys_fit)
-
-    params = nn.init_params(substream(cfg.seed, "init"))
-    opt_state = nn.AdamState.for_params(params)
-    manifest = RunManifest(mode="semi", seed=cfg.seed, ablation=drop,
-                           config=_config_dict(cfg), cache_path=cache.path,
-                           split_seed=split.seed,
-                           feature_config_hash=cache.config_hash.hex(),
-                           cache_sha256=cache.file_sha256)
-    tag = f"semi{'-drop-' + drop if drop else ''}-seed{cfg.seed}"
-
-    try:
-        for e in range(cfg.epochs):
-            passes = []
-            sup, unsup = run_mixmatch_epoch(params, opt_state, xs_fit, onehot_fit,
-                                            xs_unlab, cfg, e)
-            passes.append("mixmatch")
-            row = {"epoch": e, "phase": "ssl", "mixmatch_ce": sup, "mixmatch_mse": unsup,
-                   "unlabeled_weight": _ramp_weight(cfg, e)}
-            if "co_refinement" not in dropped:
-                row["co_refinement_ce"] = _run_co_pass(params, opt_state, xs_fit, onehot_fit,
-                                                       xs_unlab, cfg, e, PASS_CO_REFINEMENT)
-                passes.append("co_refinement")
-            if "co_refurbishing" not in dropped:
-                row["co_refurbishing_ce"] = _run_co_pass(params, opt_state, xs_fit, onehot_fit,
-                                                         xs_unlab, cfg, e, PASS_CO_REFURBISHING)
-                passes.append("co_refurbishing")
-            if len(xs_val):
-                row["val_accuracy"] = _accuracy(params, xs_val, ys_val)
-            manifest.epoch_rows.append(row)
-            manifest.schedule.append({"epoch": e, "passes": passes})
-            log.info("ssl epoch %d: %s", e, row)
-
-        if cfg.refit_epochs > 0:
-            refit_opt = nn.AdamState.for_params(params)  # fresh optimizer state
-            best_epoch, best_acc = _supervised_phase(
-                params, refit_opt, xs_fit, ys_fit, xs_val, ys_val, cfg,
-                cfg.refit_epochs, cfg.epochs, "refit",
-                manifest.epoch_rows, manifest.schedule)
-            manifest.best_epoch = best_epoch
-            manifest.final_val_accuracy = best_acc
-    except NonFiniteLoss as exc:
-        _abort(manifest, t0, out_dir, tag, len(manifest.epoch_rows), exc)
-        raise
-    return _finish(manifest, t0, params, out_dir, tag, norm)
-
-
-def ablate(cfg: TrainConfig, cache: FeatureCache, split: SplitManifest, drop: str,
-           out_dir=None):
-    """train_semi with the selected co pass(es) skipped."""
-    if drop not in VALID_DROPS:
-        raise ValueError(f"drop must be one of {sorted(VALID_DROPS)}, got {drop!r}")
-    return train_semi(cfg, cache, split, out_dir=out_dir, drop=drop)
-
-
-def _config_dict(cfg: TrainConfig) -> dict:
-    return asdict(cfg)
+    return _train(cfg, cache, split, out_dir, "semi", drop)
 
 
 def evaluate_split(params: nn.ModelParams, cache: FeatureCache, split: SplitManifest,

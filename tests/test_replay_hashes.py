@@ -1,0 +1,80 @@
+"""Golden replay: every training mode reproduces recorded parameter hashes.
+
+Each mode trains on the `small_corpus` geometry in a fresh interpreter pinned
+to one OpenBLAS thread, and hashes the trained parameters together with the
+manifest's `epoch_rows` and `schedule`. The expected digests were recorded on
+the numpy/BLAS build named below. Bit-for-bit replay is only claimed within
+one build and thread count (see the README), so another build skips.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+BUILD = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}
+
+EXPECTED = {
+    "baseline": "e0a4d92827befa1a7f21bc91f3ed4b263226dd06520a20982552593ee61fce3d",
+    "semi": "b4079a89c8b8f4f712d00809a27f9ec0909b78dd39173c4c3bb0f4917ef99711",
+    "drop=co_refinement": "32bd1a7b0efdebe016133282339201b28ebf8fd4a98cec129349e1c3e53e0198",
+    "drop=co_refurbishing": "b2573c6e4a0da8b2a513764698657604a599b52bd99262cbd310bbabcc561a6f",
+    "drop=both": "8bc32e89b2d1e0335a13f2dcedc5e3568fd76ad4bbcb8ca6918e3b74f572b0df",
+}
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+SCRIPT = r"""
+import hashlib, json, sys
+from lungsound import dataset, training
+
+cache = dataset.FeatureCache.load(sys.argv[1])
+split = dataset.SplitManifest.load(sys.argv[2])
+out = {}
+for mode, drop in [("baseline", None), ("semi", None), ("semi", "co_refinement"),
+                   ("semi", "co_refurbishing"), ("semi", "both")]:
+    cfg = training.TrainConfig(epochs=2, refit_epochs=2, batch_size=8, mode=mode,
+                               seed=5, validation_fraction=0.1)
+    if mode == "baseline":
+        params, manifest = training.train_baseline(cfg, cache, split)
+    else:
+        params, manifest = training.train_semi(cfg, cache, split, drop=drop)
+    h = hashlib.sha256()
+    for name, arr in params.named():
+        h.update(f"{name}:{arr.dtype.str}:{arr.shape}".encode())
+        h.update(arr.tobytes())
+    h.update(json.dumps([manifest.epoch_rows, manifest.schedule], sort_keys=True).encode())
+    out[mode if drop is None else f"drop={drop}"] = h.hexdigest()
+print(json.dumps(out))
+"""
+
+
+def _build():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        name = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):
+        name = "unknown"
+    return {"numpy": np.__version__, "blas": name}
+
+
+def replay_hashes(cache_path, split_path) -> dict:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(cache_path), str(split_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_replay_hashes_match_recorded_build(tmp_path, small_corpus, small_split):
+    if _build() != BUILD:
+        pytest.skip(f"hashes were recorded on {BUILD}; this build is {_build()}, "
+                    "and replay is only claimed within one build")
+    split_path = tmp_path / "split.json"
+    small_split.save(split_path)
+    assert replay_hashes(small_corpus["cache_path"], split_path) == EXPECTED

@@ -5,6 +5,8 @@ from lungsound import nn, ssl
 from lungsound.errors import DegenerateInput
 from lungsound.rng import substream
 
+import nn_oracle as oracle
+
 TINY = nn.CnnSpec(input_shape=(8, 16), channels=(2, 3))
 
 
@@ -90,12 +92,11 @@ def test_sharpen_rejects_degenerate():
 
 def test_guess_label_degenerates_to_forward(rng):
     params = tiny_params()
-    u = rng.normal(size=(8, 16)).astype(np.float32)
-    guess = ssl.guess_label(params, u, k=1, temperature=1.0,
-                            rng=substream(0, "augment"), noise_scale=0.0,
-                            max_mask_frames=0)
-    direct, _ = nn.forward(params, u)
-    assert np.allclose(guess, direct, atol=1e-12)
+    u = rng.normal(size=(3, 8, 16)).astype(np.float32)
+    guess = ssl.guess_labels(params, u, k=1, temperature=1.0)
+    for i in range(3):
+        direct, _ = oracle.forward(params, u[i])
+        assert np.allclose(guess[i], direct, atol=1e-12)
 
 
 def test_guess_label_is_soft_label_and_sharper(rng):
@@ -105,9 +106,10 @@ def test_guess_label_is_soft_label_and_sharper(rng):
     copies = np.stack([ssl.augment(u, arng) for _ in range(2)])
     mean_pred, _ = nn.forward_batch(params, copies)
     mean_pred = mean_pred.mean(axis=0)
-    guess = ssl.guess_label(params, u, k=2, temperature=0.5, rng=substream(1, "augment"))
-    assert ssl.is_soft_label(guess)
-    assert entropy(guess) <= entropy(mean_pred) + 1e-12
+    guess = ssl.guess_labels(params, copies, k=2, temperature=0.5)
+    assert guess.shape == (1, 6)
+    assert ssl.is_soft_label(guess[0])
+    assert entropy(guess[0]) <= entropy(mean_pred) + 1e-12
 
 
 # -- mixup -------------------------------------------------------------------
@@ -143,12 +145,12 @@ def test_mixmatch_counts_and_targets(rng):
     xs = rng.normal(size=(bl, 8, 16)).astype(np.float32)
     ys = np.eye(6, dtype=np.float32)[rng.integers(0, 6, bl)]
     us = rng.normal(size=(bu, 8, 16)).astype(np.float32)
-    x_batch, u_batch = ssl.mixmatch(xs, ys, us, params, cfg,
-                                    substream(0, "augment"), substream(0, "mixup"))
-    assert len(x_batch) == bl
-    assert len(u_batch) == cfg.n_augmentations * bu
-    assert all(x_batch.origin) and not any(u_batch.origin)
-    for target in list(x_batch.targets) + list(u_batch.targets):
+    (x_in, x_tgt), (u_in, u_tgt) = ssl.mixmatch(xs, ys, us, params, cfg,
+                                                substream(0, "augment"), substream(0, "mixup"))
+    assert x_in.shape == (bl, 8, 16) and x_tgt.shape == (bl, 6)
+    assert u_in.shape == (cfg.n_augmentations * bu, 8, 16)
+    assert u_tgt.shape == (cfg.n_augmentations * bu, 6)
+    for target in list(x_tgt) + list(u_tgt):
         assert ssl.is_soft_label(target)
 
 
@@ -158,11 +160,11 @@ def test_mixmatch_degenerates_to_labeled_batch(rng):
     xs = rng.normal(size=(4, 8, 16)).astype(np.float32)
     ys = np.eye(6, dtype=np.float32)[[0, 2, 4, 5]]
     us = rng.normal(size=(4, 8, 16)).astype(np.float32)
-    x_batch, _ = ssl.mixmatch(xs, ys, us, params, cfg,
-                              substream(0, "augment"), substream(0, "mixup"))
+    (x_in, x_tgt), _ = ssl.mixmatch(xs, ys, us, params, cfg,
+                                    substream(0, "augment"), substream(0, "mixup"))
     for i in range(4):
-        assert np.array_equal(x_batch.inputs[i], xs[i])
-        assert np.array_equal(x_batch.targets[i], ys[i].astype(np.float64))
+        assert np.array_equal(x_in[i], xs[i])
+        assert np.array_equal(x_tgt[i], ys[i].astype(np.float64))
 
 
 def test_mixmatch_loss_components(rng):
@@ -173,12 +175,12 @@ def test_mixmatch_loss_components(rng):
     us = rng.normal(size=(4, 8, 16)).astype(np.float32)
     x_batch, u_batch = ssl.mixmatch(xs, ys, us, params, cfg,
                                     substream(1, "augment"), substream(1, "mixup"))
-    empty = ssl.MixedBatch([], [], [])
-    total_no_u, sup, unsup = ssl.mixmatch_loss(params, x_batch, empty, 1.0)
+    empty = (u_batch[0][:0], u_batch[1][:0])
+    total_no_u, sup, unsup = oracle.mixmatch_loss(params, x_batch, empty, 1.0)
     assert unsup == 0.0 and total_no_u == sup
-    total_zero_w, sup2, _ = ssl.mixmatch_loss(params, x_batch, u_batch, 0.0)
+    total_zero_w, sup2, _ = oracle.mixmatch_loss(params, x_batch, u_batch, 0.0)
     assert total_zero_w == sup2 == sup
-    total, _, unsup = ssl.mixmatch_loss(params, x_batch, u_batch, 0.7)
+    total, _, unsup = oracle.mixmatch_loss(params, x_batch, u_batch, 0.7)
     assert total == pytest.approx(sup + 0.7 * unsup)
     assert unsup > 0
 
@@ -214,10 +216,19 @@ def test_co_refinement_losses_finite(rng):
 
 
 def test_self_distillation_gradient_matches_finite_difference(rng):
-    # gradient of CE(model, stop-grad(own predictions)) with targets held fixed
+    # gradient of CE(model, stop-grad(soft predictions)) with the targets held
+    # fixed. They come from other parameters: at the model's own predictions
+    # the gradient is zero by construction and the check would compare zeros.
     params = tiny_params(seed=3)
-    xs = rng.normal(0.0, 0.5, size=(2, 8, 16))
-    targets, _ = nn.forward_batch(params, xs, training=False, keep_trace=False)
+    eps = 1e-5
+    for _ in range(64):  # a probe point with every stage live and clear of kinks
+        xs = rng.normal(0.0, 0.5, size=(2, 8, 16))
+        _, trace = nn.forward_batch(params, xs, training=False, keep_trace=True)
+        if all((a > 0).any() for a in trace.pool_out) and nn._kink_margin(params, xs) > 8 * eps:
+            break
+    else:
+        pytest.fail("no live, kink-free probe point")
+    targets, _ = nn.forward_batch(tiny_params(seed=4), xs, training=False, keep_trace=False)
 
     def loss_at():
         probs, trace = nn.forward_batch(params, xs, training=False, keep_trace=True)
@@ -225,7 +236,7 @@ def test_self_distillation_gradient_matches_finite_difference(rng):
 
     _, trace = loss_at()
     _, grads = nn.loss_and_backward(params, trace, targets, "cross_entropy")
-    eps = 1e-5
+    assert all(float(np.abs(g).max()) > 0.1 for g in grads.conv_kernels)  # every stage learns
     max_rel = 0.0
     for p_arr, g_arr in zip(params.arrays(), grads.arrays()):
         fp, fg = p_arr.reshape(-1), g_arr.reshape(-1)

@@ -1,4 +1,5 @@
-"""The benchmark's tracer wraps nn functions and trace fields by name.
+"""The benchmark's tracer wraps nn, ssl and training functions and reads trace
+fields and call arguments by name and position.
 
 Renaming one of them would otherwise only show up in a traced benchmark run.
 """
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lungsound import nn
+from lungsound import dataset, nn, ssl, training
 from lungsound.rng import substream
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -44,3 +45,29 @@ def test_tracer_hooks_one_training_step(rng):
         assert m[f"nn.dropout.stage{k}.s"] > 0
     assert m["nn.weighted_gradient_step.calls"] == 1
     assert m["nn.trace_mb"] > 0
+
+
+def test_tracer_hooks_training_passes(rng):
+    tracing = _load_tracing()
+    n = 18  # three recordings per class: one test, one labeled, one unlabeled
+    cache = dataset.FeatureCache(
+        ids=np.arange(n), classes=np.arange(n) % 6, config_hash=b"\x00" * 32,
+        matrices=rng.normal(size=(n,) + nn.CnnSpec().input_shape).astype(np.float32))
+    split = dataset.make_splits({i: i % 6 for i in range(n)}, seed=0, unlabeled_fraction=0.5)
+    cfg = training.TrainConfig(epochs=1, refit_epochs=1, batch_size=8, mode="semi",
+                               validation_fraction=0.0)
+    originals = [(m, name, getattr(m, name)) for m, name in
+                 [(training, "run_supervised_epoch"), (training, "run_mixmatch_epoch"),
+                  (training, "_run_co_pass"), (ssl, "mixmatch"),
+                  (ssl, "co_refinement_step"), (ssl, "co_refurbishing_step")]]
+    tracer = tracing.Tracer()
+    tracing.install(tracer, nn.CnnSpec().channels)
+    try:
+        training.train_semi(cfg, cache, split)
+    finally:
+        tracer.uninstall()
+    assert all(getattr(m, name) is fn for m, name, fn in originals)
+    m = tracing.layer_metrics(tracer.spans, 1, 1, nn.CnnSpec().channels)
+    for p in ("supervised", "mixmatch", "co_refinement", "co_refurbishing"):
+        assert m[f"training.pass.{p}.s"] > 0, p
+    assert m["ssl.target_forward.examples"] > 0

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from lungsound import dataset, nn, ssl, training
 from lungsound.dataset import FeatureCache, SplitManifest
 from lungsound.errors import NonFiniteLoss
 from lungsound.rng import substream
-from lungsound.training import (TrainConfig, ablate, run_mixmatch_epoch,
-                                run_supervised_epoch, train_baseline, train_semi)
+from lungsound.training import (TrainConfig, run_mixmatch_epoch, run_supervised_epoch,
+                                train_baseline, train_semi)
 
 
 def neutral_config(epochs, **kw):
@@ -66,15 +67,15 @@ def test_semi_schedule_order(small_corpus, small_split):
 def test_ablation_schedules(small_corpus, small_split):
     cfg = TrainConfig(epochs=1, refit_epochs=0, batch_size=8, mode="semi", seed=4,
                       validation_fraction=0.0)
-    _, m_ref = ablate(cfg, small_corpus["cache"], small_split, "co_refinement")
+    _, m_ref = train_semi(cfg, small_corpus["cache"], small_split, drop="co_refinement")
     assert m_ref.schedule[0]["passes"] == ["mixmatch", "co_refurbishing"]
     assert m_ref.ablation == "co_refinement"
-    _, m_refurb = ablate(cfg, small_corpus["cache"], small_split, "co_refurbishing")
+    _, m_refurb = train_semi(cfg, small_corpus["cache"], small_split, drop="co_refurbishing")
     assert m_refurb.schedule[0]["passes"] == ["mixmatch", "co_refinement"]
-    _, m_both = ablate(cfg, small_corpus["cache"], small_split, "both")
+    _, m_both = train_semi(cfg, small_corpus["cache"], small_split, drop="both")
     assert m_both.schedule[0]["passes"] == ["mixmatch"]
     with pytest.raises(ValueError):
-        ablate(cfg, small_corpus["cache"], small_split, "everything")
+        train_semi(cfg, small_corpus["cache"], small_split, drop="everything")
 
 
 def test_degenerate_epoch_equals_supervised(small_corpus, small_split):
@@ -142,6 +143,26 @@ def test_ramp_weight():
     assert training._ramp_weight(cfg, 0) == pytest.approx(0.5)
     assert training._ramp_weight(cfg, 1) == pytest.approx(1.0)
     assert training._ramp_weight(cfg, 7) == pytest.approx(1.0)
+
+
+def test_every_epoch_logs_one_line(caplog, rng):
+    cache = memorization_cache(rng, n=18)
+    labels = {int(i): int(c) for i, c in zip(cache.ids, cache.classes)}
+    split = dataset.make_splits(labels, seed=0, unlabeled_fraction=0.5)
+    semi = TrainConfig(epochs=2, refit_epochs=2, batch_size=8, mode="semi", seed=0,
+                       validation_fraction=0.0)
+    base = TrainConfig(epochs=2, batch_size=8, seed=0, validation_fraction=0.0)
+    runs = [(lambda: train_semi(semi, cache, split), ["ssl", "ssl", "refit", "refit"]),
+            (lambda: train_baseline(base, cache, split), ["supervised", "supervised"])]
+    for run, phases in runs:
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="lungsound.training"):
+            _, manifest = run()
+        lines = [r.getMessage() for r in caplog.records if r.name == "lungsound.training"]
+        assert [row["phase"] for row in manifest.epoch_rows] == phases
+        assert len(lines) == len(manifest.epoch_rows)
+        for line, row in zip(lines, manifest.epoch_rows):
+            assert line.startswith(f"{row['phase']} epoch {row['epoch']}:")
 
 
 def test_non_finite_loss_aborts_with_manifest(tmp_path, rng):
