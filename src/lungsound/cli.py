@@ -17,6 +17,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import dataset, evaluation, features, nn, training
 from . import ssl as ssl_strategies
 from .errors import ConfigHashMismatch, DataError, NonFiniteLoss, NoUsableData
@@ -151,6 +153,12 @@ def _cmd_evaluate(args) -> int:
     cache = dataset.FeatureCache.load(args.cache)
     split = dataset.SplitManifest.load(args.manifest)
     params, meta = nn.load_checkpoint(args.checkpoint)
+    shapes = [a.shape for a in params.arrays()]
+    if shapes != [a.shape for a in nn.init_params(np.random.default_rng(0)).arrays()]:
+        raise DataError(f"{args.checkpoint}: tensor shapes {shapes} do not fit the "
+                        f"production network {nn.CnnSpec()}")
+    if not params.all_finite():
+        raise DataError(f"{args.checkpoint}: parameters are not all finite")
     stored = meta.get("config_hash")
     if stored is not None and stored != cache.config_hash.hex():
         raise ConfigHashMismatch(

@@ -14,6 +14,7 @@ import json
 import logging
 import multiprocessing
 import struct
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -131,11 +132,19 @@ class SplitManifest:
         }, indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "SplitManifest":
-        d = json.loads(text)
-        m = cls(train_labeled=d["train_labeled"], train_unlabeled=d["train_unlabeled"],
-                test=d["test"], seed=d["seed"], unlabeled_fraction=d["unlabeled_fraction"],
-                stems={int(k): v for k, v in d.get("stems", {}).items()})
+    def from_json(cls, text) -> "SplitManifest":
+        """Inverse of to_json (str or UTF-8 bytes); bad JSON, a missing key or
+        an id list that is not a list of u32 record ids raises DataError."""
+        try:
+            d = json.loads(text)
+            lists = [d[k] for k in ("train_labeled", "train_unlabeled", "test")]
+            if not all(type(ids) is list and all(type(r) is int and 0 <= r < 2 ** 32 for r in ids)
+                       for ids in lists):
+                raise TypeError("an id list is not a list of u32 record ids")
+            m = cls(*lists, seed=d["seed"], unlabeled_fraction=d["unlabeled_fraction"],
+                    stems={int(k): v for k, v in d.get("stems", {}).items()})
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise DataError(f"not a split manifest ({type(exc).__name__}: {exc})") from None
         m.validate()
         return m
 
@@ -144,7 +153,10 @@ class SplitManifest:
 
     @classmethod
     def load(cls, path) -> "SplitManifest":
-        return cls.from_json(Path(path).read_text())
+        try:
+            return cls.from_json(Path(path).read_bytes())
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 def make_splits(labels: dict, seed: int, unlabeled_fraction: float,
@@ -207,18 +219,27 @@ def make_splits(labels: dict, seed: int, unlabeled_fraction: float,
 
 
 # -- feature cache ---------------------------------------------------------
+#
+# Cache v1, little-endian: the _HEADER (magic, version, feature-config hash,
+# record count), `count` packed _RECORDs sorted by id, then a UTF-8 JSON
+# trailer {"stems": {id: stem}, "failures": [[id, path, message], ...]}.
 
 _CACHE_MAGIC = b"LSFC"
 _CACHE_VERSION = 1
 _CACHE_SHAPE = (40, 862)  # the record layout is fixed-shape
+_HEADER = struct.Struct("<4sH32sI")
+_RECORD = np.dtype([("id", "<u4"), ("cls", "i1"), ("mat", "<f4", _CACHE_SHAPE)])
 
 
-def _extract_one(args):
+def _extract(args):
+    """(id, class, MFCC grid) of one entry, or the message of the DataError
+    that stopped it."""
     rec_id, cls, path, cfg = args
-    clip = audio_io.load_wav(path)
-    clip = audio_io.resample(clip, cfg.sample_rate)
-    mat = features.extract_mfcc(clip, cfg).astype("<f4")
-    return rec_id, cls, mat
+    try:
+        clip = audio_io.resample(audio_io.load_wav(path), cfg.sample_rate)
+        return rec_id, cls, features.extract_mfcc(clip, cfg).astype("<f4")
+    except DataError as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def build_feature_cache(entries, cfg: features.MfccConfig, out_path, jobs: int = 1):
@@ -233,45 +254,24 @@ def build_feature_cache(entries, cfg: features.MfccConfig, out_path, jobs: int =
                          f"config gives ({cfg.n_coefficients}, {cfg.target_frames})")
     work = [(int(rid), int(cls), path, cfg) for rid, cls, path in entries]
     results, failures = [], []
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            for (rid, cls, path, _), outcome in zip(
-                    work, pool.imap(_try_extract, work, chunksize=4)):
-                if isinstance(outcome, str):
-                    failures.append((rid, path, outcome))
-                else:
-                    results.append(outcome)
-    else:
-        for item in work:
-            outcome = _try_extract(item)
+    with (multiprocessing.Pool(jobs) if jobs > 1 else nullcontext()) as pool:
+        outcomes = pool.imap(_extract, work, chunksize=4) if pool else map(_extract, work)
+        for (rid, _, path, _), outcome in zip(work, outcomes):
             if isinstance(outcome, str):
-                failures.append((item[0], item[2], outcome))
+                log.warning("skipping recording %d (%s): %s", rid, path, outcome)
+                failures.append((rid, path, outcome))
             else:
                 results.append(outcome)
-    for rid, path, msg in failures:
-        log.warning("skipping recording %d (%s): %s", rid, path, msg)
     results.sort(key=lambda r: r[0])
 
     stems = {rid: Path(path).stem for rid, _, path, _ in work}
+    trailer = {"stems": {str(r[0]): stems[r[0]] for r in results},
+               "failures": [list(f) for f in failures]}
     with open(out_path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<H", _CACHE_VERSION))
-        fh.write(cfg.hash_bytes())
-        fh.write(struct.pack("<I", len(results)))
-        for rid, cls, mat in results:
-            fh.write(struct.pack("<Ib", rid, cls))
-            fh.write(mat.tobytes())
-        trailer = {"stems": {str(r[0]): stems.get(r[0], "") for r in results},
-                   "failures": [[rid, path, msg] for rid, path, msg in failures]}
+        fh.write(_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, cfg.hash_bytes(), len(results)))
+        fh.writelines(np.array(r, dtype=_RECORD) for r in results)  # no copy of the whole block
         fh.write(json.dumps(trailer).encode())
     return failures
-
-
-def _try_extract(args):
-    try:
-        return _extract_one(args)
-    except DataError as exc:
-        return f"{type(exc).__name__}: {exc}"
 
 
 class FeatureCache:
@@ -279,62 +279,55 @@ class FeatureCache:
 
     def __init__(self, ids, classes, matrices, config_hash, stems=None, path=None,
                  file_sha256=None):
-        self.ids = ids
-        self.classes = classes
+        self.ids = np.asarray(ids)
+        self.classes = np.asarray(classes)
         self.matrices = matrices
         self.config_hash = config_hash
         self.stems = stems or {}
         self.path = path
         self.file_sha256 = file_sha256
-        self._index = {int(r): i for i, r in enumerate(ids)}
+        self._order = np.argsort(self.ids, kind="stable")
+        self._sorted_ids = self.ids[self._order]
 
     def __len__(self):
         return len(self.ids)
 
-    def matrix(self, rec_id: int) -> np.ndarray:
-        try:
-            return self.matrices[self._index[int(rec_id)]]
-        except KeyError:
-            raise UnknownPatient(f"recording {rec_id} not present in cache") from None
-
-    def class_of(self, rec_id: int) -> int:
-        try:
-            return int(self.classes[self._index[int(rec_id)]])
-        except KeyError:
-            raise UnknownPatient(f"recording {rec_id} not present in cache") from None
+    def rows(self, rec_ids) -> np.ndarray:
+        """Row positions of recording ids, in the order given; an id absent
+        from the cache raises UnknownPatient."""
+        want = np.asarray(rec_ids, dtype=np.int64)
+        at = np.searchsorted(self._sorted_ids, want, side="right") - 1  # last of equal ids
+        known = at >= 0
+        known[known] = self._sorted_ids[at[known]] == want[known]
+        if not known.all():
+            raise UnknownPatient(f"recording {want[~known][0]} not present in cache")
+        return self._order[at]
 
     def gather(self, rec_ids) -> np.ndarray:
-        return np.stack([self.matrix(r) for r in rec_ids])
+        """Feature matrices of recording ids, stacked in the order given."""
+        return self.matrices[self.rows(rec_ids)]
 
     @classmethod
     def load(cls, path, expected_config: features.MfccConfig | None = None) -> "FeatureCache":
+        """Read a cache file; a truncated or damaged one raises MalformedHeader."""
         with open(path, "rb") as fh:
             data = fh.read()
         if data[:4] != _CACHE_MAGIC:
             raise MalformedHeader(f"{path}: not a feature cache")
-        (version,) = struct.unpack_from("<H", data, 4)
-        if version != _CACHE_VERSION:
-            raise MalformedHeader(f"{path}: unsupported cache version {version}")
-        config_hash = data[6:38]
-        if expected_config is not None and config_hash != expected_config.hash_bytes():
-            raise ConfigHashMismatch(f"{path}: cache was built with a different feature config")
-        (count,) = struct.unpack_from("<I", data, 38)
-        n_vals = _CACHE_SHAPE[0] * _CACHE_SHAPE[1]
-        rec_bytes = 5 + 4 * n_vals
-        pos = 42
-        ids = np.empty(count, dtype=np.int64)
-        classes = np.empty(count, dtype=np.int64)
-        matrices = np.empty((count,) + _CACHE_SHAPE, dtype=np.float32)
-        for i in range(count):
-            rid, cc = struct.unpack_from("<Ib", data, pos)
-            ids[i] = rid
-            classes[i] = cc
-            matrices[i] = np.frombuffer(data[pos + 5:pos + rec_bytes],
-                                        dtype="<f4").reshape(_CACHE_SHAPE)
-            pos += rec_bytes
-        stems = {}
-        if pos < len(data):
-            trailer = json.loads(data[pos:].decode())
+        try:
+            _, version, config_hash, count = _HEADER.unpack_from(data)
+            if version != _CACHE_VERSION:
+                raise MalformedHeader(f"{path}: unsupported cache version {version}")
+            if expected_config is not None and config_hash != expected_config.hash_bytes():
+                raise ConfigHashMismatch(
+                    f"{path}: cache was built with a different feature config")
+            recs = np.frombuffer(data, _RECORD, count, offset=_HEADER.size)
+            trailer = json.loads(data[_HEADER.size + recs.nbytes:].decode())
             stems = {int(k): v for k, v in trailer.get("stems", {}).items()}
-        return cls(ids, classes, matrices, config_hash, stems, str(path),
+        except (struct.error, ValueError, AttributeError) as exc:
+            # short header or record block; missing trailer, or bad UTF-8, JSON or stems in it
+            raise MalformedHeader(f"{path}: damaged cache ({type(exc).__name__}: {exc})") \
+                from None
+        return cls(recs["id"].astype(np.int64), recs["cls"].astype(np.int64),
+                   np.array(recs["mat"], dtype=np.float32), config_hash, stems, str(path),
                    file_sha256=hashlib.sha256(data).hexdigest())

@@ -149,18 +149,19 @@ def _numeric_context(epoch: int, batch: int):
 
 
 def _stratified_validation(ids, classes, fraction, seed):
-    """Split ids into (fit, val) keeping per-class proportions."""
+    """Split rows into (fit, val) row positions keeping per-class proportions,
+    each in ascending-id order (all rows, in their given order, fit when
+    fraction is 0)."""
     ids = np.asarray(ids)
-    if fraction <= 0 or len(ids) == 0:
-        return ids, ids[:0]
-    fit, val = [], []
+    if fraction <= 0:
+        return np.arange(len(ids)), np.arange(0)
+    is_val = np.zeros(len(ids), dtype=bool)
     for cls in np.unique(classes):
-        members = ids[classes == cls]
+        members = np.flatnonzero(classes == cls)
         order = members[substream(seed, "val", int(cls)).permutation(len(members))]
-        n_val = int(np.floor(fraction * len(members) + 0.5))
-        val.extend(order[:n_val])
-        fit.extend(order[n_val:])
-    return np.array(sorted(fit)), np.array(sorted(val))
+        is_val[order[:int(np.floor(fraction * len(members) + 0.5))]] = True
+    by_id = np.argsort(ids, kind="stable")
+    return by_id[~is_val[by_id]], by_id[is_val[by_id]]
 
 
 def _ramp_weight(cfg: TrainConfig, epoch: int) -> float:
@@ -270,13 +271,11 @@ def _prepare(cache: FeatureCache, split: SplitManifest):
     if len(lab_ids) == 0:
         raise NoUsableData("split has no labeled training recordings")
     xs_lab = cache.gather(lab_ids)
-    ys_lab = np.array([cache.class_of(r) for r in lab_ids], dtype=np.int64)
+    ys_lab = cache.classes[cache.rows(lab_ids)]
     if (ys_lab < 0).any():
         raise NoUsableData("labeled split contains recordings without a class")
-    xs_unlab = (cache.gather(split.train_unlabeled)
-                if len(split.train_unlabeled) else xs_lab[:0])
-    norm = FeatureNormalizer.fit(np.concatenate([xs_lab, xs_unlab])
-                                 if len(xs_unlab) else xs_lab)
+    xs_unlab = cache.gather(split.train_unlabeled)
+    norm = FeatureNormalizer.fit(np.concatenate([xs_lab, xs_unlab]))
     return lab_ids, norm.apply(xs_lab), ys_lab, norm.apply(xs_unlab), norm
 
 
@@ -307,13 +306,9 @@ def _train(cfg: TrainConfig, cache: FeatureCache, split: SplitManifest, out_dir,
     co_passes = [name for name in CO_PASSES if drop not in (name, "both")]
     t0 = time.monotonic()
     lab_ids, xs_lab, ys_lab, xs_unlab, norm = _prepare(cache, split)
-    fit_ids, val_ids = _stratified_validation(lab_ids, ys_lab, cfg.validation_fraction,
-                                              cfg.seed)
-    idx = {int(r): i for i, r in enumerate(lab_ids)}
-    fit_sel = np.array([idx[int(r)] for r in fit_ids], dtype=np.int64)
-    val_sel = np.array([idx[int(r)] for r in val_ids], dtype=np.int64)
-    xs_fit, onehot_fit = xs_lab[fit_sel], one_hot(ys_lab[fit_sel])
-    xs_val, ys_val = xs_lab[val_sel], ys_lab[val_sel]
+    fit, val = _stratified_validation(lab_ids, ys_lab, cfg.validation_fraction, cfg.seed)
+    xs_fit, onehot_fit = xs_lab[fit], one_hot(ys_lab[fit])
+    xs_val, ys_val = xs_lab[val], ys_lab[val]
 
     params = nn.init_params(substream(cfg.seed, "init"))
     manifest = RunManifest(mode=mode, seed=cfg.seed, ablation=drop, config=asdict(cfg),
@@ -398,5 +393,5 @@ def evaluate_split(params: nn.ModelParams, cache: FeatureCache, split: SplitMani
     if norm is None:
         _, _, _, _, norm = _prepare(cache, split)
     xs = norm.apply(cache.gather(split.test))
-    ys = np.array([cache.class_of(r) for r in split.test], dtype=np.int64)
+    ys = cache.classes[cache.rows(split.test)]
     return ys, predict_batch(params, xs)

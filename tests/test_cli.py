@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from lungsound import cli, evaluation
+from lungsound import cli, evaluation, nn
+from lungsound.rng import substream
 from report_fixtures import BASELINE_CM, SEMI_CM
 
 
@@ -165,3 +166,57 @@ def test_compare_report_missing_class_is_data_error(capsys, tmp_path):
     assert out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert "Pneumonia" in err
+
+
+def _data_error(code, out, err):
+    return code == 2 and out == "" and len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_damaged_cache_is_data_error(capsys, tmp_path, small_corpus):
+    data = small_corpus["cache_path"].read_bytes()
+    trailer_at = 42 + 48 * (5 + 4 * 40 * 862)
+    cache = tmp_path / "damaged.lsfc"
+    for blob in (data[:20], data[:100_000], data[:trailer_at] + b"\xff{"):
+        cache.write_bytes(blob)
+        result = run_cli(capsys, "split", "--cache", str(cache),
+                         "--out", str(tmp_path / "m.json"))
+        assert _data_error(*result), result
+        assert "MalformedHeader" in result[2]
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    json.dumps({"train_unlabeled": [], "test": [1], "seed": 0, "unlabeled_fraction": 0.0}),
+    json.dumps({"train_labeled": "abc", "train_unlabeled": [], "test": [1], "seed": 0,
+                "unlabeled_fraction": 0.0}),
+    json.dumps({"train_labeled": [0, 2 ** 70], "train_unlabeled": [], "test": [1], "seed": 0,
+                "unlabeled_fraction": 0.0}),
+    b"{\xff}",
+])
+def test_malformed_split_manifest_is_data_error(capsys, tmp_path, small_corpus, text):
+    manifest = tmp_path / "split.json"
+    manifest.write_bytes(text if isinstance(text, bytes) else text.encode())
+    result = run_cli(capsys, "train", "--cache", str(small_corpus["cache_path"]),
+                     "--manifest", str(manifest), "--mode", "baseline",
+                     "--out-dir", str(tmp_path / "run"), "--epochs", "1")
+    assert _data_error(*result), result
+    assert "split manifest" in result[2]
+
+
+def test_evaluate_refuses_checkpoint_it_cannot_score(capsys, tmp_path, small_corpus, small_split):
+    manifest = tmp_path / "split.json"
+    small_split.save(manifest)
+    meta = {"config_hash": small_corpus["cache"].config_hash.hex()}
+    nan_params = nn.init_params(substream(0, "init"))
+    nan_params.dense_b[0] = np.nan
+    for params, reason in ((nn.init_params(substream(0, "init"), nn.CnnSpec((8, 16), (2, 3))),
+                            "production network"),
+                           (nan_params, "not all finite")):
+        ckpt = tmp_path / "model.lsnn"
+        nn.save_checkpoint(ckpt, params, meta)
+        result = run_cli(capsys, "evaluate", "--checkpoint", str(ckpt),
+                         "--cache", str(small_corpus["cache_path"]), "--manifest", str(manifest),
+                         "--report", str(tmp_path / "r.txt"))
+        assert _data_error(*result), result
+        assert reason in result[2]
+        assert not (tmp_path / "r.txt").exists()

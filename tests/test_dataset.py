@@ -1,13 +1,16 @@
+import hashlib
+import json
 import logging
+import struct
 
 import numpy as np
 import pytest
 
-from lungsound import dataset, features
+from lungsound import audio_io, dataset, features
 from lungsound.dataset import (FeatureCache, SplitManifest, build_feature_cache,
                                load_diagnoses, make_splits, parse_filename)
-from lungsound.errors import (ConfigHashMismatch, MalformedCsv, MalformedName,
-                              NoUsableData, UnknownPatient)
+from lungsound.errors import (ConfigHashMismatch, MalformedCsv, MalformedHeader,
+                              MalformedName, NoUsableData, UnknownPatient)
 
 # class counts mirroring the reference corpus
 REFERENCE_COUNTS = {0: 16, 1: 13, 2: 793, 3: 35, 4: 37, 5: 23}
@@ -181,8 +184,85 @@ def test_cache_config_hash_mismatch(small_corpus):
 
 
 def test_cache_unknown_recording(small_corpus):
+    cache = small_corpus["cache"]
     with pytest.raises(UnknownPatient):
-        small_corpus["cache"].matrix(999999)
+        cache.gather([999999])
+    with pytest.raises(UnknownPatient, match="999999"):
+        cache.gather([int(cache.ids[0]), 999999])
+    with pytest.raises(UnknownPatient):
+        cache.gather([-1])
+    ids = cache.ids[[5, 0, 5]]
+    assert np.array_equal(cache.gather(ids), np.stack([cache.matrices[i] for i in (5, 0, 5)]))
+    assert cache.gather([]).shape == (0,) + cache.matrices.shape[1:]
+
+
+def _mfcc(path, cfg):
+    return features.extract_mfcc(audio_io.resample(audio_io.load_wav(path), cfg.sample_rate),
+                                 cfg).astype("<f4")
+
+
+def _cache_bytes(cfg, records, stems, failures):
+    """The v1 layout assembled by hand: header, packed records, JSON trailer."""
+    out = b"LSFC" + struct.pack("<H", 1) + cfg.hash_bytes() + struct.pack("<I", len(records))
+    for rid, cls, mat in records:
+        out += struct.pack("<Ib", rid, cls) + mat.tobytes()
+    trailer = {"stems": {str(rid): stem for rid, stem in stems}, "failures": failures}
+    return out + json.dumps(trailer).encode()
+
+
+def test_cache_bytes_match_documented_layout(tmp_path, small_corpus):
+    cfg = small_corpus["cfg"]
+    bad = tmp_path / "999_1b1_Tc_sc_Synth.wav"
+    bad.write_bytes(b"this is not audio")
+    first, second = sorted(small_corpus["audio_dir"].glob("*.wav"))[:2]
+    out = tmp_path / "cache.lsfc"
+    # out of id order, an unlabeled record and a failure
+    failures = build_feature_cache([(7, 2, str(first)), (3, 9, str(bad)),
+                                    (1, dataset.UNLABELED, str(second))], cfg, out)
+    assert [f[:2] for f in failures] == [(3, str(bad))]
+    data = out.read_bytes()
+    assert data == _cache_bytes(
+        cfg, [(1, -1, _mfcc(second, cfg)), (7, 2, _mfcc(first, cfg))],
+        [(1, second.stem), (7, first.stem)], [[3, str(bad), failures[0][2]]])
+    cache = FeatureCache.load(out, expected_config=cfg)
+    assert cache.ids.tolist() == [1, 7] and cache.classes.tolist() == [-1, 2]
+    assert np.array_equal(cache.gather([7, 1]), np.stack([_mfcc(first, cfg), _mfcc(second, cfg)]))
+    assert cache.stems == {1: second.stem, 7: first.stem}
+    assert cache.file_sha256 == hashlib.sha256(data).hexdigest()
+    assert cache.matrices.dtype == np.float32 and cache.matrices.flags.writeable
+
+
+def test_cache_with_every_extraction_failed(tmp_path, small_corpus):
+    cfg = small_corpus["cfg"]
+    bad = tmp_path / "999_1b1_Tc_sc_Synth.wav"
+    bad.write_bytes(b"RIFF")
+    out = tmp_path / "cache.lsfc"
+    failures = build_feature_cache([(4, 1, str(bad))], cfg, out)
+    assert out.read_bytes() == _cache_bytes(cfg, [], [], [[4, str(bad), failures[0][2]]])
+    cache = FeatureCache.load(out, expected_config=cfg)
+    assert len(cache) == 0 and cache.matrices.shape == (0, 40, 862) and cache.stems == {}
+    assert cache.gather([]).shape == (0, 40, 862)
+    with pytest.raises(UnknownPatient):
+        cache.gather([4])
+
+
+def test_cache_truncated_or_damaged_is_malformed(tmp_path, small_corpus):
+    data = small_corpus["cache_path"].read_bytes()
+    record = 5 + 4 * 40 * 862
+    (count,) = struct.unpack_from("<I", data, 38)
+    trailer_at = 42 + count * record
+    cuts = [*range(43), 42 + 1, 42 + 5, 42 + record - 1, 42 + 7 * record + 4,
+            trailer_at - 1, trailer_at, len(data) - 1]
+    damaged = [data[:n] for n in cuts]
+    damaged += [data[:trailer_at] + b"\xff{}",                        # trailer not UTF-8
+                data[:trailer_at] + b"[]",                             # trailer not an object
+                data[:trailer_at] + b'{"stems": {"x": "a"}}',           # stem id not an integer
+                data[:38] + struct.pack("<I", 0xFFFFFFFF) + data[42:]]  # count beyond the file
+    path = tmp_path / "damaged.lsfc"
+    for blob in damaged:
+        path.write_bytes(blob)
+        with pytest.raises(MalformedHeader):
+            FeatureCache.load(path)
 
 
 def test_cache_records_failures(tmp_path, small_corpus):

@@ -71,3 +71,6 @@ def test_tracer_hooks_training_passes(rng):
     for p in ("supervised", "mixmatch", "co_refinement", "co_refurbishing"):
         assert m[f"training.pass.{p}.s"] > 0, p
     assert m["ssl.target_forward.examples"] > 0
+    # the training path still reads the cache through the traced gather and _prepare
+    assert m["dataset.FeatureCache.gather.calls"] > 0
+    assert m["training.prepare.s"] > 0

@@ -81,7 +81,7 @@ def test_ablation_schedules(small_corpus, small_split):
 def test_degenerate_epoch_equals_supervised(small_corpus, small_split):
     cache = small_corpus["cache"]
     xs = cache.gather(small_split.train_labeled)
-    ys = np.array([cache.class_of(r) for r in small_split.train_labeled])
+    ys = cache.classes[cache.rows(small_split.train_labeled)]
     onehot = training.one_hot(ys)
     xu = cache.gather(small_split.train_unlabeled)
     cfg = neutral_config(epochs=1, batch_size=8, seed=21, validation_fraction=0.0)
@@ -118,9 +118,8 @@ def test_early_stop_restores_best(small_corpus, small_split):
     assert rows[manifest.best_epoch]["val_accuracy"] == best
     # restored parameters really are the best-epoch ones
     lab_ids, xs_lab, ys_lab, _, _ = training._prepare(small_corpus["cache"], small_split)
-    _, val_ids = training._stratified_validation(lab_ids, ys_lab, 0.2, cfg.seed)
-    sel = np.array([list(lab_ids).index(r) for r in val_ids])
-    assert training._accuracy(params, xs_lab[sel], ys_lab[sel]) == pytest.approx(best)
+    _, val = training._stratified_validation(lab_ids, ys_lab, 0.2, cfg.seed)
+    assert training._accuracy(params, xs_lab[val], ys_lab[val]) == pytest.approx(best)
 
 
 def test_early_stopper_unit():
