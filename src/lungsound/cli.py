@@ -163,8 +163,10 @@ def _cmd_evaluate(args) -> int:
     if stored is not None and stored != cache.config_hash.hex():
         raise ConfigHashMismatch(
             f"{args.checkpoint} was trained against a different feature config")
-    norm = (training.FeatureNormalizer.from_meta(meta)
-            if "norm_mean" in meta else None)
+    try:
+        norm = training.FeatureNormalizer.from_meta(meta) if "norm_mean" in meta else None
+    except DataError as exc:
+        raise DataError(f"{args.checkpoint}: {exc}") from None
     y_true, y_pred = training.evaluate_split(params, cache, split, norm=norm)
     cm = evaluation.confusion(y_true, y_pred)
     rep = evaluation.report(cm)

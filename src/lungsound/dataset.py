@@ -13,6 +13,7 @@ import hashlib
 import json
 import logging
 import multiprocessing
+import os
 import struct
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -309,25 +310,37 @@ class FeatureCache:
 
     @classmethod
     def load(cls, path, expected_config: features.MfccConfig | None = None) -> "FeatureCache":
-        """Read a cache file; a truncated or damaged one raises MalformedHeader."""
+        """Read a cache file; a truncated or damaged one raises MalformedHeader.
+
+        The record block is read once, straight into one _RECORD array, and
+        `matrices` is a writable view of its grids.
+        """
         with open(path, "rb") as fh:
-            data = fh.read()
-        if data[:4] != _CACHE_MAGIC:
-            raise MalformedHeader(f"{path}: not a feature cache")
-        try:
-            _, version, config_hash, count = _HEADER.unpack_from(data)
-            if version != _CACHE_VERSION:
-                raise MalformedHeader(f"{path}: unsupported cache version {version}")
-            if expected_config is not None and config_hash != expected_config.hash_bytes():
-                raise ConfigHashMismatch(
-                    f"{path}: cache was built with a different feature config")
-            recs = np.frombuffer(data, _RECORD, count, offset=_HEADER.size)
-            trailer = json.loads(data[_HEADER.size + recs.nbytes:].decode())
-            stems = {int(k): v for k, v in trailer.get("stems", {}).items()}
-        except (struct.error, ValueError, AttributeError) as exc:
-            # short header or record block; missing trailer, or bad UTF-8, JSON or stems in it
-            raise MalformedHeader(f"{path}: damaged cache ({type(exc).__name__}: {exc})") \
-                from None
-        return cls(recs["id"].astype(np.int64), recs["cls"].astype(np.int64),
-                   np.array(recs["mat"], dtype=np.float32), config_hash, stems, str(path),
-                   file_sha256=hashlib.sha256(data).hexdigest())
+            head = fh.read(_HEADER.size)
+            if head[:4] != _CACHE_MAGIC:
+                raise MalformedHeader(f"{path}: not a feature cache")
+            try:
+                _, version, config_hash, count = _HEADER.unpack(head)
+                if version != _CACHE_VERSION:
+                    raise MalformedHeader(f"{path}: unsupported cache version {version}")
+                if expected_config is not None and config_hash != expected_config.hash_bytes():
+                    raise ConfigHashMismatch(
+                        f"{path}: cache was built with a different feature config")
+                # checked before allocating: a damaged count could ask for terabytes
+                if _HEADER.size + count * _RECORD.itemsize >= os.fstat(fh.fileno()).st_size:
+                    raise ValueError(f"{count} records and a trailer do not fit in the file")
+                recs = np.empty(count, _RECORD)
+                if fh.readinto(recs) != recs.nbytes:
+                    raise ValueError("short record block")
+                tail = fh.read()
+                trailer = json.loads(tail.decode())
+                stems = {int(k): v for k, v in trailer.get("stems", {}).items()}
+            except (struct.error, ValueError, AttributeError) as exc:
+                # short header or record block; missing trailer, or bad UTF-8, JSON or stems in it
+                raise MalformedHeader(f"{path}: damaged cache ({type(exc).__name__}: {exc})") \
+                    from None
+        digest = hashlib.sha256(head)
+        digest.update(recs)
+        digest.update(tail)
+        return cls(recs["id"].astype(np.int64), recs["cls"].astype(np.int64), recs["mat"],
+                   config_hash, stems, str(path), file_sha256=digest.hexdigest())

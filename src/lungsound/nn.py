@@ -9,7 +9,7 @@ finite-difference gradient checks.
 
 Each conv -> ReLU -> pool stage is evaluated by pool phase (polyphase): the
 conv is computed separately at the four slots (di, dj) of the 2x2 pool
-windows, from stride-2 patches at offset (di, dj), in one GEMM. Max pooling is
+windows, from stride-2 patches at offset (di, dj), by GEMM. Max pooling is
 then an elementwise max of four dense maps, and the odd trailing conv row and
 column that pooling drops are never computed. Bias and ReLU are applied once,
 to the pooled map. Rounding is monotone, so this equals conv + bias -> ReLU ->
@@ -19,6 +19,25 @@ differ from the unfused order only where adding the bias rounds two unequal
 values to a tie. The backward keeps the phase structure: the conv gradient of
 phase p is the pooled gradient masked by (argmax == p), and the kernel
 gradient is one GEMM over all phases.
+
+The stage forward, its dx backward and the dropout draw run over blocks of
+examples sized by one byte budget, _BLOCK_BYTES (about 2 MB of phase conv
+output, or of float64 dropout draws, per block). A block's temporaries stay
+in cache and are reused across blocks; the pooled map, argmax slots, patch
+matrix, masks and dx are written straight into full-size outputs. The one
+full-batch temporary left is the phase-stacked conv gradient that the
+kernel-gradient GEMM reads. Blocking changes no result bit:
+- every elementwise step, and the max over phases, sees the same operands;
+- a GEMM row depends only on that row and the kernel, provided the BLAS
+  rounds a row the same whatever the row count (and column count, for the
+  dx products split by kernel row). That holds on the build recorded in
+  tests/test_replay_hashes.py, which checks it through the trained
+  parameters; a build where it fails breaks replay, not correctness;
+- the kernel gradient stays one GEMM over the whole phase-stacked matrix,
+  so its summation order is unchanged;
+- dx gets its contributions in the same order, phase by phase from zero;
+- successive rng.random draws along axis 0 continue one stream, so the
+  blocked dropout mask equals the mask of one full-shape draw.
 """
 
 from __future__ import annotations
@@ -138,6 +157,10 @@ def init_params(rng: np.random.Generator, spec: CnnSpec = CnnSpec(),
 
 _POOL_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
+# bytes of phase conv output (or of its gradient, or of dropout draws) per
+# block of examples; see the module docstring
+_BLOCK_BYTES = 2 << 20
+
 
 def _im2col(x: np.ndarray) -> np.ndarray:
     """(B, H, W, C) -> (B * (H-1) * (W-1), 4C) patch matrix for 2x2 kernels."""
@@ -149,13 +172,23 @@ def _im2col(x: np.ndarray) -> np.ndarray:
     return win.reshape(b * (h - 1) * (w - 1), 4 * c)
 
 
-def _phase_im2col(x: np.ndarray) -> np.ndarray:
-    """(B, H, W, C) -> (4 * B * Hp * Wp, 4C) 2x2 patches grouped by pool phase.
+def _blocks(n: int, row_bytes: int):
+    """Split n examples into blocks of about _BLOCK_BYTES of row_bytes each.
 
-    Row block phase = 2*di + dj holds, for i < Hp = (H-1)//2 and
-    j < Wp = (W-1)//2, the patch whose conv output sits at (2i + di, 2j + dj):
-    slot (di, dj) of pool window (i, j). The odd trailing conv row and column
-    that pooling drops get no patch.
+    Returns (slices along the batch axis, the largest block's row count).
+    """
+    step = max(1, _BLOCK_BYTES // max(1, row_bytes))
+    return [slice(s, min(s + step, n)) for s in range(0, n, step)], min(step, n)
+
+
+def _phase_patches(x: np.ndarray, out: np.ndarray) -> None:
+    """Write the 2x2 patches of a (B, H, W, C) batch, grouped by pool phase,
+    into out of shape (4, B, Hp, Wp, 2, 2, C).
+
+    out[2*di + dj, :, i, j] is, for i < Hp = (H-1)//2 and j < Wp = (W-1)//2,
+    the patch whose conv output sits at (2i + di, 2j + dj): slot (di, dj) of
+    pool window (i, j). The odd trailing conv row and column that pooling
+    drops get no patch.
     """
     b, h, w, c = x.shape
     hp, wp = (h - 1) // 2, (w - 1) // 2
@@ -163,48 +196,69 @@ def _phase_im2col(x: np.ndarray) -> np.ndarray:
     win = np.lib.stride_tricks.as_strided(
         x, shape=(2, 2, b, hp, wp, 2, 2, c),
         strides=(s1, s2, s0, 2 * s1, 2 * s2, s1, s2, s3), writeable=False)
+    out = out.reshape(win.shape, copy=False)
     if c == 1:
-        # reshape would copy one element per inner loop here; copying tap by
-        # tap runs the inner loop along a whole row of windows (~4x faster)
-        cols = np.empty(win.shape, dtype=x.dtype)
+        # a whole-patch copy would move one element per inner loop here;
+        # copying tap by tap runs it along a row of windows (~4x faster)
         for ki, kj in _POOL_OFFSETS:
-            cols[..., ki, kj, :] = win[..., ki, kj, :]
-        win = cols
-    return win.reshape(4 * b * hp * wp, 4 * c)
+            out[..., ki, kj, :] = win[..., ki, kj, :]
+    else:
+        out[...] = win
 
 
 def _conv_forward(x, kernel, bias, keep_trace):
     """Fused valid 2x2 conv -> ReLU -> 2x2/stride-2 max pool of a (B, H, W, C) batch.
 
-    One GEMM evaluates the conv at the four pool phases, and pooling is the
+    The conv is evaluated at the four pool phases, and pooling is the
     elementwise max of the four phase maps. Bias and ReLU are applied once, on
     the pooled map; rounding is monotone, so max(fl(a+b), fl(c+b)) ==
     fl(max(a, c) + b) and the result equals conv+bias -> ReLU -> pool exactly.
+    The batch runs in blocks of examples (see the module docstring).
     Returns (pooled, idx, cols). idx is the within-window argmax slot (row-major,
-    first occurrence on ties, taken before the bias is added) and cols the phase
-    patch matrix; both are None unless keep_trace.
+    first occurrence on ties, taken before the bias is added) and cols the
+    (4 * B * Hp * Wp, 4C) phase patch matrix, phase-major; both are None
+    unless keep_trace.
     """
     b, h, w, c_in = x.shape
     c_out = kernel.shape[3]
     if kernel.shape[:3] != (2, 2, c_in) or h < 3 or w < 3:
         raise ShapeMismatch(f"conv stage: input {x.shape} vs kernel {kernel.shape}")
     hp, wp = (h - 1) // 2, (w - 1) // 2
-    cols = _phase_im2col(x)
-    z = (cols @ kernel.reshape(4 * c_in, c_out)).reshape(4, b, hp, wp, c_out)
-    top = np.maximum(z[0], z[1])
-    bottom = np.maximum(z[2], z[3])
-    out = np.maximum(top, bottom)
-    out += bias
-    np.maximum(out, 0, out=out)
+    dtype = np.result_type(x.dtype, kernel.dtype)
+    k2 = kernel.reshape(4 * c_in, c_out)
+    blocks, step = _blocks(b, 4 * hp * wp * c_out * dtype.itemsize)
+    out = np.empty((b, hp, wp, c_out), dtype=dtype)
+    z = np.empty((4, step * hp * wp, c_out), dtype=dtype)
+    bias_row = np.tile(bias, wp)  # one pooled row: long inner loops for the add
+    if keep_trace:
+        cols = np.empty((4, b, hp, wp, 2, 2, c_in), dtype=x.dtype)
+        idx = np.empty(out.shape, dtype=np.int8)
+    else:
+        patches = np.empty((4, step, hp, wp, 2, 2, c_in), dtype=x.dtype)
+    for s in blocks:
+        n = s.stop - s.start
+        rows = n * hp * wp
+        pc = cols[:, s] if keep_trace else patches[:, :n]
+        _phase_patches(x[s], pc)
+        for phase in range(4):
+            np.matmul(pc[phase].reshape(rows, 4 * c_in), k2, out=z[phase, :rows])
+        zb = z[:, :rows].reshape(4, n, hp, wp, c_out)
+        top = np.maximum(zb[0], zb[1])
+        bottom = np.maximum(zb[2], zb[3])
+        o = out[s]
+        np.maximum(top, bottom, out=o)
+        o.reshape(n * hp, wp * c_out, copy=False)[...] += bias_row
+        np.maximum(o, 0, out=o)
+        if keep_trace:
+            # branch-free select of the slot; np.where is several times slower
+            # on masks as irregular as these
+            lower = (bottom > top).view(np.int8)
+            left = (zb[1] > zb[0]).view(np.int8)
+            right = (zb[3] > zb[2]).view(np.int8)
+            idx[s] = left + lower * (right + 2 - left)
     if not keep_trace:
         return out, None, None
-    # branch-free select of the slot; np.where is several times slower on
-    # masks as irregular as these
-    lower = (bottom > top).view(np.int8)
-    left = (z[1] > z[0]).view(np.int8)
-    right = (z[3] > z[2]).view(np.int8)
-    idx = left + lower * (right + 2 - left)
-    return out, idx, cols
+    return out, idx, cols.reshape(4 * b * hp * wp, 4 * c_in)
 
 
 def _conv_backward(dy, cols, kernel, x_shape, need_dx, idx):
@@ -213,26 +267,35 @@ def _conv_backward(dy, cols, kernel, x_shape, need_dx, idx):
     dy is the gradient at the pooled map with the ReLU mask already applied;
     cols and idx come from _conv_forward. Each pooled gradient flows to the
     conv output its window selected, so the phase-stacked conv gradient is
-    dy * (idx == phase).
+    dy * (idx == phase). dkernel is one GEMM over all phases and examples.
+    dx is built block by block: the 2x2 taps of one phase cover disjoint
+    pixels, so each phase adds one product per kernel row ki, in phase order.
     """
     b, _, _, c_in = x_shape
     c_out = kernel.shape[3]
     hp, wp = dy.shape[1:3]
+    blocks, step = _blocks(b, 4 * hp * wp * c_out * dy.dtype.itemsize)
     dz = np.empty((4,) + dy.shape, dtype=dy.dtype)
-    for phase in range(4):
-        np.multiply(dy, idx == phase, out=dz[phase])
-    dz = dz.reshape(-1, c_out)
+    if need_dx:
+        dx = np.zeros(x_shape, dtype=dy.dtype)
+        k_rows = [kernel[ki].reshape(2 * c_in, c_out).T for ki in range(2)]
+        row_grad = np.empty((step * hp * wp, 2 * c_in), dtype=dy.dtype)
+    for s in blocks:
+        n = s.stop - s.start
+        rows = n * hp * wp
+        for phase, (di, dj) in enumerate(_POOL_OFFSETS):
+            np.multiply(dy[s], idx[s] == phase, out=dz[phase, s])
+            if not need_dx:
+                continue
+            for ki in range(2):
+                # row 2i + di + ki of dx, columns (2j + dj + kj, c) of all windows j
+                g = np.matmul(dz[phase, s].reshape(rows, c_out), k_rows[ki],
+                              out=row_grad[:rows])
+                r = di + ki
+                dx[s, r:r + 2 * hp:2, dj:dj + 2 * wp, :] += g.reshape(n, hp, 2 * wp, c_in)
     db = dy.reshape(-1, c_out).sum(axis=0)
-    dk = (cols.T @ dz).reshape(2, 2, c_in, c_out)
-    if not need_dx:
-        return None, dk, db
-    dcols = (dz @ kernel.reshape(4 * c_in, c_out).T).reshape(4, b, hp, wp, 2, 2, c_in)
-    dx = np.zeros(x_shape, dtype=dy.dtype)
-    for phase, (di, dj) in enumerate(_POOL_OFFSETS):
-        for ki, kj in _POOL_OFFSETS:
-            r, c = di + ki, dj + kj
-            dx[:, r:r + 2 * hp:2, c:c + 2 * wp:2, :] += dcols[phase, :, :, :, ki, kj, :]
-    return dx, dk, db
+    dk = (cols.T @ dz.reshape(-1, c_out)).reshape(2, 2, c_in, c_out)
+    return (dx if need_dx else None), dk, db
 
 
 def _maxpool_core(x: np.ndarray) -> np.ndarray:
@@ -302,7 +365,14 @@ def dropout(x: np.ndarray, rate: float, rng: np.random.Generator, training: bool
         return x, None
     if rate == 0.0:
         return x, np.ones(x.shape, dtype=x.dtype)
-    mask = (rng.random(x.shape) >= rate).astype(x.dtype)
+    # drawn block by block: the mask of one full-shape draw, without its
+    # full-size float64 array
+    mask = np.empty(x.shape, dtype=x.dtype)
+    blocks, step = _blocks(len(x), 8 * x[:1].size)
+    draws = np.empty((step,) + x.shape[1:])
+    for s in blocks:
+        r = rng.random(out=draws[:s.stop - s.start])
+        np.greater_equal(r, rate, out=mask[s], casting="unsafe")
     mask /= (1.0 - rate)
     return x * mask, mask
 
@@ -399,11 +469,12 @@ def backward_from_dp(trace: ForwardTrace, dp: np.ndarray) -> ModelParams:
                          trace.gap_shape).astype(params.dtype)
 
     for i in reversed(range(len(params.conv_kernels))):
+        # da is this function's own array, so both masks apply in place
         if trace.training and trace.dropout_rate > 0:
-            da = da * trace.drop_masks[i]
+            da *= trace.drop_masks[i]
         # relu mask in the pooled domain: the selected pre-activation is
         # positive exactly when the pooled value is
-        da = da * (trace.pool_out[i] > 0)
+        np.multiply(da, trace.pool_out[i] > 0, out=da)
         da, dk, db = _conv_backward(da, trace.conv_cols[i], params.conv_kernels[i],
                                     trace.conv_in_shapes[i], i > 0, trace.pool_idx[i])
         grads.conv_kernels[i][:] = dk

@@ -29,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import nn, ssl
-from .dataset import FeatureCache, SplitManifest
-from .errors import NonFiniteLoss, NoUsableData
+from .dataset import _CACHE_SHAPE, FeatureCache, SplitManifest
+from .errors import DataError, NonFiniteLoss, NoUsableData
 from .rng import substream
 
 log = logging.getLogger(__name__)
@@ -122,8 +122,18 @@ class FeatureNormalizer:
 
     @classmethod
     def from_meta(cls, meta: dict) -> "FeatureNormalizer":
-        return cls(mean=np.asarray(meta["norm_mean"], dtype=np.float64),
-                   std=np.asarray(meta["norm_std"], dtype=np.float64))
+        """Inverse of to_meta. Raises DataError unless mean and std are finite
+        vectors with one entry per coefficient row of the cache, every std > 0."""
+        rows = _CACHE_SHAPE[0]
+        try:
+            mean, std = (np.asarray(meta[k], dtype=np.float64) for k in ("norm_mean", "norm_std"))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"unreadable normalizer ({type(exc).__name__}: {exc})") from None
+        if mean.shape != (rows,) or std.shape != (rows,) or not (
+                np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
+            raise DataError(f"normalizer needs {rows} finite means and {rows} finite "
+                            f"stds > 0, got shapes {mean.shape} and {std.shape}")
+        return cls(mean=mean, std=std)
 
 
 def predict_batch(params: nn.ModelParams, xs: np.ndarray, chunk: int = 32) -> np.ndarray:

@@ -220,3 +220,28 @@ def test_evaluate_refuses_checkpoint_it_cannot_score(capsys, tmp_path, small_cor
         assert _data_error(*result), result
         assert reason in result[2]
         assert not (tmp_path / "r.txt").exists()
+
+
+@pytest.mark.parametrize("mean, std", [
+    ([0.0] * 3, [1.0] * 3),                 # not one entry per coefficient row
+    ([0.0] * 40, [1.0] * 39),
+    ([[0.0] * 40], [[1.0] * 40]),
+    ([float("nan")] + [0.0] * 39, [1.0] * 40),
+    ([0.0] * 40, [float("inf")] + [1.0] * 39),
+    ([0.0] * 40, [0.0] + [1.0] * 39),       # a std that is not > 0
+    ([0.0] * 40, [-1.0] * 40),
+    ([0.0] * 40, "wide"),
+])
+def test_evaluate_refuses_bad_normalizer(capsys, tmp_path, small_corpus, small_split, mean, std):
+    manifest = tmp_path / "split.json"
+    small_split.save(manifest)
+    ckpt = tmp_path / "model.lsnn"
+    nn.save_checkpoint(ckpt, nn.init_params(substream(0, "init")),
+                       {"config_hash": small_corpus["cache"].config_hash.hex(),
+                        "norm_mean": mean, "norm_std": std})
+    result = run_cli(capsys, "evaluate", "--checkpoint", str(ckpt),
+                     "--cache", str(small_corpus["cache_path"]), "--manifest", str(manifest),
+                     "--report", str(tmp_path / "r.txt"))
+    assert _data_error(*result), result
+    assert "normalizer" in result[2]
+    assert not (tmp_path / "r.txt").exists()

@@ -150,6 +150,76 @@ def test_inference_bit_identical_to_unfused_network(rng):
     assert np.array_equal(probs, oracle.forward_probs(params, xs))
 
 
+def _same_bytes(got, want):
+    return all(g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+               for g, w in zip(got, want, strict=True))
+
+
+# blocks of 3 examples: B=1, exactly one block, one block + 1, 3 blocks + 2
+@pytest.mark.parametrize("batch", [1, 3, 4, 11])
+def test_blocked_stage_is_bit_identical(monkeypatch, rng, batch):
+    block = 3
+    x = rng.normal(size=(batch, 9, 12, 2)).astype(np.float32)  # 4x5 pool windows
+    k = rng.normal(size=(2, 2, 2, 8)).astype(np.float32)
+    b = rng.normal(0.0, 0.5, size=8).astype(np.float32)
+    dy = rng.normal(size=(batch, 4, 5, 8)).astype(np.float32)
+    # per example: the phase conv output (and its gradient) is 4*4*5*8
+    # floats, the dropout draws are 4*5*8 doubles
+    stage_row, drop_row = 4 * 4 * 5 * 8 * 4, 4 * 5 * 8 * 8
+
+    def run(rows):
+        monkeypatch.setattr(nn, "_BLOCK_BYTES", rows * stage_row)
+        assert len(nn._blocks(batch, stage_row)[0]) == -(-batch // rows)
+        pooled, idx, cols = nn._conv_forward(x, k, b, True)
+        inferred = nn._conv_forward(x, k, b, False)
+        dx, dk, db = nn._conv_backward(dy * (pooled > 0), cols, k, x.shape, True, idx)
+        monkeypatch.setattr(nn, "_BLOCK_BYTES", rows * drop_row)
+        assert len(nn._blocks(batch, drop_row)[0]) == -(-batch // rows)
+        dropped, mask = nn.dropout(pooled, 0.3, substream(1, "dropout"), training=True)
+        return pooled, idx, cols, inferred[0], dropped, mask, dx, dk, db
+
+    want = run(batch)
+    assert _same_bytes(run(block), want)
+    # the blocked draws are the stream of one full-shape draw
+    full = (substream(1, "dropout").random(want[0].shape) >= 0.3).astype(np.float32)
+    full /= 0.7
+    assert _same_bytes([want[5]], [full])
+
+
+def test_blocked_network_step_is_bit_identical(monkeypatch, rng):
+    spec = nn.CnnSpec(input_shape=(12, 20), channels=(3, 5))
+    params = nn.init_params(substream(2, "init"), spec)
+    xs = rng.normal(size=(11, 12, 20)).astype(np.float32)
+    ys = np.eye(6, dtype=np.float32)[rng.integers(0, 6, 11)]
+
+    def step():
+        _, trace = nn.forward_batch(params, xs, training=True, rng=substream(3, "dropout"))
+        _, grads = nn.loss_and_backward(params, trace, ys)
+        return [*trace.conv_cols, *trace.pool_out, *trace.pool_idx, *trace.drop_masks,
+                trace.probs, *grads.arrays()]
+
+    want = step()
+    monkeypatch.setattr(nn, "_BLOCK_BYTES", 1)  # one example per block everywhere
+    assert _same_bytes(step(), want)
+
+
+def test_row_scored_alone_equals_row_in_batch(rng):
+    params = nn.init_params(substream(6, "init"))
+    for bias in params.conv_biases:
+        bias[:] = rng.normal(0.0, 0.05, size=bias.shape)
+    xs = rng.normal(size=(32, 40, 862)).astype(np.float32)
+    probs, trace = nn.forward_batch(params, xs, training=False, keep_trace=True)
+    for i in range(len(xs)):
+        alone, one = nn.forward_batch(params, xs[i:i + 1], training=False, keep_trace=True)
+        # every conv stage gives a row alone the bytes it gets in the batch
+        assert one.dense_in.tobytes() == trace.dense_in[i:i + 1].tobytes(), i
+        # the head's GEMM rounds by row count (1, 2 and 32 rows all differ on
+        # the recorded build), so only the head applied to one row is exact
+        head = nn.softmax(nn.dense(trace.dense_in[i:i + 1], params.dense_w, params.dense_b))
+        assert alone.tobytes() == head.tobytes(), i
+        assert np.allclose(alone, probs[i:i + 1], rtol=1e-5, atol=0), i
+
+
 def test_global_avg_pool_constant():
     x = np.full((3, 5, 4), 2.5)
     assert np.allclose(nn.global_avg_pool(x), 2.5)

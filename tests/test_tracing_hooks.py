@@ -5,6 +5,7 @@ Renaming one of them would otherwise only show up in a traced benchmark run.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -22,21 +23,29 @@ def _load_tracing():
     return module
 
 
-def test_tracer_hooks_one_training_step(rng):
+def test_tracer_hooks_one_training_step(rng, monkeypatch):
     tracing = _load_tracing()
     spec = nn.CnnSpec(input_shape=(8, 16), channels=(2, 3))
     params = nn.init_params(substream(0, "init"), spec)
     xs = rng.normal(size=(4, 8, 16)).astype(np.float32)
     ys = np.eye(6, dtype=np.float32)[[0, 1, 2, 3]]
     originals = {name: getattr(nn, name) for name in ("_conv_forward", "_conv_backward")}
+    monkeypatch.setattr(nn, "_BLOCK_BYTES", 1)  # one example per block
     tracer = tracing.Tracer()
     tracing.install(tracer, spec.channels)
     try:
         nn.weighted_gradient_step(params, nn.AdamState.for_params(params),
                                   [(1.0, xs, ys, "cross_entropy",
                                     substream(0, "dropout", 0, 0, 0))])
+        nn.forward_batch(params, xs)
     finally:
         tracer.uninstall()
+    # the blocks run inside the hooked calls: one span per stage per pass
+    names = Counter(s[tracing.NAME] for s in tracer.spans)
+    for k in range(len(spec.channels)):
+        assert names[f"nn.conv_forward.stage{k}"] == 2  # training and inference forward
+        assert names[f"nn.dropout.stage{k}"] == 1
+        assert names[f"nn.conv_backward.stage{k}"] == 1
     assert all(getattr(nn, name) is fn for name, fn in originals.items())
     m = tracing.layer_metrics(tracer.spans, 1, 1, spec.channels)
     for k in range(len(spec.channels)):
