@@ -12,8 +12,8 @@ from .dataset import (CLASS_IDS, CLASS_NAMES, FeatureCache, RecordingMeta, Split
                       scan_audio_dir)
 from .evaluation import ClassificationReport, confusion, format_report, report
 from .features import MfccConfig, extract_mfcc
-from .nn import (AdamState, CnnSpec, ModelParams, adam_step, forward_batch, gradient_check,
-                 init_params, load_checkpoint, loss_and_backward, save_checkpoint)
+from .nn import (AdamState, CnnSpec, ModelParams, adam_step, forward_batch, init_params,
+                 load_checkpoint, loss_and_backward, save_checkpoint)
 from .ssl import (SslConfig, augment, co_refinement_step, co_refurbishing_step, guess_labels,
                   mixmatch, mixup, sharpen)
 from .training import (FeatureNormalizer, RunManifest, TrainConfig, evaluate_split,

@@ -24,9 +24,10 @@ The stage forward, its dx backward and the dropout draw run over blocks of
 examples sized by one byte budget, _BLOCK_BYTES (about 2 MB of phase conv
 output, or of float64 dropout draws, per block). A block's temporaries stay
 in cache and are reused across blocks; the pooled map, argmax slots, patch
-matrix, masks and dx are written straight into full-size outputs. The one
-full-batch temporary left is the phase-stacked conv gradient that the
-kernel-gradient GEMM reads. Blocking changes no result bit:
+matrix and dx are written straight into full-size outputs, and dropout
+scales the pooled map in place. The one full-batch temporary left is the
+phase-stacked conv gradient that the kernel-gradient GEMM reads. Blocking
+changes no result bit:
 - every elementwise step, and the max over phases, sees the same operands;
 - a GEMM row depends only on that row and the kernel, provided the BLAS
   rounds a row the same whatever the row count (and column count, for the
@@ -38,11 +39,29 @@ kernel-gradient GEMM reads. Blocking changes no result bit:
 - dx gets its contributions in the same order, phase by phase from zero;
 - successive rng.random draws along axis 0 continue one stream, so the
   blocked dropout mask equals the mask of one full-shape draw.
+
+A training run (training._train) passes one Workspace to all its forwards
+and backwards. It holds one flat buffer per role (each stage's patch matrix,
+pooled map, argmax slots and dx; the ReLU mask, the phase-stacked conv
+gradient, the block scratch), sized on first use for the run's largest
+batch, so steps reuse pages instead of taking freshly zeroed ones; without a
+workspace the same code allocates fresh arrays. A forward overwrites the
+previous trace's buffers, so loss_and_backward refuses (StaleTrace) a trace
+whose workspace has run a forward since.
+
+Dropout scales the pooled map in place and keeps no mask, so in training
+pool_out > 0 exactly where an entry was kept and is positive (a positive
+float times 1/(1-rate) >= 1 stays positive). The backward masks by that, then
+multiplies by s = float32(1) / float32(1 - rate). Against the dropout factor
+(0 or s) followed by the ReLU mask r (0 or 1), that is (d*1)*s vs (d*s)*1
+where kept and positive, (d*0)*s vs (d*s)*0 where kept at zero, (d*0)*s vs
+(d*0)*r where dropped: the same float each time, a zero carrying d's sign.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -162,23 +181,48 @@ _POOL_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
 _BLOCK_BYTES = 2 << 20
 
 
-def _im2col(x: np.ndarray) -> np.ndarray:
-    """(B, H, W, C) -> (B * (H-1) * (W-1), 4C) patch matrix for 2x2 kernels."""
-    b, h, w, c = x.shape
-    s0, s1, s2, s3 = x.strides
-    win = np.lib.stride_tricks.as_strided(
-        x, shape=(b, h - 1, w - 1, 2, 2, c), strides=(s0, s1, s2, s1, s2, s3),
-        writeable=False)
-    return win.reshape(b * (h - 1) * (w - 1), 4 * c)
+def _block_rows(n: int, row_bytes: int) -> int:
+    """Examples per block: about _BLOCK_BYTES of row_bytes each, at most n."""
+    return min(max(1, _BLOCK_BYTES // max(1, row_bytes)), n)
 
 
 def _blocks(n: int, row_bytes: int):
-    """Split n examples into blocks of about _BLOCK_BYTES of row_bytes each.
+    """Split n examples into blocks of _block_rows(n, row_bytes) examples.
 
     Returns (slices along the batch axis, the largest block's row count).
     """
-    step = max(1, _BLOCK_BYTES // max(1, row_bytes))
-    return [slice(s, min(s + step, n)) for s in range(0, n, step)], min(step, n)
+    step = _block_rows(n, row_bytes)
+    return [slice(s, min(s + step, n)) for s in range(0, n, max(1, step))], step
+
+
+@dataclass(eq=False)
+class Workspace:
+    """Step buffers that every forward and backward of one training run reuses.
+
+    `rows` is the run's largest batch; `buffers` maps a role to its flat
+    buffer (see _empty) and `forwards` counts the forwards run through it.
+    """
+
+    rows: int
+    forwards: int = 0
+    buffers: dict = field(default_factory=dict)
+
+
+def _empty(ws, role, shape, dtype, n, row_bytes=None):
+    """np.empty(shape, dtype), or with a workspace a view of role's buffer.
+
+    shape spans n examples: a whole batch, or one block of examples of
+    row_bytes each. A buffer is sized for as many examples as that request
+    spans at ws.rows, or for n when more; an old one is freed first.
+    """
+    if ws is None:
+        return np.empty(shape, dtype)
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if role not in ws.buffers or ws.buffers[role].size < nbytes:
+        ws.buffers.pop(role, None)
+        cap = ws.rows if row_bytes is None else _block_rows(ws.rows, row_bytes)
+        ws.buffers[role] = np.empty(nbytes // max(1, n) * max(n, cap), np.uint8)
+    return ws.buffers[role][:nbytes].view(dtype).reshape(shape)
 
 
 def _phase_patches(x: np.ndarray, out: np.ndarray) -> None:
@@ -206,14 +250,15 @@ def _phase_patches(x: np.ndarray, out: np.ndarray) -> None:
         out[...] = win
 
 
-def _conv_forward(x, kernel, bias, keep_trace):
+def _conv_forward(x, kernel, bias, keep_trace, ws=None, stage=0):
     """Fused valid 2x2 conv -> ReLU -> 2x2/stride-2 max pool of a (B, H, W, C) batch.
 
     The conv is evaluated at the four pool phases, and pooling is the
     elementwise max of the four phase maps. Bias and ReLU are applied once, on
     the pooled map; rounding is monotone, so max(fl(a+b), fl(c+b)) ==
     fl(max(a, c) + b) and the result equals conv+bias -> ReLU -> pool exactly.
-    The batch runs in blocks of examples (see the module docstring).
+    The batch runs in blocks of examples, and the arrays come from `ws` when
+    given, under this stage's roles (see the module docstring).
     Returns (pooled, idx, cols). idx is the within-window argmax slot (row-major,
     first occurrence on ties, taken before the bias is added) and cols the
     (4 * B * Hp * Wp, 4C) phase patch matrix, phase-major; both are None
@@ -226,15 +271,17 @@ def _conv_forward(x, kernel, bias, keep_trace):
     hp, wp = (h - 1) // 2, (w - 1) // 2
     dtype = np.result_type(x.dtype, kernel.dtype)
     k2 = kernel.reshape(4 * c_in, c_out)
-    blocks, step = _blocks(b, 4 * hp * wp * c_out * dtype.itemsize)
-    out = np.empty((b, hp, wp, c_out), dtype=dtype)
-    z = np.empty((4, step * hp * wp, c_out), dtype=dtype)
+    row_bytes = 4 * hp * wp * c_out * dtype.itemsize
+    blocks, step = _blocks(b, row_bytes)
+    out = _empty(ws, f"pooled{stage}", (b, hp, wp, c_out), dtype, b)
+    z = _empty(ws, "z", (4, step * hp * wp, c_out), dtype, step, row_bytes)
     bias_row = np.tile(bias, wp)  # one pooled row: long inner loops for the add
     if keep_trace:
-        cols = np.empty((4, b, hp, wp, 2, 2, c_in), dtype=x.dtype)
-        idx = np.empty(out.shape, dtype=np.int8)
+        cols = _empty(ws, f"cols{stage}", (4, b, hp, wp, 2, 2, c_in), x.dtype, b)
+        idx = _empty(ws, f"idx{stage}", out.shape, np.int8, b)
     else:
-        patches = np.empty((4, step, hp, wp, 2, 2, c_in), dtype=x.dtype)
+        patches = _empty(ws, "patches", (4, step, hp, wp, 2, 2, c_in), x.dtype, step,
+                         row_bytes)
     for s in blocks:
         n = s.stop - s.start
         rows = n * hp * wp
@@ -261,7 +308,7 @@ def _conv_forward(x, kernel, bias, keep_trace):
     return out, idx, cols.reshape(4 * b * hp * wp, 4 * c_in)
 
 
-def _conv_backward(dy, cols, kernel, x_shape, need_dx, idx):
+def _conv_backward(dy, cols, kernel, x_shape, need_dx, idx, ws=None, stage=0):
     """Backward of the fused stage; returns (dx, dkernel, dbias).
 
     dy is the gradient at the pooled map with the ReLU mask already applied;
@@ -270,19 +317,23 @@ def _conv_backward(dy, cols, kernel, x_shape, need_dx, idx):
     dy * (idx == phase). dkernel is one GEMM over all phases and examples.
     dx is built block by block: the 2x2 taps of one phase cover disjoint
     pixels, so each phase adds one product per kernel row ki, in phase order.
+    The arrays come from `ws` when given.
     """
     b, _, _, c_in = x_shape
     c_out = kernel.shape[3]
     hp, wp = dy.shape[1:3]
-    blocks, step = _blocks(b, 4 * hp * wp * c_out * dy.dtype.itemsize)
-    dz = np.empty((4,) + dy.shape, dtype=dy.dtype)
+    row_bytes = 4 * hp * wp * c_out * dy.dtype.itemsize
+    blocks, step = _blocks(b, row_bytes)
+    dz = _empty(ws, "dz", (4,) + dy.shape, dy.dtype, b)
     if need_dx:
-        dx = np.zeros(x_shape, dtype=dy.dtype)
+        dx = _empty(ws, f"dx{stage}", x_shape, dy.dtype, b)
         k_rows = [kernel[ki].reshape(2 * c_in, c_out).T for ki in range(2)]
-        row_grad = np.empty((step * hp * wp, 2 * c_in), dtype=dy.dtype)
+        row_grad = _empty(ws, "row_grad", (step * hp * wp, 2 * c_in), dy.dtype, step, row_bytes)
     for s in blocks:
         n = s.stop - s.start
         rows = n * hp * wp
+        if need_dx:
+            dx[s] = 0
         for phase, (di, dj) in enumerate(_POOL_OFFSETS):
             np.multiply(dy[s], idx[s] == phase, out=dz[phase, s])
             if not need_dx:
@@ -301,7 +352,7 @@ def _conv_backward(dy, cols, kernel, x_shape, need_dx, idx):
 def _maxpool_core(x: np.ndarray) -> np.ndarray:
     """Unfused 2x2/stride-2 max pool; trailing odd rows/columns are dropped.
 
-    The network pools inside _conv_forward; this serves _kink_margin.
+    The network pools inside _conv_forward; this serves the tests' oracle.
     """
     b, h, w, c = x.shape
     if h < 2 or w < 2:
@@ -353,28 +404,36 @@ def _softmax_backward(p, dp):
     return p * (dp - (dp * p).sum(axis=-1, keepdims=True))
 
 
-def dropout(x: np.ndarray, rate: float, rng: np.random.Generator, training: bool):
-    """Inverted dropout: zero with probability `rate`, scale survivors by 1/(1-rate).
+def _keep_scale(dtype, rate: float):
+    """The survivor scale of inverted dropout, 1 / (1 - rate), in dtype."""
+    return dtype.type(1) / dtype.type(1.0 - rate)
 
-    Inference mode is the identity and returns no mask. The returned mask is
-    the multiplicative factor array: 0 where dropped, 1/(1-rate) where kept.
+
+def dropout(x: np.ndarray, rate: float, rng: np.random.Generator, training: bool,
+            ws=None) -> np.ndarray:
+    """Inverted dropout in place: zero each entry of x with probability `rate`,
+    scale survivors by 1/(1-rate); returns x.
+
+    Inference mode and rate 0 leave x untouched. The draws run block by block
+    (their scratch from `ws` when given); successive draws along axis 0
+    continue one stream, so x ends as x * ((one full-shape draw >= rate) / (1 -
+    rate)), rounded once.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training:
-        return x, None
-    if rate == 0.0:
-        return x, np.ones(x.shape, dtype=x.dtype)
-    # drawn block by block: the mask of one full-shape draw, without its
-    # full-size float64 array
-    mask = np.empty(x.shape, dtype=x.dtype)
-    blocks, step = _blocks(len(x), 8 * x[:1].size)
-    draws = np.empty((step,) + x.shape[1:])
+    if not training or rate == 0.0:
+        return x
+    row_bytes = 8 * x[:1].size
+    blocks, step = _blocks(len(x), row_bytes)
+    draws = _empty(ws, "draws", (step,) + x.shape[1:], np.float64, step, row_bytes)
+    keep = _empty(ws, "keep", draws.shape, x.dtype, step, row_bytes)
+    scale = _keep_scale(x.dtype, rate)
     for s in blocks:
-        r = rng.random(out=draws[:s.stop - s.start])
-        np.greater_equal(r, rate, out=mask[s], casting="unsafe")
-    mask /= (1.0 - rate)
-    return x * mask, mask
+        n = s.stop - s.start
+        np.greater_equal(rng.random(out=draws[:n]), rate, out=keep[:n], casting="unsafe")
+        keep[:n] *= scale
+        x[s] *= keep[:n]
+    return x
 
 
 # -- full network --------------------------------------------------------
@@ -389,40 +448,46 @@ class ForwardTrace:
     x: np.ndarray                       # (B, H, W, 1)
     conv_cols: list = field(default_factory=list)
     conv_in_shapes: list = field(default_factory=list)
-    pool_out: list = field(default_factory=list)     # pooled maps, pre-dropout
+    pool_out: list = field(default_factory=list)     # pooled maps, after dropout in training
     pool_idx: list = field(default_factory=list)
-    drop_masks: list = field(default_factory=list)   # only when training
+    drop_masks: list = field(default_factory=list)   # always empty: dropout keeps no
+                                                     # mask (perfbench still reads it)
     dense_in: np.ndarray = None         # (B, C_last)
     gap_shape: tuple = None
     logits: np.ndarray = None
     probs: np.ndarray = None
+    workspace: Workspace = None         # the stage arrays above are views of its buffers
+    stamp: int = 0                      # workspace.forwards once this forward began
 
 
 def forward_batch(params: ModelParams, xs: np.ndarray, training: bool = False,
                   rng: np.random.Generator | None = None, dropout_rate: float = 0.2,
-                  keep_trace: bool | None = None):
+                  keep_trace: bool | None = None, ws: Workspace | None = None):
     """Forward pass over a (B, H, W) batch; returns (probs, trace).
 
     When training, `rng` supplies the dropout draws. Set keep_trace=False for
-    pure inference to skip caching the backward-pass intermediates.
+    pure inference to skip caching the backward-pass intermediates. With `ws`
+    the stage arrays, and so the trace, live in the workspace's buffers.
     """
     if training and dropout_rate > 0 and rng is None:
         raise ValueError("training forward with dropout needs an rng")
     if keep_trace is None:
         keep_trace = training
     a = np.ascontiguousarray(xs, dtype=params.dtype)[..., None]
-    trace = ForwardTrace(params=params, training=training, dropout_rate=dropout_rate, x=a)
-    for kernel, bias in zip(params.conv_kernels, params.conv_biases):
+    trace = ForwardTrace(params=params, training=training, dropout_rate=dropout_rate, x=a,
+                         workspace=ws)
+    if ws is not None:
+        ws.forwards += 1
+        trace.stamp = ws.forwards
+    for k, (kernel, bias) in enumerate(zip(params.conv_kernels, params.conv_biases)):
         trace.conv_in_shapes.append(a.shape)
-        a, idx, cols = _conv_forward(a, kernel, bias, keep_trace)
+        a, idx, cols = _conv_forward(a, kernel, bias, keep_trace, ws, k)
+        if training:
+            dropout(a, dropout_rate, rng, True, ws)
         if keep_trace:
             trace.conv_cols.append(cols)
             trace.pool_out.append(a)
             trace.pool_idx.append(idx)
-        if training:
-            a, mask = dropout(a, dropout_rate, rng, training=True)
-            if keep_trace:
-                trace.drop_masks.append(mask)
     trace.gap_shape = a.shape
     gap = global_avg_pool(a)
     logits = dense(gap, params.dense_w, params.dense_b)
@@ -450,11 +515,6 @@ def _loss_and_dp(probs, targets, loss_kind):
     return float(loss), dp.astype(probs.dtype)
 
 
-def loss_value(probs: np.ndarray, targets: np.ndarray, loss_kind: str) -> float:
-    """Mean batch loss without gradients."""
-    return _loss_and_dp(probs, np.asarray(targets, dtype=probs.dtype), loss_kind)[0]
-
-
 def backward_from_dp(trace: ForwardTrace, dp: np.ndarray) -> ModelParams:
     """Backpropagate dL/dprobs through a kept trace; returns gradients."""
     params = trace.params
@@ -468,15 +528,18 @@ def backward_from_dp(trace: ForwardTrace, dp: np.ndarray) -> ModelParams:
     da = np.broadcast_to(da[:, None, None, :] / (hg * wg),
                          trace.gap_shape).astype(params.dtype)
 
+    dropped = trace.training and trace.dropout_rate > 0
+    ws = trace.workspace
     for i in reversed(range(len(params.conv_kernels))):
-        # da is this function's own array, so both masks apply in place
-        if trace.training and trace.dropout_rate > 0:
-            da *= trace.drop_masks[i]
-        # relu mask in the pooled domain: the selected pre-activation is
-        # positive exactly when the pooled value is
-        np.multiply(da, trace.pool_out[i] > 0, out=da)
+        # relu and dropout masks in the pooled domain, in place on this
+        # function's own da (see the module docstring)
+        pool = trace.pool_out[i]
+        kept = np.greater(pool, 0, out=_empty(ws, "relu", pool.shape, bool, len(pool)))
+        np.multiply(da, kept, out=da)
+        if dropped:
+            da *= _keep_scale(da.dtype, trace.dropout_rate)
         da, dk, db = _conv_backward(da, trace.conv_cols[i], params.conv_kernels[i],
-                                    trace.conv_in_shapes[i], i > 0, trace.pool_idx[i])
+                                    trace.conv_in_shapes[i], i > 0, trace.pool_idx[i], ws, i)
         grads.conv_kernels[i][:] = dk
         grads.conv_biases[i][:] = db
     return grads
@@ -486,12 +549,15 @@ def loss_and_backward(params: ModelParams, trace: ForwardTrace, target: np.ndarr
                       loss_kind: str = "cross_entropy"):
     """Loss plus gradients for a trace produced by forward() / forward_batch().
 
-    Raises StaleTrace when the trace was built from different parameters.
+    Raises StaleTrace when the trace was built from different parameters, or
+    when a later forward through its workspace reused its buffers.
     """
     if trace.params is not params:
         raise StaleTrace("trace was produced by a different parameter set")
     if trace.probs is None:
         raise StaleTrace("trace was not kept (forward ran with keep_trace=False)")
+    if trace.workspace is not None and trace.stamp != trace.workspace.forwards:
+        raise StaleTrace("a later forward reused this trace's workspace buffers")
     targets = np.asarray(target, dtype=trace.probs.dtype)
     if targets.ndim == 1:
         targets = targets[None]
@@ -535,13 +601,14 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
 
 
 def weighted_gradient_step(params: ModelParams, opt_state: AdamState, terms,
-                           lr: float = 1e-3):
+                           lr: float = 1e-3, ws: Workspace | None = None):
     """One Adam step on a weighted sum of loss terms.
 
     Each term is (weight, xs, targets, loss_kind, rng); zero-weight or empty
     terms are skipped outright so they cost nothing and leave the arithmetic
-    of the remaining terms untouched. Returns (params, opt_state, losses) with
-    one loss per term (0.0 for skipped ones).
+    of the remaining terms untouched. Each term's forward and backward run
+    through `ws` when given. Returns (params, opt_state, losses) with one loss
+    per term (0.0 for skipped ones).
     """
     total_grads = None
     losses = []
@@ -549,9 +616,9 @@ def weighted_gradient_step(params: ModelParams, opt_state: AdamState, terms,
         if weight == 0.0 or len(xs) == 0:
             losses.append(0.0)
             continue
-        _, trace = forward_batch(params, xs, training=True, rng=rng)
+        _, trace = forward_batch(params, xs, training=True, rng=rng, ws=ws)
         loss, grads = loss_and_backward(params, trace, targets, loss_kind)
-        del trace  # free this term's activations before the next term's forward
+        del trace  # outside a workspace, free its activations before the next forward
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"{loss_kind} loss is {loss}")
         losses.append(loss)
@@ -567,86 +634,6 @@ def weighted_gradient_step(params: ModelParams, opt_state: AdamState, terms,
             raise NonFiniteLoss("non-finite gradient")
         adam_step(params, total_grads, opt_state, lr=lr)
     return params, opt_state, losses
-
-
-# -- gradient checking ---------------------------------------------------
-
-def _kink_margin(params: ModelParams, xs: np.ndarray) -> float:
-    """Distance of a forward pass from ReLU/maxpool non-smoothness.
-
-    Finite differences are only meaningful where the loss is smooth within
-    the probe radius: no pre-activation may sit at the ReLU kink and no pool
-    window may have a near-tied positive maximum (all-zero windows are safe
-    because their entries carry zero gradient on both probe sides).
-    """
-    margin = np.inf
-    a = np.asarray(xs, dtype=np.float64)[..., None]
-    for kernel, bias in zip(params.conv_kernels, params.conv_biases):
-        b, h, w, c_in = a.shape
-        z = (_im2col(a) @ kernel.reshape(4 * c_in, -1) + bias).reshape(b, h - 1, w - 1, -1)
-        margin = min(margin, float(np.abs(z).min()))
-        r = np.maximum(z, 0)
-        _, h, w, _ = r.shape
-        hp, wp = h // 2, w // 2
-        stack = np.stack([r[:, di:2 * hp:2, dj:2 * wp:2, :] for di, dj in _POOL_OFFSETS])
-        top2 = np.sort(stack, axis=0)[-2:]
-        gaps = top2[1] - top2[0]
-        positive = top2[1] > 0
-        if positive.any():
-            margin = min(margin, float(gaps[positive].min()))
-        a = _maxpool_core(r)
-    return margin
-
-
-def gradient_check(spec: CnnSpec, seed: int = 0, eps: float = 1e-3,
-                   loss_kind: str = "cross_entropy", batch: int = 2):
-    """Compare backprop gradients against central finite differences.
-
-    Runs in double precision with dropout off. The probe point (init + input
-    draw) is re-sampled deterministically until the forward pass clears the
-    ReLU and pooling kinks by a wide margin, otherwise the +/- eps probes
-    would straddle a non-differentiable point and measure nothing useful.
-    Returns (max_rel_err, n_params) with rel err over max(|a|, |b|, 1e-6).
-    """
-    for attempt in range(256):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, attempt)))
-        params = init_params(rng, spec, dtype=np.float64)
-        xs = rng.normal(0.0, 0.5, size=(batch,) + spec.input_shape)
-        targets = rng.random((batch, spec.n_classes)) + 0.1
-        targets /= targets.sum(axis=1, keepdims=True)
-        # a stage with no positive output passes no gradient down: every conv
-        # gradient would be zero on both sides and the check would compare zeros
-        _, trace = forward_batch(params, xs, training=False, keep_trace=True)
-        live = all((a > 0).any() for a in trace.pool_out)
-        if live and _kink_margin(params, xs) > 8 * eps:
-            break
-    else:
-        raise RuntimeError("could not find a live, kink-free probe point")
-
-    def loss_at():
-        probs, trace = forward_batch(params, xs, training=False, keep_trace=True)
-        return _loss_and_dp(probs, targets, loss_kind)[0], trace
-
-    _, trace = loss_at()
-    _, grads = loss_and_backward(params, trace, targets, loss_kind)
-
-    max_rel = 0.0
-    n_checked = 0
-    for p_arr, g_arr in zip(params.arrays(), grads.arrays()):
-        flat_p = p_arr.reshape(-1)
-        flat_g = g_arr.reshape(-1)
-        for j in range(flat_p.size):
-            orig = flat_p[j]
-            flat_p[j] = orig + eps
-            up = loss_at()[0]
-            flat_p[j] = orig - eps
-            down = loss_at()[0]
-            flat_p[j] = orig
-            fd = (up - down) / (2.0 * eps)
-            rel = abs(flat_g[j] - fd) / max(abs(flat_g[j]), abs(fd), 1e-6)
-            max_rel = max(max_rel, rel)
-            n_checked += 1
-    return max_rel, n_checked
 
 
 # -- checkpoints ---------------------------------------------------------

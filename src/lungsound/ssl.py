@@ -12,7 +12,8 @@ Three ways of exploiting an unlabeled pool next to a labeled one:
 Pseudo-label construction never backpropagates into the model that produced
 it: all targets are built from inference-mode forwards and held constant.
 Each is one batch's work inside `training._run_pass`, which supplies the
-batches and the dropout stream. The benchmark tracer wraps `mixmatch`,
+batches and the dropout stream; every forward of a step runs through the
+run's nn.Workspace, passed as `ws`. The benchmark tracer wraps `mixmatch`,
 `augment`, `mixup` and the two co steps by name, and counts the inference
 forwards made inside them as target forwards.
 """
@@ -59,12 +60,6 @@ class SslConfig:
                          augment_max_mask_frames=0, fixed_lambda=1.0)
 
 
-def is_soft_label(p, tol: float = 1e-6) -> bool:
-    p = np.asarray(p)
-    return bool(p.shape == (nn.N_CLASSES,) and (p >= -tol).all()
-                and (p <= 1 + tol).all() and abs(float(p.sum()) - 1.0) <= tol)
-
-
 def augment(x: np.ndarray, rng: np.random.Generator, noise_scale: float = 0.05,
             max_mask_frames: int = 40) -> np.ndarray:
     """Additive Gaussian noise plus one time-mask span set to the matrix mean.
@@ -100,12 +95,12 @@ def sharpen(p: np.ndarray, temperature: float) -> np.ndarray:
 
 
 def guess_labels(params: nn.ModelParams, copies: np.ndarray, k: int,
-                 temperature: float) -> np.ndarray:
+                 temperature: float, ws: nn.Workspace | None = None) -> np.ndarray:
     """Sharpened mean inference prediction over each item's k augmented copies.
 
     `copies` holds k consecutive rows per item; returns one label per item.
     """
-    probs, _ = nn.forward_batch(params, copies, training=False, keep_trace=False)
+    probs, _ = nn.forward_batch(params, copies, training=False, keep_trace=False, ws=ws)
     probs = probs.astype(np.float64).reshape(len(copies) // k, k, -1)
     return np.stack([sharpen(p.mean(axis=0), temperature) for p in probs])
 
@@ -127,7 +122,8 @@ def mixup(x1, y1, x2, y2, alpha: float, rng: np.random.Generator,
 
 
 def mixmatch(labeled_x, labeled_y, unlabeled_x, params: nn.ModelParams, cfg: SslConfig,
-             rng_augment: np.random.Generator, rng_mixup: np.random.Generator):
+             rng_augment: np.random.Generator, rng_mixup: np.random.Generator,
+             ws: nn.Workspace | None = None):
     """Build the two mixed training batches from a labeled and an unlabeled batch.
 
     Labeled items are augmented once and keep their targets; each unlabeled
@@ -145,7 +141,7 @@ def mixmatch(labeled_x, labeled_y, unlabeled_x, params: nn.ModelParams, cfg: Ssl
                         for u in unlabeled_x for _ in range(k)])
     all_y = np.asarray(labeled_y, dtype=np.float64)
     if len(unlabeled_x):
-        guesses = guess_labels(params, all_x[n_lab:], k, cfg.temperature)
+        guesses = guess_labels(params, all_x[n_lab:], k, cfg.temperature, ws)
         all_y = np.concatenate([all_y, np.repeat(guesses, k, axis=0)])
 
     perm = rng_mixup.permutation(len(all_x))
@@ -159,7 +155,8 @@ def mixmatch(labeled_x, labeled_y, unlabeled_x, params: nn.ModelParams, cfg: Ssl
 def co_refinement_step(params: nn.ModelParams, opt_state: nn.AdamState,
                        labeled_x: np.ndarray, labeled_y: np.ndarray,
                        unlabeled_x: np.ndarray, refinement_weight: float,
-                       dropout_rng: np.random.Generator, lr: float = 1e-3):
+                       dropout_rng: np.random.Generator, lr: float = 1e-3,
+                       ws: nn.Workspace | None = None):
     """One step on CE(labeled, true) + weight * CE(unlabeled, own predictions).
 
     The soft targets are inference-mode predictions treated as constants.
@@ -167,9 +164,9 @@ def co_refinement_step(params: nn.ModelParams, opt_state: nn.AdamState,
     """
     terms = [(1.0, labeled_x, labeled_y, "cross_entropy", dropout_rng)]
     if refinement_weight > 0 and len(unlabeled_x):
-        targets_u, _ = nn.forward_batch(params, unlabeled_x, training=False, keep_trace=False)
+        targets_u, _ = nn.forward_batch(params, unlabeled_x, keep_trace=False, ws=ws)
         terms.append((refinement_weight, unlabeled_x, targets_u, "cross_entropy", dropout_rng))
-    params, opt_state, losses = nn.weighted_gradient_step(params, opt_state, terms, lr)
+    params, opt_state, losses = nn.weighted_gradient_step(params, opt_state, terms, lr, ws)
     return params, opt_state, (losses[0], losses[1] if len(losses) > 1 else 0.0)
 
 
@@ -183,7 +180,7 @@ def co_refurbishing_step(params: nn.ModelParams, opt_state: nn.AdamState,
                          labeled_x: np.ndarray, labeled_y: np.ndarray,
                          unlabeled_x: np.ndarray, weight: float, fraction: float,
                          rng: np.random.Generator, dropout_rng: np.random.Generator,
-                         lr: float = 1e-3):
+                         lr: float = 1e-3, ws: nn.Workspace | None = None):
     """One CE step on labeled data with a blended-target subset plus weighted
     unlabeled pseudo-targets.
 
@@ -197,12 +194,12 @@ def co_refurbishing_step(params: nn.ModelParams, opt_state: nn.AdamState,
     if n_ref > 0 and weight < 1.0:
         chosen = np.sort(rng.choice(n, size=n_ref, replace=False))
         preds, _ = nn.forward_batch(params, labeled_x[chosen], training=False,
-                                    keep_trace=False)
+                                    keep_trace=False, ws=ws)
         targets[chosen] = refurbish_targets(targets[chosen], preds, weight)
 
     terms = [(1.0, labeled_x, targets, "cross_entropy", dropout_rng)]
     if weight < 1.0 and len(unlabeled_x):
-        targets_u, _ = nn.forward_batch(params, unlabeled_x, training=False, keep_trace=False)
+        targets_u, _ = nn.forward_batch(params, unlabeled_x, keep_trace=False, ws=ws)
         terms.append((1.0 - weight, unlabeled_x, targets_u, "cross_entropy", dropout_rng))
-    params, opt_state, losses = nn.weighted_gradient_step(params, opt_state, terms, lr)
+    params, opt_state, losses = nn.weighted_gradient_step(params, opt_state, terms, lr, ws)
     return params, opt_state, (losses[0], losses[1] if len(losses) > 1 else 0.0)

@@ -15,6 +15,8 @@ name, so the schedule calls them through this namespace.
 All randomness flows from the single config seed through named substreams
 keyed by (epoch, pass, batch), so runs replay exactly and independent stages
 never perturb each other.
+One nn.Workspace, sized for the run's largest forward, serves every forward
+and backward of a `_train` call, validation and target forwards included.
 """
 
 from __future__ import annotations
@@ -136,17 +138,21 @@ class FeatureNormalizer:
         return cls(mean=mean, std=std)
 
 
-def predict_batch(params: nn.ModelParams, xs: np.ndarray, chunk: int = 32) -> np.ndarray:
+PREDICT_CHUNK = 32
+
+
+def predict_batch(params: nn.ModelParams, xs: np.ndarray, chunk: int = PREDICT_CHUNK,
+                  ws: nn.Workspace | None = None) -> np.ndarray:
     """Inference-mode class predictions for a stack of feature matrices."""
     out = []
     for i in range(0, len(xs), chunk):
-        probs, _ = nn.forward_batch(params, xs[i:i + chunk], training=False, keep_trace=False)
+        probs, _ = nn.forward_batch(params, xs[i:i + chunk], keep_trace=False, ws=ws)
         out.append(probs.argmax(axis=1))
     return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
 
 
-def _accuracy(params, xs, ys) -> float:
-    return float((predict_batch(params, xs) == np.asarray(ys)).mean())
+def _accuracy(params, xs, ys, ws=None) -> float:
+    return float((predict_batch(params, xs, ws=ws) == np.asarray(ys)).mean())
 
 
 @contextmanager
@@ -205,45 +211,47 @@ def _run_pass(xs_lab, ys_onehot, xs_unlab, cfg: TrainConfig, epoch: int, pass_id
     return lab_total / n, unlab_total / n
 
 
-def run_supervised_epoch(params, opt_state, xs, ys_onehot, cfg: TrainConfig, epoch: int):
+def run_supervised_epoch(params, opt_state, xs, ys_onehot, cfg: TrainConfig, epoch: int,
+                         ws=None):
     """One pass of cross-entropy steps over shuffled batches; returns mean loss."""
     def step(b, x, y, u, dropout_rng):
         _, _, losses = nn.weighted_gradient_step(
-            params, opt_state, [(1.0, x, y, "cross_entropy", dropout_rng)], cfg.learning_rate)
+            params, opt_state, [(1.0, x, y, "cross_entropy", dropout_rng)], cfg.learning_rate,
+            ws)
         return losses[0], 0.0
     return _run_pass(xs, ys_onehot, xs[:0], cfg, epoch, PASS_MAIN, step)[0]
 
 
 def run_mixmatch_epoch(params, opt_state, xs_lab, ys_onehot, xs_unlab,
-                       cfg: TrainConfig, epoch: int):
+                       cfg: TrainConfig, epoch: int, ws=None):
     """One mixmatch pass; returns mean (supervised, unlabeled) loss components."""
     lu_eff = _ramp_weight(cfg, epoch)
 
     def step(b, x, y, u, dropout_rng):
         (x_in, x_tgt), (u_in, u_tgt) = ssl.mixmatch(
             x, y, u, params, cfg.ssl, substream(cfg.seed, "augment", epoch, b),
-            substream(cfg.seed, "mixup", epoch, b))
+            substream(cfg.seed, "mixup", epoch, b), ws)
         _, _, losses = nn.weighted_gradient_step(
             params, opt_state, [(1.0, x_in, x_tgt, "cross_entropy", dropout_rng),
                                 (lu_eff, u_in, u_tgt, "squared_error", dropout_rng)],
-            cfg.learning_rate)
+            cfg.learning_rate, ws)
         return losses
     return _run_pass(xs_lab, ys_onehot, xs_unlab, cfg, epoch, PASS_MAIN, step)
 
 
 def _run_co_pass(params, opt_state, xs_lab, ys_onehot, xs_unlab, cfg: TrainConfig,
-                 epoch: int, pass_id: int):
+                 epoch: int, pass_id: int, ws=None):
     """One co-refinement or co-refurbishing pass, by pass id; returns the mean
     labeled loss."""
     def step(b, x, y, u, dropout_rng):
         if pass_id == PASS_CO_REFINEMENT:
             return ssl.co_refinement_step(params, opt_state, x, y, u,
                                           cfg.ssl.refinement_weight, dropout_rng,
-                                          lr=cfg.learning_rate)[2]
+                                          lr=cfg.learning_rate, ws=ws)[2]
         return ssl.co_refurbishing_step(params, opt_state, x, y, u, cfg.ssl.refurbish_weight,
                                         cfg.ssl.refurbish_fraction,
                                         substream(cfg.seed, "refurbish", epoch, b),
-                                        dropout_rng, lr=cfg.learning_rate)[2]
+                                        dropout_rng, lr=cfg.learning_rate, ws=ws)[2]
     return _run_pass(xs_lab, ys_onehot, xs_unlab, cfg, epoch, pass_id, step)[0]
 
 
@@ -319,6 +327,11 @@ def _train(cfg: TrainConfig, cache: FeatureCache, split: SplitManifest, out_dir,
     fit, val = _stratified_validation(lab_ids, ys_lab, cfg.validation_fraction, cfg.seed)
     xs_fit, onehot_fit = xs_lab[fit], one_hot(ys_lab[fit])
     xs_val, ys_val = xs_lab[val], ys_lab[val]
+    # the largest forward: a mixmatch term of k copies per unlabeled row, a
+    # training batch, or a validation chunk
+    copies = cfg.ssl.n_augmentations if ssl_epochs and len(xs_unlab) else 1
+    ws = nn.Workspace(max(min(cfg.batch_size, len(xs_fit)) * copies,
+                          min(len(xs_val), PREDICT_CHUNK)))
 
     params = nn.init_params(substream(cfg.seed, "init"))
     manifest = RunManifest(mode=mode, seed=cfg.seed, ablation=drop, config=asdict(cfg),
@@ -330,7 +343,7 @@ def _train(cfg: TrainConfig, cache: FeatureCache, split: SplitManifest, out_dir,
     def record(row, passes):
         """Validate, then log and keep one epoch row; returns its accuracy."""
         if len(xs_val):
-            row["val_accuracy"] = _accuracy(params, xs_val, ys_val)
+            row["val_accuracy"] = _accuracy(params, xs_val, ys_val, ws)
         manifest.epoch_rows.append(row)
         manifest.schedule.append({"epoch": row["epoch"], "passes": passes})
         log.info("%s epoch %d: %s", row["phase"], row["epoch"], row)
@@ -342,16 +355,16 @@ def _train(cfg: TrainConfig, cache: FeatureCache, split: SplitManifest, out_dir,
         for epoch in range(ssl_epochs):
             row = {"epoch": epoch, "phase": "ssl"}
             row["mixmatch_ce"], row["mixmatch_mse"] = run_mixmatch_epoch(
-                params, opt_state, xs_fit, onehot_fit, xs_unlab, cfg, epoch)
+                params, opt_state, xs_fit, onehot_fit, xs_unlab, cfg, epoch, ws)
             row["unlabeled_weight"] = _ramp_weight(cfg, epoch)
             for name in co_passes:
                 row[f"{name}_ce"] = _run_co_pass(params, opt_state, xs_fit, onehot_fit,
-                                                 xs_unlab, cfg, epoch, CO_PASSES[name])
+                                                 xs_unlab, cfg, epoch, CO_PASSES[name], ws)
             record(row, ["mixmatch", *co_passes])
 
         opt_state = nn.AdamState.for_params(params)  # fresh optimizer state
         for epoch in range(ssl_epochs, ssl_epochs + sup_epochs):
-            loss = run_supervised_epoch(params, opt_state, xs_fit, onehot_fit, cfg, epoch)
+            loss = run_supervised_epoch(params, opt_state, xs_fit, onehot_fit, cfg, epoch, ws)
             acc = record({"epoch": epoch, "phase": phase, "loss": loss}, ["supervised"])
             if acc is not None and stopper.update(epoch, acc, params):
                 break

@@ -4,8 +4,10 @@ The network evaluates conv -> ReLU -> max pool as one polyphase stage
 (nn._conv_forward / nn._conv_backward). These are the separate layers that
 stage must agree with: a loop-style convolution, the im2col convolution the
 unfused network ran, a loop-style max pool, ReLU and their backward passes.
-It also holds helpers only tests call: a single-input `forward` and the
-inference-mode loss of mixmatch's two mixed batches.
+It also holds helpers only tests call: a single-input `forward`, the loss
+without gradients and the inference-mode loss of mixmatch's two mixed
+batches, the soft-label predicate, and the finite-difference gradient check
+with its kink-margin probe.
 """
 
 import numpy as np
@@ -31,6 +33,16 @@ def conv2d_loop(x, kernel, bias):
     return out
 
 
+def im2col(x):
+    """(B, H, W, C) -> (B * (H-1) * (W-1), 4C) patch matrix for 2x2 kernels."""
+    b, h, w, c = x.shape
+    s0, s1, s2, s3 = x.strides
+    win = np.lib.stride_tricks.as_strided(
+        x, shape=(b, h - 1, w - 1, 2, 2, c), strides=(s0, s1, s2, s1, s2, s3),
+        writeable=False)
+    return win.reshape(b * (h - 1) * (w - 1), 4 * c)
+
+
 def conv2d(x, kernel, bias):
     """Valid stride-1 2x2 cross-correlation as one im2col GEMM plus bias.
 
@@ -44,7 +56,7 @@ def conv2d(x, kernel, bias):
     kh, kw, kc, c_out = kernel.shape
     if (kh, kw) != (2, 2) or kc != c_in or h < 2 or w < 2:
         raise ShapeMismatch(f"conv2d: input {x.shape[1:]} vs kernel {kernel.shape}")
-    out = nn._im2col(x) @ kernel.reshape(4 * c_in, c_out) + bias
+    out = im2col(x) @ kernel.reshape(4 * c_in, c_out) + bias
     out = out.reshape(b, h - 1, w - 1, c_out)
     return out[0] if single else out
 
@@ -126,13 +138,101 @@ def forward(params, x, training=False, rng=None, dropout_rate=0.2):
     return probs[0], trace
 
 
+def loss_value(probs, targets, loss_kind):
+    """Mean batch loss without gradients."""
+    return nn._loss_and_dp(probs, np.asarray(targets, dtype=probs.dtype), loss_kind)[0]
+
+
+def is_soft_label(p, tol=1e-6):
+    p = np.asarray(p)
+    return bool(p.shape == (nn.N_CLASSES,) and (p >= -tol).all()
+                and (p <= 1 + tol).all() and abs(float(p.sum()) - 1.0) <= tol)
+
+
 def mixmatch_loss(params, x_batch, u_batch, unlabeled_weight):
     """(total, supervised CE, unlabeled MSE) of mixmatch's (inputs, targets)
     batches under inference-mode predictions."""
     probs_x, _ = nn.forward_batch(params, x_batch[0], keep_trace=False)
-    sup = nn.loss_value(probs_x, x_batch[1], "cross_entropy")
+    sup = loss_value(probs_x, x_batch[1], "cross_entropy")
     unsup = 0.0
     if len(u_batch[0]) and unlabeled_weight > 0:
         probs_u, _ = nn.forward_batch(params, u_batch[0], keep_trace=False)
-        unsup = nn.loss_value(probs_u, u_batch[1], "squared_error")
+        unsup = loss_value(probs_u, u_batch[1], "squared_error")
     return sup + unlabeled_weight * unsup, sup, unsup
+
+
+def kink_margin(params, xs):
+    """Distance of a forward pass from ReLU/maxpool non-smoothness.
+
+    Finite differences are only meaningful where the loss is smooth within
+    the probe radius: no pre-activation may sit at the ReLU kink and no pool
+    window may have a near-tied positive maximum (all-zero windows are safe
+    because their entries carry zero gradient on both probe sides).
+    """
+    margin = np.inf
+    a = np.asarray(xs, dtype=np.float64)[..., None]
+    for kernel, bias in zip(params.conv_kernels, params.conv_biases):
+        b, h, w, c_in = a.shape
+        z = (im2col(a) @ kernel.reshape(4 * c_in, -1) + bias).reshape(b, h - 1, w - 1, -1)
+        margin = min(margin, float(np.abs(z).min()))
+        r = np.maximum(z, 0)
+        _, h, w, _ = r.shape
+        hp, wp = h // 2, w // 2
+        stack = np.stack([r[:, di:2 * hp:2, dj:2 * wp:2, :] for di, dj in nn._POOL_OFFSETS])
+        top2 = np.sort(stack, axis=0)[-2:]
+        gaps = top2[1] - top2[0]
+        positive = top2[1] > 0
+        if positive.any():
+            margin = min(margin, float(gaps[positive].min()))
+        a = nn._maxpool_core(r)
+    return margin
+
+
+def gradient_check(spec, seed=0, eps=1e-3, loss_kind="cross_entropy", batch=2):
+    """Compare backprop gradients against central finite differences.
+
+    Runs in double precision with dropout off. The probe point (init + input
+    draw) is re-sampled deterministically until the forward pass clears the
+    ReLU and pooling kinks by a wide margin, otherwise the +/- eps probes
+    would straddle a non-differentiable point and measure nothing useful.
+    Returns (max_rel_err, n_params) with rel err over max(|a|, |b|, 1e-6).
+    """
+    for attempt in range(256):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, attempt)))
+        params = nn.init_params(rng, spec, dtype=np.float64)
+        xs = rng.normal(0.0, 0.5, size=(batch,) + spec.input_shape)
+        targets = rng.random((batch, spec.n_classes)) + 0.1
+        targets /= targets.sum(axis=1, keepdims=True)
+        # a stage with no positive output passes no gradient down: every conv
+        # gradient would be zero on both sides and the check would compare zeros
+        _, trace = nn.forward_batch(params, xs, training=False, keep_trace=True)
+        live = all((a > 0).any() for a in trace.pool_out)
+        if live and kink_margin(params, xs) > 8 * eps:
+            break
+    else:
+        raise RuntimeError("could not find a live, kink-free probe point")
+
+    def loss_at():
+        probs, trace = nn.forward_batch(params, xs, training=False, keep_trace=True)
+        return loss_value(probs, targets, loss_kind), trace
+
+    _, trace = loss_at()
+    _, grads = nn.loss_and_backward(params, trace, targets, loss_kind)
+
+    max_rel = 0.0
+    n_checked = 0
+    for p_arr, g_arr in zip(params.arrays(), grads.arrays()):
+        flat_p = p_arr.reshape(-1)
+        flat_g = g_arr.reshape(-1)
+        for j in range(flat_p.size):
+            orig = flat_p[j]
+            flat_p[j] = orig + eps
+            up = loss_at()[0]
+            flat_p[j] = orig - eps
+            down = loss_at()[0]
+            flat_p[j] = orig
+            fd = (up - down) / (2.0 * eps)
+            rel = abs(flat_g[j] - fd) / max(abs(flat_g[j]), abs(fd), 1e-6)
+            max_rel = max(max_rel, rel)
+            n_checked += 1
+    return max_rel, n_checked

@@ -106,7 +106,7 @@ def test_fused_stage_forward_bit_identical(rng, shape):
     assert 0 < positive.mean() < 1
     assert np.array_equal(idx[positive], want_idx[positive])
     assert np.array_equal(nn._conv_forward(x, k, b, False)[0], want)
-    # the unfused pool that _kink_margin uses agrees with the oracle as well
+    # the unfused pool that oracle.kink_margin uses agrees with the oracle as well
     assert np.array_equal(nn._maxpool_core(oracle.relu(z)), want)
 
 
@@ -175,15 +175,16 @@ def test_blocked_stage_is_bit_identical(monkeypatch, rng, batch):
         dx, dk, db = nn._conv_backward(dy * (pooled > 0), cols, k, x.shape, True, idx)
         monkeypatch.setattr(nn, "_BLOCK_BYTES", rows * drop_row)
         assert len(nn._blocks(batch, drop_row)[0]) == -(-batch // rows)
-        dropped, mask = nn.dropout(pooled, 0.3, substream(1, "dropout"), training=True)
-        return pooled, idx, cols, inferred[0], dropped, mask, dx, dk, db
+        dropped = nn.dropout(pooled.copy(), 0.3, substream(1, "dropout"), training=True)
+        return pooled, idx, cols, inferred[0], dropped, dx, dk, db
 
     want = run(batch)
     assert _same_bytes(run(block), want)
-    # the blocked draws are the stream of one full-shape draw
+    # the blocked draws are the stream of one full-shape draw, applied as the
+    # float32 mask (0 or 1/0.7) that one multiply would apply
     full = (substream(1, "dropout").random(want[0].shape) >= 0.3).astype(np.float32)
     full /= 0.7
-    assert _same_bytes([want[5]], [full])
+    assert _same_bytes([want[4]], [want[0] * full])
 
 
 def test_blocked_network_step_is_bit_identical(monkeypatch, rng):
@@ -237,24 +238,103 @@ def test_softmax_stability():
 
 def test_dropout_rate_zero_identity(rng):
     x = rng.normal(size=(4, 4)).astype(np.float32)
-    out, mask = nn.dropout(x, 0.0, substream(0, "dropout"), training=True)
+    before = x.copy()
+    out = nn.dropout(x, 0.0, substream(0, "dropout"), training=True)
     assert out is x
-    assert np.array_equal(mask, np.ones_like(x))
+    assert np.array_equal(x, before)
 
 
 def test_dropout_inference_identity(rng):
     x = rng.normal(size=(4, 4))
-    out, mask = nn.dropout(x, 0.5, None, training=False)
-    assert out is x and mask is None
+    before = x.copy()
+    out = nn.dropout(x, 0.5, None, training=False)
+    assert out is x and np.array_equal(x, before)
 
 
 def test_dropout_zero_fraction():
     x = np.ones(100000, dtype=np.float32)
-    out, _ = nn.dropout(x, 0.2, substream(9, "dropout"), training=True)
+    out = nn.dropout(x, 0.2, substream(9, "dropout"), training=True)
+    assert out is x  # in place
     frac = float((out == 0).mean())
     assert 0.19 <= frac <= 0.21
     survivors = out[out != 0]
     assert np.allclose(survivors, 1.0 / 0.8)
+
+
+def test_backward_mask_order_is_bit_identical(rng):
+    # the backward masks by (map after dropout > 0), then scales by s; the
+    # unfused order is the dropout factor (0 or s), then (map before dropout > 0)
+    pool = np.maximum(rng.normal(size=(6, 50)), 0).astype(np.float32)
+    pool[:, ::7] = 0.0
+    da = rng.normal(size=pool.shape).astype(np.float32)
+    da[:, ::5] = -0.0
+    da[:, 1::5] = 0.0
+    mask = (substream(2, "dropout").random(pool.shape) >= 0.2).astype(np.float32)
+    mask /= 0.8
+    want = (da * mask) * (pool > 0)
+    after = nn.dropout(pool.copy(), 0.2, substream(2, "dropout"), training=True)
+    assert after.tobytes() == (pool * mask).tobytes()
+    got = (da * (after > 0)) * (np.float32(1) / np.float32(0.8))
+    assert got.tobytes() == want.tobytes()  # signed zeros included
+    assert np.signbit(want[want == 0]).any() and not np.signbit(want[want == 0]).all()
+
+
+def _step_schedule(monkeypatch, ws, schedule):
+    """Run ("step", rows, rate) training steps (forward, backward, Adam) and
+    ("infer", rows) inference forwards; returns the bytes of every result
+    array and, with a workspace, its buffer identities after each operation."""
+    monkeypatch.setattr(nn, "_BLOCK_BYTES", 3 * 2160)  # 3 examples per stage-0 block
+    spec = nn.CnnSpec(input_shape=(12, 20), channels=(3, 5))
+    params = nn.init_params(substream(2, "init"), spec)
+    state = nn.AdamState.for_params(params)
+    data = np.random.default_rng(7)
+    results, identities = [], []
+    for i, (kind, rows, *rate) in enumerate(schedule):
+        xs = data.normal(size=(rows, 12, 20)).astype(np.float32)
+        if kind == "infer":
+            probs, _ = nn.forward_batch(params, xs, keep_trace=False, ws=ws)
+            results.append(probs.tobytes())
+        else:
+            ys = np.eye(6, dtype=np.float32)[data.integers(0, 6, rows)]
+            probs, trace = nn.forward_batch(params, xs, training=True, dropout_rate=rate[0],
+                                            rng=substream(3, "dropout", i), ws=ws)
+            _, grads = nn.loss_and_backward(params, trace, ys)
+            nn.adam_step(params, grads, state)
+            results.append([a.tobytes() for a in [probs, *grads.arrays(), *params.arrays()]])
+        if ws is not None:
+            identities.append({role: id(buf) for role, buf in ws.buffers.items()})
+    return results, identities
+
+
+def test_workspace_steps_are_bit_identical(monkeypatch):
+    schedule = [("step", 16, 0.2), ("step", 8, 0.2), ("step", 32, 0.2), ("step", 16, 0.2)]
+    want, _ = _step_schedule(monkeypatch, None, schedule)
+    ws = nn.Workspace(32)
+    got, identities = _step_schedule(monkeypatch, ws, schedule)
+    assert got == want
+    # the first step, below capacity, sized every buffer for 32 rows
+    assert all(ids == identities[0] for ids in identities)
+    assert {"cols0", "pooled1", "idx1", "dz", "dx1", "relu", "z", "draws"} <= set(ws.buffers)
+    assert ws.forwards == len(schedule)
+
+
+def test_workspace_rate_zero_and_inference_between_steps(monkeypatch):
+    schedule = [("step", 16, 0.2), ("infer", 32), ("step", 16, 0.0), ("infer", 5),
+                ("step", 8, 0.2)]
+    want, _ = _step_schedule(monkeypatch, None, schedule)
+    got, identities = _step_schedule(monkeypatch, nn.Workspace(32), schedule)
+    assert got == want
+    # only the inference-only patch scratch appears after the first step
+    assert all(ids == identities[1] for ids in identities[1:])
+
+
+def test_workspace_grows_past_capacity(monkeypatch):
+    schedule = [("step", 4, 0.2), ("step", 9, 0.2), ("step", 4, 0.2)]
+    want, _ = _step_schedule(monkeypatch, None, schedule)
+    got, identities = _step_schedule(monkeypatch, nn.Workspace(4), schedule)
+    assert got == want
+    assert identities[1]["cols0"] != identities[0]["cols0"]
+    assert identities[2] == identities[1]
 
 
 def test_forward_zero_params_uniform():
@@ -291,12 +371,12 @@ def test_parameter_count():
 
 def test_loss_values():
     onehot = np.eye(6)[2]
-    assert nn.loss_value(onehot[None], onehot[None], "cross_entropy") == 0.0
-    assert nn.loss_value(onehot[None], onehot[None], "squared_error") == 0.0
+    assert oracle.loss_value(onehot[None], onehot[None], "cross_entropy") == 0.0
+    assert oracle.loss_value(onehot[None], onehot[None], "squared_error") == 0.0
     uniform = np.full((1, 6), 1 / 6)
-    assert abs(nn.loss_value(uniform, onehot[None], "cross_entropy") - np.log(6)) < 1e-12
+    assert abs(oracle.loss_value(uniform, onehot[None], "cross_entropy") - np.log(6)) < 1e-12
     with pytest.raises(ValueError):
-        nn.loss_value(uniform, onehot[None], "huber")
+        oracle.loss_value(uniform, onehot[None], "huber")
 
 
 def test_stale_trace_detected(rng):
@@ -312,14 +392,30 @@ def test_stale_trace_detected(rng):
         nn.loss_and_backward(params, trace2, target)
 
 
+def test_trace_reused_by_later_forward_is_stale(rng):
+    params = nn.init_params(substream(4, "init"), SMALL)
+    ws = nn.Workspace(2)
+    x = rng.normal(size=(2, 8, 16)).astype(np.float32)
+    target = np.full((2, 6), 1 / 6)
+    _, first = nn.forward_batch(params, x, training=True, rng=substream(4, "dropout"), ws=ws)
+    _, second = nn.forward_batch(params, x[::-1], training=True, rng=substream(5, "dropout"),
+                                 ws=ws)
+    with pytest.raises(StaleTrace):
+        nn.loss_and_backward(params, first, target)
+    nn.loss_and_backward(params, second, target)  # the latest trace is intact
+    nn.forward_batch(params, x, keep_trace=False, ws=ws)  # an inference forward reuses too
+    with pytest.raises(StaleTrace):
+        nn.loss_and_backward(params, second, target)
+
+
 def test_gradient_check_cross_entropy():
-    max_rel, n = nn.gradient_check(SMALL, seed=0, batch=1)
+    max_rel, n = oracle.gradient_check(SMALL, seed=0, batch=1)
     assert n == SMALL.param_count()
     assert max_rel < 1e-4
 
 
 def test_gradient_check_squared_error():
-    max_rel, _ = nn.gradient_check(SMALL, seed=0, batch=1, loss_kind="squared_error")
+    max_rel, _ = oracle.gradient_check(SMALL, seed=0, batch=1, loss_kind="squared_error")
     assert max_rel < 1e-4
 
 

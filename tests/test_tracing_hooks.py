@@ -76,10 +76,17 @@ def test_tracer_hooks_training_passes(rng):
     finally:
         tracer.uninstall()
     assert all(getattr(m, name) is fn for m, name, fn in originals)
+    names = Counter(s[tracing.NAME] for s in tracer.spans)
     m = tracing.layer_metrics(tracer.spans, 1, 1, nn.CnnSpec().channels)
     for p in ("supervised", "mixmatch", "co_refinement", "co_refurbishing"):
         assert m[f"training.pass.{p}.s"] > 0, p
     assert m["ssl.target_forward.examples"] > 0
+    # dropout runs in place inside each training forward, one span per stage
+    forwards = names["nn.forward_batch.train"]
+    assert forwards > 0
+    for k in range(len(nn.CnnSpec().channels)):
+        assert names[f"nn.dropout.stage{k}"] == forwards, k
+    assert m["nn.trace_mb"] > 0
     # the training path still reads the cache through the traced gather and _prepare
     assert m["dataset.FeatureCache.gather.calls"] > 0
     assert m["training.prepare.s"] > 0
