@@ -41,13 +41,15 @@ changes no result bit:
   blocked dropout mask equals the mask of one full-shape draw.
 
 A training run (training._train) passes one Workspace to all its forwards
-and backwards. It holds one flat buffer per role (each stage's patch matrix,
-pooled map, argmax slots and dx; the ReLU mask, the phase-stacked conv
-gradient, the block scratch), sized on first use for the run's largest
-batch, so steps reuse pages instead of taking freshly zeroed ones; without a
-workspace the same code allocates fresh arrays. A forward overwrites the
-previous trace's buffers, so loss_and_backward refuses (StaleTrace) a trace
-whose workspace has run a forward since.
+and backwards. It holds one flat buffer per role, sized on first use for the
+run's largest batch, so steps reuse pages instead of taking freshly zeroed
+ones; without a workspace the same code allocates fresh arrays. The roles
+are each stage's patch matrix (inference forwards put block patches there),
+pooled map and argmax slots; two dx buffers (stage i-1 writes one while it
+reads stage i's); the phase-stacked conv gradient; and two scratch blocks
+for arrays that die with their call. A forward overwrites the previous
+trace's buffers, so loss_and_backward refuses (StaleTrace) a trace whose
+workspace has run a forward since.
 
 Dropout scales the pooled map in place and keeps no mask, so in training
 pool_out > 0 exactly where an entry was kept and is positive (a positive
@@ -197,11 +199,8 @@ def _blocks(n: int, row_bytes: int):
 
 @dataclass(eq=False)
 class Workspace:
-    """Step buffers that every forward and backward of one training run reuses.
-
-    `rows` is the run's largest batch; `buffers` maps a role to its flat
-    buffer (see _empty) and `forwards` counts the forwards run through it.
-    """
+    """Step buffers for one training run: `rows` is its largest batch, `buffers`
+    maps a role to its flat buffer (see _empty), `forwards` counts forwards."""
 
     rows: int
     forwards: int = 0
@@ -274,18 +273,18 @@ def _conv_forward(x, kernel, bias, keep_trace, ws=None, stage=0):
     row_bytes = 4 * hp * wp * c_out * dtype.itemsize
     blocks, step = _blocks(b, row_bytes)
     out = _empty(ws, f"pooled{stage}", (b, hp, wp, c_out), dtype, b)
-    z = _empty(ws, "z", (4, step * hp * wp, c_out), dtype, step, row_bytes)
+    z = _empty(ws, "scratch", (4, step * hp * wp, c_out), dtype, step, row_bytes)
     bias_row = np.tile(bias, wp)  # one pooled row: long inner loops for the add
     if keep_trace:
         cols = _empty(ws, f"cols{stage}", (4, b, hp, wp, 2, 2, c_in), x.dtype, b)
         idx = _empty(ws, f"idx{stage}", out.shape, np.int8, b)
-    else:
-        patches = _empty(ws, "patches", (4, step, hp, wp, 2, 2, c_in), x.dtype, step,
-                         row_bytes)
+    else:  # one block's patches, in the patch matrix's buffer
+        cols = _empty(ws, f"cols{stage}", (4, step, hp, wp, 2, 2, c_in), x.dtype, step,
+                      row_bytes)
     for s in blocks:
         n = s.stop - s.start
         rows = n * hp * wp
-        pc = cols[:, s] if keep_trace else patches[:, :n]
+        pc = cols[:, s] if keep_trace else cols[:, :n]
         _phase_patches(x[s], pc)
         for phase in range(4):
             np.matmul(pc[phase].reshape(rows, 4 * c_in), k2, out=z[phase, :rows])
@@ -326,9 +325,10 @@ def _conv_backward(dy, cols, kernel, x_shape, need_dx, idx, ws=None, stage=0):
     blocks, step = _blocks(b, row_bytes)
     dz = _empty(ws, "dz", (4,) + dy.shape, dy.dtype, b)
     if need_dx:
-        dx = _empty(ws, f"dx{stage}", x_shape, dy.dtype, b)
+        # two buffers: the stage below reads this dx while it writes its own
+        dx = _empty(ws, f"dx{stage % 2}", x_shape, dy.dtype, b)
         k_rows = [kernel[ki].reshape(2 * c_in, c_out).T for ki in range(2)]
-        row_grad = _empty(ws, "row_grad", (step * hp * wp, 2 * c_in), dy.dtype, step, row_bytes)
+        row_grad = _empty(ws, "scratch", (step * hp * wp, 2 * c_in), dy.dtype, step, row_bytes)
     for s in blocks:
         n = s.stop - s.start
         rows = n * hp * wp
@@ -425,7 +425,7 @@ def dropout(x: np.ndarray, rate: float, rng: np.random.Generator, training: bool
         return x
     row_bytes = 8 * x[:1].size
     blocks, step = _blocks(len(x), row_bytes)
-    draws = _empty(ws, "draws", (step,) + x.shape[1:], np.float64, step, row_bytes)
+    draws = _empty(ws, "scratch", (step,) + x.shape[1:], np.float64, step, row_bytes)
     keep = _empty(ws, "keep", draws.shape, x.dtype, step, row_bytes)
     scale = _keep_scale(x.dtype, rate)
     for s in blocks:
@@ -450,8 +450,7 @@ class ForwardTrace:
     conv_in_shapes: list = field(default_factory=list)
     pool_out: list = field(default_factory=list)     # pooled maps, after dropout in training
     pool_idx: list = field(default_factory=list)
-    drop_masks: list = field(default_factory=list)   # always empty: dropout keeps no
-                                                     # mask (perfbench still reads it)
+    drop_masks: list = field(default_factory=list)   # empty: dropout keeps no mask
     dense_in: np.ndarray = None         # (B, C_last)
     gap_shape: tuple = None
     logits: np.ndarray = None
@@ -534,7 +533,7 @@ def backward_from_dp(trace: ForwardTrace, dp: np.ndarray) -> ModelParams:
         # relu and dropout masks in the pooled domain, in place on this
         # function's own da (see the module docstring)
         pool = trace.pool_out[i]
-        kept = np.greater(pool, 0, out=_empty(ws, "relu", pool.shape, bool, len(pool)))
+        kept = np.greater(pool, 0, out=_empty(ws, "scratch", pool.shape, bool, len(pool)))
         np.multiply(da, kept, out=da)
         if dropped:
             da *= _keep_scale(da.dtype, trace.dropout_rate)
