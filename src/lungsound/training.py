@@ -15,6 +15,7 @@ name, so the schedule calls them through this namespace.
 All randomness flows from the single config seed through named substreams
 keyed by (epoch, pass, batch), so runs replay exactly and independent stages
 never perturb each other.
+
 One nn.Workspace, sized for the run's largest forward, serves every forward
 and backward of a `_train` call, validation and target forwards included.
 """
