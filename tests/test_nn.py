@@ -313,14 +313,16 @@ def _step_schedule(monkeypatch, ws, schedule):
     """Run ("step", rows, rate) training steps (forward, backward, Adam) and
     ("infer", rows) inference forwards; returns the bytes of every result
     array and, with a workspace, its buffer identities after each operation."""
-    monkeypatch.setattr(nn, "_BLOCK_BYTES", 3 * 2160)  # 3 examples per stage-0 block
-    spec = nn.CnnSpec(input_shape=(12, 20), channels=(3, 5))
+    # stage 0 holds 4 * 11 * 19 * 3 floats of phase conv output per example:
+    # 3 examples per block there; three stages, so both dx buffers are used
+    monkeypatch.setattr(nn, "_BLOCK_BYTES", 3 * 10032)
+    spec = nn.CnnSpec(input_shape=(24, 40), channels=(3, 4, 5))
     params = nn.init_params(substream(2, "init"), spec)
     state = nn.AdamState.for_params(params)
     data = np.random.default_rng(7)
     results, identities = [], []
     for i, (kind, rows, *rate) in enumerate(schedule):
-        xs = data.normal(size=(rows, 12, 20)).astype(np.float32)
+        xs = data.normal(size=(rows, 24, 40)).astype(np.float32)
         if kind == "infer":
             probs, _ = nn.forward_batch(params, xs, keep_trace=False, ws=ws)
             results.append(probs.tobytes())
@@ -344,8 +346,8 @@ def test_workspace_steps_are_bit_identical(monkeypatch):
     assert got == want
     # the first step, below capacity, sized every buffer for 32 rows
     assert all(ids == identities[0] for ids in identities)
-    assert set(ws.buffers) == {"cols0", "cols1", "pooled0", "pooled1", "idx0", "idx1", "dz",
-                               "dx1", "scratch", "keep"}
+    assert set(ws.buffers) == {*(f"{role}{k}" for role in ("cols", "pooled", "idx")
+                                 for k in range(3)), "dz", "dx0", "dx1", "scratch", "keep"}
     assert ws.forwards == len(schedule)
 
 
