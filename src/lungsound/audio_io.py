@@ -47,6 +47,8 @@ def _chunks(data: bytes):
 
 
 def _decode_samples(payload: bytes, fmt: int, bits: int) -> np.ndarray:
+    """Samples of a data chunk as float64; a partial trailing sample is dropped."""
+    payload = payload[:len(payload) - len(payload) % max(bits // 8, 1)]
     if fmt == _FMT_PCM:
         if bits == 8:
             # 8-bit WAV is unsigned with a 128 midpoint
@@ -54,8 +56,7 @@ def _decode_samples(payload: bytes, fmt: int, bits: int) -> np.ndarray:
         if bits == 16:
             return np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
         if bits == 24:
-            raw = np.frombuffer(payload[:len(payload) - len(payload) % 3], dtype=np.uint8)
-            raw = raw.reshape(-1, 3).astype(np.int64)
+            raw = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3).astype(np.int64)
             vals = raw[:, 0] | (raw[:, 1] << 8) | (raw[:, 2] << 16)
             vals -= (vals & 0x800000) << 1  # sign extension
             return vals.astype(np.float64) / float(2 ** 23)

@@ -218,7 +218,7 @@ def main(argv=None) -> int:
     except NonFiniteLoss as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataError, FileNotFoundError, IsADirectoryError) as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

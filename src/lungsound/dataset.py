@@ -79,26 +79,30 @@ def load_diagnoses(csv_path) -> dict:
     its recordings are dropped later; the count is logged. A non-numeric first
     row is treated as a header.
     """
+    try:
+        with open(csv_path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise MalformedCsv(f"{csv_path}: not UTF-8 text ({exc.reason})") from None
     mapping = {}
     excluded = 0
-    with open(csv_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 2:
-                raise MalformedCsv(f"{csv_path}:{lineno + 1}: expected 2 fields, got {len(parts)}")
-            try:
-                pid = int(parts[0])
-            except ValueError:
-                if lineno == 0:
-                    continue  # header row
-                raise MalformedCsv(f"{csv_path}:{lineno + 1}: bad patient id {parts[0]!r}") from None
-            cls = CLASS_IDS.get(parts[1])
-            if cls is None:
-                excluded += 1
-            mapping[pid] = cls
+    for lineno, line in enumerate(lines):
+        line = line.strip()
+        if not line:
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 2:
+            raise MalformedCsv(f"{csv_path}:{lineno + 1}: expected 2 fields, got {len(parts)}")
+        try:
+            pid = int(parts[0])
+        except ValueError:
+            if lineno == 0:
+                continue  # header row
+            raise MalformedCsv(f"{csv_path}:{lineno + 1}: bad patient id {parts[0]!r}") from None
+        cls = CLASS_IDS.get(parts[1])
+        if cls is None:
+            excluded += 1
+        mapping[pid] = cls
     if excluded:
         log.info("diagnosis csv: %d patients with out-of-scope diagnoses excluded", excluded)
     return mapping

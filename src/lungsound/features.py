@@ -97,15 +97,6 @@ def frame_and_window(samples, cfg: MfccConfig) -> np.ndarray:
     return frames * hamming_window(cfg.frame_length)
 
 
-def power_spectrum(frame, n_fft: int) -> np.ndarray:
-    """|DFT|^2 of a frame zero-padded to n_fft, bins 0 .. n_fft/2."""
-    f = np.asarray(frame, dtype=np.float64)
-    if f.ndim != 1 or f.size > n_fft:
-        raise ValueError(f"frame of length {f.shape} does not fit n_fft={n_fft}")
-    spec = np.fft.rfft(f, n=n_fft)
-    return spec.real ** 2 + spec.imag ** 2
-
-
 def mel_filterbank(cfg: MfccConfig) -> np.ndarray:
     """Triangular filters, shape (n_mel_filters, n_fft//2 + 1).
 

@@ -600,18 +600,21 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
 
 
 def weighted_gradient_step(params: ModelParams, opt_state: AdamState, terms,
-                           lr: float = 1e-3, ws: Workspace | None = None):
-    """One Adam step on a weighted sum of loss terms.
+                           rng: np.random.Generator, lr: float = 1e-3,
+                           ws: Workspace | None = None) -> list:
+    """One Adam step on a weighted sum of loss terms; params and opt_state
+    update in place.
 
-    Each term is (weight, xs, targets, loss_kind, rng); zero-weight or empty
+    Each term is (weight, xs, targets, loss_kind); zero-weight or empty
     terms are skipped outright so they cost nothing and leave the arithmetic
-    of the remaining terms untouched. Each term's forward and backward run
-    through `ws` when given. Returns (params, opt_state, losses) with one loss
-    per term (0.0 for skipped ones).
+    of the remaining terms untouched. The terms' training forwards draw their
+    dropout masks from `rng` in term order, and their forwards and backwards
+    run through `ws` when given. Returns one loss per term (0.0 for skipped
+    ones).
     """
     total_grads = None
     losses = []
-    for weight, xs, targets, loss_kind, rng in terms:
+    for weight, xs, targets, loss_kind in terms:
         if weight == 0.0 or len(xs) == 0:
             losses.append(0.0)
             continue
@@ -632,7 +635,7 @@ def weighted_gradient_step(params: ModelParams, opt_state: AdamState, terms,
         if not total_grads.all_finite():
             raise NonFiniteLoss("non-finite gradient")
         adam_step(params, total_grads, opt_state, lr=lr)
-    return params, opt_state, losses
+    return losses
 
 
 # -- checkpoints ---------------------------------------------------------

@@ -4,18 +4,19 @@ Three ways of exploiting an unlabeled pool next to a labeled one:
 
 * mixmatch: augment both pools, guess sharpened labels for the unlabeled
   items, then mixup-pair everything against a shuffled union.
-* co_refinement_step: train on labeled data plus the model's own inference
-  predictions on unlabeled data used directly as soft targets.
+* co_refinement_step: labeled data plus the model's own inference
+  predictions on unlabeled data, used directly as soft targets.
 * co_refurbishing_step: blend the model's predictions into a random subset of
-  the labeled targets and take one step on the combined batch.
+  the labeled targets, next to the unlabeled soft targets.
 
 Pseudo-label construction never backpropagates into the model that produced
 it: all targets are built from inference-mode forwards and held constant.
-Each is one batch's work inside `training._run_pass`, which supplies the
-batches and the dropout stream; every forward of a step runs through the
-run's nn.Workspace, passed as `ws`. The benchmark tracer wraps `mixmatch`,
-`augment`, `mixup` and the two co steps by name, and counts the inference
-forwards made inside them as target forwards.
+Each strategy only defines one batch's loss terms, as (weight, xs, targets,
+loss_kind) tuples or the arrays they are made of; `training._run_pass`
+supplies the batches and takes the gradient step on them. Every target
+forward runs through the run's nn.Workspace, passed as `ws`. The benchmark
+tracer wraps `mixmatch`, `augment`, `mixup` and the two co steps by name,
+and counts the inference forwards made inside them as target forwards.
 """
 
 from __future__ import annotations
@@ -152,22 +153,19 @@ def mixmatch(labeled_x, labeled_y, unlabeled_x, params: nn.ModelParams, cfg: Ssl
     return (mixed_x[:n_lab], mixed_y[:n_lab]), (mixed_x[n_lab:], mixed_y[n_lab:])
 
 
-def co_refinement_step(params: nn.ModelParams, opt_state: nn.AdamState,
-                       labeled_x: np.ndarray, labeled_y: np.ndarray,
-                       unlabeled_x: np.ndarray, refinement_weight: float,
-                       dropout_rng: np.random.Generator, lr: float = 1e-3,
-                       ws: nn.Workspace | None = None):
-    """One step on CE(labeled, true) + weight * CE(unlabeled, own predictions).
+def co_refinement_step(params: nn.ModelParams, labeled_x: np.ndarray,
+                       labeled_y: np.ndarray, unlabeled_x: np.ndarray,
+                       refinement_weight: float, ws: nn.Workspace | None = None):
+    """Loss terms of CE(labeled, true) + weight * CE(unlabeled, own predictions).
 
     The soft targets are inference-mode predictions treated as constants.
-    Returns (params, opt_state, (labeled loss, unlabeled loss)).
+    Returns the terms as (weight, xs, targets, loss_kind) tuples.
     """
-    terms = [(1.0, labeled_x, labeled_y, "cross_entropy", dropout_rng)]
+    terms = [(1.0, labeled_x, labeled_y, "cross_entropy")]
     if refinement_weight > 0 and len(unlabeled_x):
         targets_u, _ = nn.forward_batch(params, unlabeled_x, keep_trace=False, ws=ws)
-        terms.append((refinement_weight, unlabeled_x, targets_u, "cross_entropy", dropout_rng))
-    params, opt_state, losses = nn.weighted_gradient_step(params, opt_state, terms, lr, ws)
-    return params, opt_state, (losses[0], losses[1] if len(losses) > 1 else 0.0)
+        terms.append((refinement_weight, unlabeled_x, targets_u, "cross_entropy"))
+    return terms
 
 
 def refurbish_targets(y_true: np.ndarray, preds: np.ndarray, weight: float) -> np.ndarray:
@@ -176,17 +174,17 @@ def refurbish_targets(y_true: np.ndarray, preds: np.ndarray, weight: float) -> n
         + (1.0 - weight) * np.asarray(preds, dtype=np.float64)
 
 
-def co_refurbishing_step(params: nn.ModelParams, opt_state: nn.AdamState,
-                         labeled_x: np.ndarray, labeled_y: np.ndarray,
-                         unlabeled_x: np.ndarray, weight: float, fraction: float,
-                         rng: np.random.Generator, dropout_rng: np.random.Generator,
-                         lr: float = 1e-3, ws: nn.Workspace | None = None):
-    """One CE step on labeled data with a blended-target subset plus weighted
+def co_refurbishing_step(params: nn.ModelParams, labeled_x: np.ndarray,
+                         labeled_y: np.ndarray, unlabeled_x: np.ndarray, weight: float,
+                         fraction: float, rng: np.random.Generator,
+                         ws: nn.Workspace | None = None):
+    """CE loss terms on labeled data with a blended-target subset plus weighted
     unlabeled pseudo-targets.
 
     A random `fraction` of the labeled batch gets targets
     weight * y_true + (1 - weight) * prediction; unlabeled items enter with
-    their predicted soft targets at weight (1 - weight).
+    their predicted soft targets at weight (1 - weight). Returns the terms as
+    (weight, xs, targets, loss_kind) tuples.
     """
     n = len(labeled_x)
     n_ref = int(np.floor(fraction * n + 0.5))
@@ -197,9 +195,8 @@ def co_refurbishing_step(params: nn.ModelParams, opt_state: nn.AdamState,
                                     keep_trace=False, ws=ws)
         targets[chosen] = refurbish_targets(targets[chosen], preds, weight)
 
-    terms = [(1.0, labeled_x, targets, "cross_entropy", dropout_rng)]
+    terms = [(1.0, labeled_x, targets, "cross_entropy")]
     if weight < 1.0 and len(unlabeled_x):
         targets_u, _ = nn.forward_batch(params, unlabeled_x, keep_trace=False, ws=ws)
-        terms.append((1.0 - weight, unlabeled_x, targets_u, "cross_entropy", dropout_rng))
-    params, opt_state, losses = nn.weighted_gradient_step(params, opt_state, terms, lr, ws)
-    return params, opt_state, (losses[0], losses[1] if len(losses) > 1 else 0.0)
+        terms.append((1.0 - weight, unlabeled_x, targets_u, "cross_entropy"))
+    return terms

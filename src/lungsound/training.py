@@ -6,8 +6,9 @@ mixmatch, a co-refinement and a co-refurbishing pass per SSL epoch (ablations
 drop co passes), then a refit; baseline is the schedule with zero SSL epochs.
 
 Every pass is one batch loop, `_run_pass`, that owns batch order, unlabeled
-cycling, dropout substreams, error context and loss means; a pass only
-defines its gradient step. The benchmark tracer wraps `run_supervised_epoch`,
+cycling, dropout substreams, error context, the gradient step and loss
+means; a pass only defines each batch's loss terms (with `ssl` building the
+semi-supervised ones). The benchmark tracer wraps `run_supervised_epoch`,
 `run_mixmatch_epoch`, `_run_co_pass` (reading `args[2]` and the pass id in
 `args[7]`), `_accuracy`, `_prepare` and the entry points by module-global
 name, so the schedule calls them through this namespace.
@@ -187,10 +188,11 @@ def _ramp_weight(cfg: TrainConfig, epoch: int) -> float:
     return cfg.ssl.unlabeled_loss_weight * min(1.0, (epoch + 1) / ramp)
 
 
-def _run_pass(xs_lab, ys_onehot, xs_unlab, cfg: TrainConfig, epoch: int, pass_id: int,
-              step):
-    """The batch loop of every pass; returns size-weighted mean (labeled,
-    unlabeled) losses of `step(b, x, y, u, dropout_rng)`, one step per batch.
+def _run_pass(params, opt_state, xs_lab, ys_onehot, xs_unlab, cfg: TrainConfig, epoch: int,
+              pass_id: int, terms, ws=None):
+    """The batch loop of every pass: one gradient step per batch on the loss
+    terms `terms(b, x, y, u)` returns. Returns the size-weighted mean losses of
+    the first (labeled) and second (unlabeled, 0.0 when absent) terms.
 
     Each labeled batch is paired with as many unlabeled rows, read from the
     number of labeled rows consumed so far in a cycled unlabeled permutation.
@@ -199,28 +201,25 @@ def _run_pass(xs_lab, ys_onehot, xs_unlab, cfg: TrainConfig, epoch: int, pass_id
     if len(xs_unlab):
         u_order = np.resize(substream(cfg.seed, "unlabeled", epoch, pass_id)
                             .permutation(len(xs_unlab)), len(xs_lab))
-    lab_total, unlab_total = 0.0, 0.0
+    totals = [0.0, 0.0]
     for b, start in enumerate(range(0, len(order), cfg.batch_size)):
         batch = order[start:start + cfg.batch_size]
         u = xs_unlab[u_order[start:start + len(batch)]] if len(xs_unlab) else xs_unlab
         with _numeric_context(epoch, b):
-            lab, unlab = step(b, xs_lab[batch], ys_onehot[batch], u,
-                              substream(cfg.seed, "dropout", epoch, pass_id, b))
-        lab_total += lab * len(batch)
-        unlab_total += unlab * len(batch)
+            losses = nn.weighted_gradient_step(
+                params, opt_state, terms(b, xs_lab[batch], ys_onehot[batch], u),
+                substream(cfg.seed, "dropout", epoch, pass_id, b), cfg.learning_rate, ws)
+        for i, loss in enumerate(losses):
+            totals[i] += loss * len(batch)
     n = max(len(order), 1)
-    return lab_total / n, unlab_total / n
+    return totals[0] / n, totals[1] / n
 
 
 def run_supervised_epoch(params, opt_state, xs, ys_onehot, cfg: TrainConfig, epoch: int,
                          ws=None):
     """One pass of cross-entropy steps over shuffled batches; returns mean loss."""
-    def step(b, x, y, u, dropout_rng):
-        _, _, losses = nn.weighted_gradient_step(
-            params, opt_state, [(1.0, x, y, "cross_entropy", dropout_rng)], cfg.learning_rate,
-            ws)
-        return losses[0], 0.0
-    return _run_pass(xs, ys_onehot, xs[:0], cfg, epoch, PASS_MAIN, step)[0]
+    return _run_pass(params, opt_state, xs, ys_onehot, xs[:0], cfg, epoch, PASS_MAIN,
+                     lambda b, x, y, u: [(1.0, x, y, "cross_entropy")], ws)[0]
 
 
 def run_mixmatch_epoch(params, opt_state, xs_lab, ys_onehot, xs_unlab,
@@ -228,32 +227,27 @@ def run_mixmatch_epoch(params, opt_state, xs_lab, ys_onehot, xs_unlab,
     """One mixmatch pass; returns mean (supervised, unlabeled) loss components."""
     lu_eff = _ramp_weight(cfg, epoch)
 
-    def step(b, x, y, u, dropout_rng):
+    def terms(b, x, y, u):
         (x_in, x_tgt), (u_in, u_tgt) = ssl.mixmatch(
             x, y, u, params, cfg.ssl, substream(cfg.seed, "augment", epoch, b),
             substream(cfg.seed, "mixup", epoch, b), ws)
-        _, _, losses = nn.weighted_gradient_step(
-            params, opt_state, [(1.0, x_in, x_tgt, "cross_entropy", dropout_rng),
-                                (lu_eff, u_in, u_tgt, "squared_error", dropout_rng)],
-            cfg.learning_rate, ws)
-        return losses
-    return _run_pass(xs_lab, ys_onehot, xs_unlab, cfg, epoch, PASS_MAIN, step)
+        return [(1.0, x_in, x_tgt, "cross_entropy"), (lu_eff, u_in, u_tgt, "squared_error")]
+    return _run_pass(params, opt_state, xs_lab, ys_onehot, xs_unlab, cfg, epoch, PASS_MAIN,
+                     terms, ws)
 
 
 def _run_co_pass(params, opt_state, xs_lab, ys_onehot, xs_unlab, cfg: TrainConfig,
                  epoch: int, pass_id: int, ws=None):
     """One co-refinement or co-refurbishing pass, by pass id; returns the mean
     labeled loss."""
-    def step(b, x, y, u, dropout_rng):
+    def terms(b, x, y, u):
         if pass_id == PASS_CO_REFINEMENT:
-            return ssl.co_refinement_step(params, opt_state, x, y, u,
-                                          cfg.ssl.refinement_weight, dropout_rng,
-                                          lr=cfg.learning_rate, ws=ws)[2]
-        return ssl.co_refurbishing_step(params, opt_state, x, y, u, cfg.ssl.refurbish_weight,
+            return ssl.co_refinement_step(params, x, y, u, cfg.ssl.refinement_weight, ws)
+        return ssl.co_refurbishing_step(params, x, y, u, cfg.ssl.refurbish_weight,
                                         cfg.ssl.refurbish_fraction,
-                                        substream(cfg.seed, "refurbish", epoch, b),
-                                        dropout_rng, lr=cfg.learning_rate, ws=ws)[2]
-    return _run_pass(xs_lab, ys_onehot, xs_unlab, cfg, epoch, pass_id, step)[0]
+                                        substream(cfg.seed, "refurbish", epoch, b), ws)
+    return _run_pass(params, opt_state, xs_lab, ys_onehot, xs_unlab, cfg, epoch, pass_id,
+                     terms, ws)[0]
 
 
 class _EarlyStopper:

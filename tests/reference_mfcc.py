@@ -4,6 +4,10 @@ Everything here is written directly from the definitions: direct-summation
 O(N^2) DFT via explicit cosine/sine matrices (no FFT), a loop-built mirror
 pad, filterbank and DCT. It shares only the parameter block with the
 production code, never its functions.
+
+`power_spectrum` is the one-frame FFT form of the spectrum that
+features.extract_mfcc computes for all frames in one batched rfft; the
+package does not call it, and tests check it against the direct DFT.
 """
 
 import numpy as np
@@ -33,6 +37,15 @@ def naive_power_spectrum(frame: np.ndarray, n_fft: int) -> np.ndarray:
     x[:len(frame)] = frame
     cos_m, sin_m = _dft_power_matrix(n_fft)
     return (cos_m @ x) ** 2 + (sin_m @ x) ** 2
+
+
+def power_spectrum(frame, n_fft: int) -> np.ndarray:
+    """|DFT|^2 of a frame zero-padded to n_fft, bins 0 .. n_fft/2, by FFT."""
+    f = np.asarray(frame, dtype=np.float64)
+    if f.ndim != 1 or f.size > n_fft:
+        raise ValueError(f"frame of length {f.shape} does not fit n_fft={n_fft}")
+    spec = np.fft.rfft(f, n=n_fft)
+    return spec.real ** 2 + spec.imag ** 2
 
 
 def _mel(f):

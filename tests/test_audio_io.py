@@ -95,6 +95,21 @@ def test_float32(tmp_path):
     assert clip.samples.tolist() == [0.25, 1.0]  # out-of-range floats are clipped
 
 
+@pytest.mark.parametrize("fmt,bits,sample", [
+    (1, 16, struct.pack("<h", 16384)),
+    (1, 24, struct.pack("<i", 2 ** 22)[:3]),
+    (1, 32, struct.pack("<i", 2 ** 30)),
+    (3, 32, struct.pack("<f", 0.5)),
+], ids=["pcm16", "pcm24", "pcm32", "float32"])
+def test_partial_trailing_sample_dropped(tmp_path, fmt, bits, sample):
+    for extra in range(1, bits // 8):
+        stray = sample[:extra]
+        clip = audio_io.load_wav(write(tmp_path, make_wav(sample + stray, fmt=fmt, bits=bits)))
+        assert clip.samples.tolist() == [0.5]
+        with pytest.raises(EmptyAudio):
+            audio_io.load_wav(write(tmp_path, make_wav(stray, fmt=fmt, bits=bits)))
+
+
 def test_unsupported_bit_depths(tmp_path):
     with pytest.raises(UnsupportedEncoding):
         audio_io.load_wav(write(tmp_path, make_wav(b"\x00" * 4, bits=12)))

@@ -1,9 +1,11 @@
 import json
+import shutil
+import struct
 
 import numpy as np
 import pytest
 
-from lungsound import cli, evaluation, nn
+from lungsound import cli, dataset, evaluation, nn
 from lungsound.rng import substream
 from report_fixtures import BASELINE_CM, SEMI_CM
 
@@ -170,6 +172,50 @@ def test_compare_report_missing_class_is_data_error(capsys, tmp_path):
 
 def _data_error(code, out, err):
     return code == 2 and out == "" and len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def _pcm16_wav(payload: bytes, rate: int) -> bytes:
+    """A mono 16-bit PCM WAV whose data chunk holds `payload` as given."""
+    fmt = struct.pack("<HHIIHH", 1, 1, rate, 2 * rate, 2, 16)
+    body = (b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt + b"data"
+            + struct.pack("<I", len(payload)) + payload + b"\x00" * (len(payload) % 2))
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def test_extract_drops_partial_trailing_sample(capsys, tmp_path, small_corpus):
+    audio_dir = tmp_path / "audio"
+    audio_dir.mkdir()
+    wavs = sorted(small_corpus["audio_dir"].glob("*.wav"))[:4]
+    for wav in wavs[2:]:
+        shutil.copy(wav, audio_dir)
+    data = wavs[0].read_bytes()  # a 44-byte header, then the data payload
+    rate = struct.unpack_from("<I", data, 24)[0]
+    (audio_dir / wavs[0].name).write_bytes(_pcm16_wav(data[44:] + b"\x01", rate))
+    (audio_dir / wavs[1].name).write_bytes(_pcm16_wav(b"\x01", rate))  # no whole sample
+    cache = tmp_path / "cache.lsfc"
+    code, out, err = run_cli(capsys, "extract", "--audio-dir", str(audio_dir),
+                             "--diagnosis-csv", str(small_corpus["csv"]),
+                             "--out", str(cache), "--jobs", "1")
+    assert code == 0, err
+    assert "cached 3 recordings" in out and "(1 failed)" in out
+    assert len(dataset.FeatureCache.load(cache)) == 3
+
+
+def test_extract_non_utf8_diagnosis_csv_is_data_error(capsys, tmp_path, small_corpus):
+    csv = tmp_path / "diagnosis.csv"
+    csv.write_bytes(b"101,URTI\n102,\xff\xfeCOPD\n")
+    result = run_cli(capsys, "extract", "--audio-dir", str(small_corpus["audio_dir"]),
+                     "--diagnosis-csv", str(csv), "--out", str(tmp_path / "c.lsfc"))
+    assert _data_error(*result), result
+    assert "MalformedCsv" in result[2] and "UTF-8" in result[2]
+
+
+def test_extract_audio_dir_naming_a_file_is_data_error(capsys, tmp_path, small_corpus):
+    result = run_cli(capsys, "extract", "--audio-dir", str(small_corpus["csv"]),
+                     "--diagnosis-csv", str(small_corpus["csv"]),
+                     "--out", str(tmp_path / "c.lsfc"))
+    assert _data_error(*result), result
+    assert "NotADirectoryError" in result[2]
 
 
 def test_damaged_cache_is_data_error(capsys, tmp_path, small_corpus):

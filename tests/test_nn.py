@@ -551,7 +551,7 @@ def test_training_step_determinism(rng):
         state = nn.AdamState.for_params(params)
         for step in range(10):
             drng = substream(3, "dropout", 0, 0, step)
-            nn.weighted_gradient_step(params, state, [(1.0, xs, ys, "cross_entropy", drng)])
+            nn.weighted_gradient_step(params, state, [(1.0, xs, ys, "cross_entropy")], drng)
         return params
 
     a, b = run(), run()
@@ -565,5 +565,5 @@ def test_non_finite_loss_raises(rng):
     ys = np.eye(6, dtype=np.float32)[[0, 1]]
     with pytest.raises(NonFiniteLoss):
         nn.weighted_gradient_step(params, nn.AdamState.for_params(params),
-                                  [(1.0, xs, ys, "cross_entropy",
-                                    substream(3, "dropout", 0, 0, 0))])
+                                  [(1.0, xs, ys, "cross_entropy")],
+                                  substream(3, "dropout", 0, 0, 0))

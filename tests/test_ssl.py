@@ -193,13 +193,13 @@ def test_co_refinement_zero_weight_is_supervised(rng):
     us = rng.normal(size=(6, 8, 16)).astype(np.float32)
 
     p1 = tiny_params(dtype=np.float32)
-    s1 = nn.AdamState.for_params(p1)
-    ssl.co_refinement_step(p1, s1, xs, ys, us, 0.0, substream(0, "dropout", 0, 1, 0))
+    nn.weighted_gradient_step(p1, nn.AdamState.for_params(p1),
+                              ssl.co_refinement_step(p1, xs, ys, us, 0.0),
+                              substream(0, "dropout", 0, 1, 0))
 
     p2 = tiny_params(dtype=np.float32)
-    s2 = nn.AdamState.for_params(p2)
-    nn.weighted_gradient_step(p2, s2, [(1.0, xs, ys, "cross_entropy",
-                                        substream(0, "dropout", 0, 1, 0))])
+    nn.weighted_gradient_step(p2, nn.AdamState.for_params(p2),
+                              [(1.0, xs, ys, "cross_entropy")], substream(0, "dropout", 0, 1, 0))
     assert all(np.array_equal(a, b) for a, b in zip(p1.arrays(), p2.arrays()))
 
 
@@ -209,8 +209,8 @@ def test_co_refinement_losses_finite(rng):
     xs = rng.normal(size=(6, 8, 16)).astype(np.float32)
     ys = np.eye(6, dtype=np.float32)[rng.integers(0, 6, 6)]
     us = rng.normal(size=(6, 8, 16)).astype(np.float32)
-    _, _, (lab, unlab) = ssl.co_refinement_step(params, state, xs, ys, us, 0.5,
-                                                substream(1, "dropout", 0, 1, 0))
+    terms = ssl.co_refinement_step(params, xs, ys, us, 0.5)
+    lab, unlab = nn.weighted_gradient_step(params, state, terms, substream(1, "dropout", 0, 1, 0))
     assert np.isfinite(lab) and np.isfinite(unlab)
     assert lab >= 0 and unlab >= 0
 
@@ -275,15 +275,14 @@ def test_co_refurbishing_neutral_is_supervised(rng):
     us = rng.normal(size=(6, 8, 16)).astype(np.float32)
 
     p1 = tiny_params(dtype=np.float32)
-    s1 = nn.AdamState.for_params(p1)
-    ssl.co_refurbishing_step(p1, s1, xs, ys, us, weight=1.0, fraction=1.0,
-                             rng=substream(0, "refurbish", 0, 0),
-                             dropout_rng=substream(0, "dropout", 0, 2, 0))
+    terms = ssl.co_refurbishing_step(p1, xs, ys, us, weight=1.0, fraction=1.0,
+                                     rng=substream(0, "refurbish", 0, 0))
+    nn.weighted_gradient_step(p1, nn.AdamState.for_params(p1), terms,
+                              substream(0, "dropout", 0, 2, 0))
 
     p2 = tiny_params(dtype=np.float32)
-    s2 = nn.AdamState.for_params(p2)
-    nn.weighted_gradient_step(p2, s2, [(1.0, xs, ys, "cross_entropy",
-                                        substream(0, "dropout", 0, 2, 0))])
+    nn.weighted_gradient_step(p2, nn.AdamState.for_params(p2),
+                              [(1.0, xs, ys, "cross_entropy")], substream(0, "dropout", 0, 2, 0))
     assert all(np.array_equal(a, b) for a, b in zip(p1.arrays(), p2.arrays()))
 
 
@@ -293,9 +292,10 @@ def test_co_refurbishing_blends_subset(rng):
     xs = rng.normal(size=(8, 8, 16)).astype(np.float32)
     ys = np.eye(6, dtype=np.float32)[rng.integers(0, 6, 8)]
     us = rng.normal(size=(4, 8, 16)).astype(np.float32)
-    _, _, (lab, unlab) = ssl.co_refurbishing_step(
-        params, state, xs, ys, us, weight=0.7, fraction=0.3,
-        rng=substream(4, "refurbish", 0, 0), dropout_rng=substream(4, "dropout", 0, 2, 0))
+    terms = ssl.co_refurbishing_step(params, xs, ys, us, weight=0.7, fraction=0.3,
+                                     rng=substream(4, "refurbish", 0, 0))
+    lab, unlab = nn.weighted_gradient_step(params, state, terms,
+                                           substream(4, "dropout", 0, 2, 0))
     assert np.isfinite(lab) and np.isfinite(unlab) and unlab > 0
 
 
