@@ -8,6 +8,7 @@ import pytest
 from lungsound import cli, dataset, evaluation, nn
 from lungsound.rng import substream
 from report_fixtures import BASELINE_CM, SEMI_CM
+from test_audio_io import make_wav
 
 
 def run_cli(capsys, *argv):
@@ -174,14 +175,6 @@ def _data_error(code, out, err):
     return code == 2 and out == "" and len(err.splitlines()) == 1 and "Traceback" not in err
 
 
-def _pcm16_wav(payload: bytes, rate: int) -> bytes:
-    """A mono 16-bit PCM WAV whose data chunk holds `payload` as given."""
-    fmt = struct.pack("<HHIIHH", 1, 1, rate, 2 * rate, 2, 16)
-    body = (b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt + b"data"
-            + struct.pack("<I", len(payload)) + payload + b"\x00" * (len(payload) % 2))
-    return b"RIFF" + struct.pack("<I", len(body)) + body
-
-
 def test_extract_drops_partial_trailing_sample(capsys, tmp_path, small_corpus):
     audio_dir = tmp_path / "audio"
     audio_dir.mkdir()
@@ -190,8 +183,8 @@ def test_extract_drops_partial_trailing_sample(capsys, tmp_path, small_corpus):
         shutil.copy(wav, audio_dir)
     data = wavs[0].read_bytes()  # a 44-byte header, then the data payload
     rate = struct.unpack_from("<I", data, 24)[0]
-    (audio_dir / wavs[0].name).write_bytes(_pcm16_wav(data[44:] + b"\x01", rate))
-    (audio_dir / wavs[1].name).write_bytes(_pcm16_wav(b"\x01", rate))  # no whole sample
+    (audio_dir / wavs[0].name).write_bytes(make_wav(data[44:] + b"\x01", rate=rate))
+    (audio_dir / wavs[1].name).write_bytes(make_wav(b"\x01", rate=rate))  # no whole sample
     cache = tmp_path / "cache.lsfc"
     code, out, err = run_cli(capsys, "extract", "--audio-dir", str(audio_dir),
                              "--diagnosis-csv", str(small_corpus["csv"]),
