@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clip-seconds", type=float, default=20.0)
     p.add_argument("--frame-length", type=int, default=2048)
     p.add_argument("--hop-length", type=int, default=512)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=nn.usable_cpus())
 
     p = sub.add_parser("split", help="build a stratified train/unlabeled/test manifest")
     p.add_argument("--cache", required=True)

@@ -77,14 +77,16 @@ def load_diagnoses(csv_path) -> dict:
 
     Any diagnosis outside the six classes (Asthma, LRTI, ...) maps to None and
     its recordings are dropped later; the count is logged. A non-numeric first
-    row is treated as a header.
+    row is treated as a header, and a UTF-8 byte-order mark is skipped. A
+    patient listed again with another diagnosis raises MalformedCsv.
     """
     try:
-        with open(csv_path, encoding="utf-8") as fh:
+        with open(csv_path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise MalformedCsv(f"{csv_path}: not UTF-8 text ({exc.reason})") from None
     mapping = {}
+    seen = {}  # patient id -> (line, diagnosis) of its first row
     excluded = 0
     for lineno, line in enumerate(lines):
         line = line.strip()
@@ -99,6 +101,13 @@ def load_diagnoses(csv_path) -> dict:
             if lineno == 0:
                 continue  # header row
             raise MalformedCsv(f"{csv_path}:{lineno + 1}: bad patient id {parts[0]!r}") from None
+        if pid in seen:
+            first, diagnosis = seen[pid]
+            if diagnosis != parts[1]:
+                raise MalformedCsv(f"{csv_path}:{lineno + 1}: patient {pid} is {parts[1]!r} "
+                                   f"here but {diagnosis!r} on line {first}")
+            continue
+        seen[pid] = (lineno + 1, parts[1])
         cls = CLASS_IDS.get(parts[1])
         if cls is None:
             excluded += 1

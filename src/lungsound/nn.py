@@ -40,16 +40,34 @@ changes no result bit:
 - successive rng.random draws along axis 0 continue one stream, so the
   blocked dropout mask equals the mask of one full-shape draw.
 
+The blocks of a stage forward, and the mask and dx blocks of its backward,
+run on a thread pool with one worker per usable CPU (usable_cpus: the
+process's CPU affinity set). The caller's thread is worker 0; each worker
+takes the next unclaimed block and writes only that block's slices of the
+outputs and its own slice of the scratch (and, in inference, of the patch
+buffer). A call with one block, or a process with one usable CPU, runs
+inline, and the pool is built by the first call that needs it. No result
+bit depends on the worker count: a block's arithmetic is the same on any
+worker, and the work whose order matters stays on the caller's thread (the
+dropout draws, the dkernel GEMM, db, the head, softmax and Adam); db and the
+dkernel GEMM run there while the pool masks and builds dx. Every worker
+calls the BLAS, so BLAS threads times workers can oversubscribe the CPUs:
+pin OPENBLAS_NUM_THREADS=1, as replay needs anyway. Workers call numpy and
+_phase_patches only, never a function the benchmark's tracer wraps by name,
+because its span stack is not thread-safe. A forked child drops the parent's
+pool, whose threads did not come along, and builds its own.
+
 A training run (training._train) passes one Workspace to all its forwards
 and backwards. It holds one flat buffer per role, sized on first use for the
 run's largest batch, so steps reuse pages instead of taking freshly zeroed
 ones; without a workspace the same code allocates fresh arrays. The roles
-are each stage's patch matrix (inference forwards put block patches there),
-pooled map and argmax slots; two dx buffers (stage i-1 writes one while it
-reads stage i's); the phase-stacked conv gradient; and two scratch blocks
-for arrays that die with their call. A forward overwrites the previous
-trace's buffers, so loss_and_backward refuses (StaleTrace) a trace whose
-workspace has run a forward since.
+are each stage's patch matrix (inference forwards put each worker's block
+patches there), pooled map and argmax slots; two dx buffers (stage i-1
+writes one while it reads stage i's); the phase-stacked conv gradient; and
+two scratch blocks for arrays that die with their call, the conv stages'
+with one slice per worker. A forward overwrites the previous trace's
+buffers, so loss_and_backward refuses (StaleTrace) a trace whose workspace
+has run a forward since.
 
 Dropout scales the pooled map in place and keeps no mask, so in training
 pool_out > 0 exactly where an entry was kept and is positive (a positive
@@ -64,7 +82,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,10 +212,80 @@ def _block_rows(n: int, row_bytes: int) -> int:
 def _blocks(n: int, row_bytes: int):
     """Split n examples into blocks of _block_rows(n, row_bytes) examples.
 
-    Returns (slices along the batch axis, the largest block's row count).
+    Returns (slices along the batch axis, the largest block's row count, the
+    workers that would run them: one per usable CPU, at most one per block).
     """
     step = _block_rows(n, row_bytes)
-    return [slice(s, min(s + step, n)) for s in range(0, n, max(1, step))], step
+    slices = [slice(s, min(s + step, n)) for s in range(0, n, max(1, step))]
+    return slices, step, min(usable_cpus(), len(slices))
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, or every CPU where the
+    platform has no affinity call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_pool = None  # (threads, ThreadPoolExecutor), built by the first parallel call
+_pool_lock = threading.Lock()
+
+
+def _executor(threads: int) -> ThreadPoolExecutor:
+    """The block pool, with room for at least `threads` threads."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] < threads:
+            if _pool is not None:
+                _pool[1].shutdown(wait=False)
+            _pool = (threads, ThreadPoolExecutor(threads, thread_name_prefix="lungsound-nn"))
+        return _pool[1]
+
+
+def _drop_pool() -> None:
+    """In a forked child: forget the parent's pool, whose threads did not
+    come along; the child builds its own when it needs one."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _run_blocks(blocks, workers: int, work, first=None):
+    """Call work(w, s) once for every block slice s, where w < workers names
+    the worker that runs it and so its scratch slice; returns first().
+
+    Each worker takes the next unclaimed block until none is left. The
+    caller's thread is worker 0 and the pool runs the rest; the caller calls
+    `first` (when given) before it takes a block, so that work overlaps the
+    pool's. One worker runs inline and never touches the pool. Returns once
+    every block is done.
+    """
+    pending, lock = iter(blocks), threading.Lock()
+
+    def drain(w):
+        while True:
+            with lock:
+                s = next(pending, None)
+            if s is None:
+                return
+            work(w, s)
+
+    futures = []
+    if workers > 1:
+        pool = _executor(workers - 1)
+        futures = [pool.submit(drain, w) for w in range(1, workers)]
+    try:
+        result = first() if first is not None else None
+        drain(0)
+    finally:
+        wait(futures)  # no worker outlives the call whose buffers it writes
+    for f in futures:
+        f.result()
+    return result
 
 
 @dataclass(eq=False)
@@ -207,19 +298,24 @@ class Workspace:
     buffers: dict = field(default_factory=dict)
 
 
-def _empty(ws, role, shape, dtype, n, row_bytes=None):
+def _empty(ws, role, shape, dtype, n, row_bytes=None, per_worker=False):
     """np.empty(shape, dtype), or with a workspace a view of role's buffer.
 
     shape spans n examples: a whole batch, or one block of examples of
-    row_bytes each. A buffer is sized for as many examples as that request
-    spans at ws.rows, or for n when more; an old one is freed first.
+    row_bytes each, or (per_worker) one such block for each worker. A buffer
+    is sized for as many examples as that request spans at ws.rows, or for n
+    when more; an old one is freed first.
     """
     if ws is None:
         return np.empty(shape, dtype)
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
     if role not in ws.buffers or ws.buffers[role].size < nbytes:
         ws.buffers.pop(role, None)
-        cap = ws.rows if row_bytes is None else _block_rows(ws.rows, row_bytes)
+        cap = ws.rows
+        if row_bytes is not None:
+            _, cap, workers = _blocks(ws.rows, row_bytes)
+            if per_worker:
+                cap *= workers
         ws.buffers[role] = np.empty(nbytes // max(1, n) * max(n, cap), np.uint8)
     return ws.buffers[role][:nbytes].view(dtype).reshape(shape)
 
@@ -256,8 +352,9 @@ def _conv_forward(x, kernel, bias, keep_trace, ws=None, stage=0):
     elementwise max of the four phase maps. Bias and ReLU are applied once, on
     the pooled map; rounding is monotone, so max(fl(a+b), fl(c+b)) ==
     fl(max(a, c) + b) and the result equals conv+bias -> ReLU -> pool exactly.
-    The batch runs in blocks of examples, and the arrays come from `ws` when
-    given, under this stage's roles (see the module docstring).
+    The batch runs in blocks of examples on the block pool, and the arrays
+    come from `ws` when given, under this stage's roles (see the module
+    docstring).
     Returns (pooled, idx, cols). idx is the within-window argmax slot (row-major,
     first occurrence on ties, taken before the bias is added) and cols the
     (4 * B * Hp * Wp, 4C) phase patch matrix, phase-major; both are None
@@ -271,26 +368,32 @@ def _conv_forward(x, kernel, bias, keep_trace, ws=None, stage=0):
     dtype = np.result_type(x.dtype, kernel.dtype)
     k2 = kernel.reshape(4 * c_in, c_out)
     row_bytes = 4 * hp * wp * c_out * dtype.itemsize
-    blocks, step = _blocks(b, row_bytes)
+    blocks, step, workers = _blocks(b, row_bytes)
     out = _empty(ws, f"pooled{stage}", (b, hp, wp, c_out), dtype, b)
-    z = _empty(ws, "scratch", (4, step * hp * wp, c_out), dtype, step, row_bytes)
+    z = _empty(ws, "scratch", (workers, 4, step * hp * wp, c_out), dtype, workers * step,
+               row_bytes, per_worker=True)
     bias_row = np.tile(bias, wp)  # one pooled row: long inner loops for the add
     if keep_trace:
         cols = _empty(ws, f"cols{stage}", (4, b, hp, wp, 2, 2, c_in), x.dtype, b)
         idx = _empty(ws, f"idx{stage}", out.shape, np.int8, b)
-    else:  # one block's patches, in the patch matrix's buffer
-        cols = _empty(ws, f"cols{stage}", (4, step, hp, wp, 2, 2, c_in), x.dtype, step,
-                      row_bytes)
-    for s in blocks:
+    else:  # each worker's block patches, in the patch matrix's buffer
+        cols = _empty(ws, f"cols{stage}", (workers, 4, step, hp, wp, 2, 2, c_in), x.dtype,
+                      workers * step, row_bytes, per_worker=True)
+
+    def block(w, s):
         n = s.stop - s.start
         rows = n * hp * wp
-        pc = cols[:, s] if keep_trace else cols[:, :n]
+        pc = cols[:, s] if keep_trace else cols[w, :, :n]
         _phase_patches(x[s], pc)
         for phase in range(4):
-            np.matmul(pc[phase].reshape(rows, 4 * c_in), k2, out=z[phase, :rows])
-        zb = z[:, :rows].reshape(4, n, hp, wp, c_out)
-        top = np.maximum(zb[0], zb[1])
-        bottom = np.maximum(zb[2], zb[3])
+            np.matmul(pc[phase].reshape(rows, 4 * c_in), k2, out=z[w, phase, :rows])
+        zb = z[w, :, :rows].reshape(4, n, hp, wp, c_out)
+        if keep_trace:
+            left = (zb[1] > zb[0]).view(np.int8)
+            right = (zb[3] > zb[2]).view(np.int8)
+        # the window maxima overwrite phases 0 and 2: no float temporaries
+        top = np.maximum(zb[0], zb[1], out=zb[0])
+        bottom = np.maximum(zb[2], zb[3], out=zb[2])
         o = out[s]
         np.maximum(top, bottom, out=o)
         o.reshape(n * hp, wp * c_out, copy=False)[...] += bias_row
@@ -299,9 +402,9 @@ def _conv_forward(x, kernel, bias, keep_trace, ws=None, stage=0):
             # branch-free select of the slot; np.where is several times slower
             # on masks as irregular as these
             lower = (bottom > top).view(np.int8)
-            left = (zb[1] > zb[0]).view(np.int8)
-            right = (zb[3] > zb[2]).view(np.int8)
             idx[s] = left + lower * (right + 2 - left)
+
+    _run_blocks(blocks, workers, block)
     if not keep_trace:
         return out, None, None
     return out, idx, cols.reshape(4 * b * hp * wp, 4 * c_in)
@@ -316,37 +419,48 @@ def _conv_backward(dy, cols, kernel, x_shape, need_dx, idx, ws=None, stage=0):
     dy * (idx == phase). dkernel is one GEMM over all phases and examples.
     dx is built block by block: the 2x2 taps of one phase cover disjoint
     pixels, so each phase adds one product per kernel row ki, in phase order.
-    The arrays come from `ws` when given.
+    The mask and dx blocks run on the block pool, db and dkernel on the
+    caller's thread. The arrays come from `ws` when given.
     """
     b, _, _, c_in = x_shape
     c_out = kernel.shape[3]
     hp, wp = dy.shape[1:3]
     row_bytes = 4 * hp * wp * c_out * dy.dtype.itemsize
-    blocks, step = _blocks(b, row_bytes)
+    blocks, step, workers = _blocks(b, row_bytes)
     dz = _empty(ws, "dz", (4,) + dy.shape, dy.dtype, b)
     if need_dx:
         # two buffers: the stage below reads this dx while it writes its own
         dx = _empty(ws, f"dx{stage % 2}", x_shape, dy.dtype, b)
         k_rows = [kernel[ki].reshape(2 * c_in, c_out).T for ki in range(2)]
-        row_grad = _empty(ws, "scratch", (step * hp * wp, 2 * c_in), dy.dtype, step, row_bytes)
-    for s in blocks:
+        row_grad = _empty(ws, "scratch", (workers, step * hp * wp, 2 * c_in), dy.dtype,
+                          workers * step, row_bytes, per_worker=True)
+
+    def masks(w, s):
+        for phase in range(4):
+            np.multiply(dy[s], idx[s] == phase, out=dz[phase, s])
+
+    def dx_block(w, s):
         n = s.stop - s.start
         rows = n * hp * wp
-        if need_dx:
-            dx[s] = 0
+        dx[s] = 0
         for phase, (di, dj) in enumerate(_POOL_OFFSETS):
-            np.multiply(dy[s], idx[s] == phase, out=dz[phase, s])
-            if not need_dx:
-                continue
             for ki in range(2):
                 # row 2i + di + ki of dx, columns (2j + dj + kj, c) of all windows j
                 g = np.matmul(dz[phase, s].reshape(rows, c_out), k_rows[ki],
-                              out=row_grad[:rows])
+                              out=row_grad[w, :rows])
                 r = di + ki
                 dx[s, r:r + 2 * hp:2, dj:dj + 2 * wp, :] += g.reshape(n, hp, 2 * wp, c_in)
-    db = dy.reshape(-1, c_out).sum(axis=0)
-    dk = (cols.T @ dz.reshape(-1, c_out)).reshape(2, 2, c_in, c_out)
-    return (dx if need_dx else None), dk, db
+
+    def kernel_grad():
+        return (cols.T @ dz.reshape(-1, c_out)).reshape(2, 2, c_in, c_out)
+
+    # the caller sums db while the pool masks, and runs the dkernel GEMM,
+    # which reads every mask, while the pool builds dx
+    db = _run_blocks(blocks, workers, masks, lambda: dy.reshape(-1, c_out).sum(axis=0))
+    if not need_dx:
+        return None, kernel_grad(), db
+    dk = _run_blocks(blocks, workers, dx_block, kernel_grad)
+    return dx, dk, db
 
 
 def _maxpool_core(x: np.ndarray) -> np.ndarray:
@@ -424,7 +538,7 @@ def dropout(x: np.ndarray, rate: float, rng: np.random.Generator, training: bool
     if not training or rate == 0.0:
         return x
     row_bytes = 8 * x[:1].size
-    blocks, step = _blocks(len(x), row_bytes)
+    blocks, step, _ = _blocks(len(x), row_bytes)
     draws = _empty(ws, "scratch", (step,) + x.shape[1:], np.float64, step, row_bytes)
     keep = _empty(ws, "keep", draws.shape, x.dtype, step, row_bytes)
     scale = _keep_scale(x.dtype, rate)

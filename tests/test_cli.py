@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import struct
 
@@ -194,6 +195,14 @@ def test_extract_drops_partial_trailing_sample(capsys, tmp_path, small_corpus):
     assert len(dataset.FeatureCache.load(cache)) == 3
 
 
+def test_extract_jobs_default_counts_usable_cpus(monkeypatch):
+    # a process may run on fewer CPUs than the machine has
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    args = cli.build_parser().parse_args(["extract", "--audio-dir", "a",
+                                          "--diagnosis-csv", "b", "--out", "c"])
+    assert args.jobs == 1
+
+
 def test_extract_non_utf8_diagnosis_csv_is_data_error(capsys, tmp_path, small_corpus):
     csv = tmp_path / "diagnosis.csv"
     csv.write_bytes(b"101,URTI\n102,\xff\xfeCOPD\n")
@@ -201,6 +210,19 @@ def test_extract_non_utf8_diagnosis_csv_is_data_error(capsys, tmp_path, small_co
                      "--diagnosis-csv", str(csv), "--out", str(tmp_path / "c.lsfc"))
     assert _data_error(*result), result
     assert "MalformedCsv" in result[2] and "UTF-8" in result[2]
+
+
+def test_extract_conflicting_diagnoses_is_data_error(capsys, tmp_path, small_corpus):
+    lines = small_corpus["csv"].read_text().splitlines()
+    pid, diagnosis = lines[0].split(",")
+    other = "COPD" if diagnosis != "COPD" else "URTI"
+    csv = tmp_path / "diagnosis.csv"
+    csv.write_text("\n".join(lines + [f"{pid},{diagnosis}", f"{pid},{other}"]) + "\n")
+    result = run_cli(capsys, "extract", "--audio-dir", str(small_corpus["audio_dir"]),
+                     "--diagnosis-csv", str(csv), "--out", str(tmp_path / "c.lsfc"))
+    assert _data_error(*result), result
+    assert "MalformedCsv" in result[2]
+    assert f"{csv}:{len(lines) + 2}:" in result[2] and "line 1" in result[2]
 
 
 def test_extract_audio_dir_naming_a_file_is_data_error(capsys, tmp_path, small_corpus):

@@ -54,6 +54,20 @@ def test_load_diagnoses_header_detected(tmp_path):
     assert load_diagnoses(csv) == {42: 3}
 
 
+def test_load_diagnoses_byte_order_mark(tmp_path):
+    csv = tmp_path / "d.csv"
+    csv.write_bytes(b"\xef\xbb\xbf101,URTI\n102,COPD\n")
+    assert load_diagnoses(csv) == {101: 5, 102: 2}
+    csv.write_bytes(b"\xef\xbb\xbfpatient_id,diagnosis\n42,Healthy\n")
+    assert load_diagnoses(csv) == {42: 3}
+
+
+def test_load_diagnoses_identical_repeat_accepted(tmp_path):
+    csv = tmp_path / "d.csv"
+    csv.write_text("101,URTI\n102,COPD\n101,URTI\n")
+    assert load_diagnoses(csv) == {101: 5, 102: 2}
+
+
 def test_load_diagnoses_malformed(tmp_path):
     csv = tmp_path / "d.csv"
     csv.write_text("101,URTI,extra\n")

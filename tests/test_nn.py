@@ -1,3 +1,6 @@
+import multiprocessing
+import sys
+
 import numpy as np
 import pytest
 
@@ -202,6 +205,75 @@ def test_blocked_network_step_is_bit_identical(monkeypatch, rng):
     want = step()
     monkeypatch.setattr(nn, "_BLOCK_BYTES", 1)  # one example per block everywhere
     assert _same_bytes(step(), want)
+
+
+def _steps_on_workers(monkeypatch, workers):
+    """A 16-row and a 48-row training step (forward, backward, Adam) and a
+    32-row inference forward through a workspace and one without, in blocks
+    of one example run by `workers` workers; returns the bytes of every
+    probability, gradient and updated parameter."""
+    monkeypatch.setattr(nn, "usable_cpus", lambda: workers)
+    monkeypatch.setattr(nn, "_BLOCK_BYTES", 1)
+    params = nn.init_params(substream(2, "init"))
+    state = nn.AdamState.for_params(params)
+    ws = nn.Workspace(48)
+    data = np.random.default_rng(11)
+    out = []
+    for i, rows in enumerate((16, 48)):
+        xs = data.normal(size=(rows, 40, 862)).astype(np.float32)
+        ys = np.eye(6, dtype=np.float32)[data.integers(0, 6, rows)]
+        probs, trace = nn.forward_batch(params, xs, training=True,
+                                        rng=substream(3, "dropout", i), ws=ws)
+        _, grads = nn.loss_and_backward(params, trace, ys)
+        nn.adam_step(params, grads, state)
+        out += [probs, *grads.arrays(), *params.arrays()]
+    xs = data.normal(size=(32, 40, 862)).astype(np.float32)
+    for w in (ws, None):
+        out.append(nn.forward_batch(params, xs, keep_trace=False, ws=w)[0])
+    return [a.tobytes() for a in out]
+
+
+def test_worker_count_changes_no_bit(monkeypatch):
+    def no_pool(threads):
+        raise AssertionError("one worker must run inline")
+
+    with monkeypatch.context() as m:
+        m.setattr(nn, "_executor", no_pool)
+        want = _steps_on_workers(m, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the interpreter lock over often
+    try:
+        for workers in (2, 4):  # 4: more workers than this machine may have CPUs
+            with monkeypatch.context() as m:
+                assert _steps_on_workers(m, workers) == want, workers
+                assert nn._pool is not None and nn._pool[0] >= workers - 1
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_forked_child_builds_its_own_pool(monkeypatch):
+    monkeypatch.setattr(nn, "usable_cpus", lambda: 2)
+    params = nn.init_params(substream(2, "init"))
+    xs = np.random.default_rng(12).normal(size=(4, 40, 862)).astype(np.float32)
+    want, _ = nn.forward_batch(params, xs, keep_trace=False)  # four blocks at stage 0
+    assert nn._pool is not None
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+
+    def child():
+        sender.send_bytes(nn.forward_batch(params, xs, keep_trace=False)[0].tobytes())
+
+    proc = ctx.Process(target=child)
+    proc.start()
+    try:
+        assert receiver.poll(60), "the forked child's forward did not finish"
+        assert receiver.recv_bytes() == want.tobytes()
+    finally:
+        proc.join(10)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+    assert proc.exitcode == 0
 
 
 def test_row_scored_alone_equals_row_in_batch(rng):

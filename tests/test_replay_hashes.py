@@ -4,7 +4,9 @@ Each mode trains on the `small_corpus` geometry in a fresh interpreter pinned
 to one OpenBLAS thread, and hashes the trained parameters together with the
 manifest's `epoch_rows` and `schedule`. The expected digests were recorded on
 the numpy/BLAS build named below. Bit-for-bit replay is only claimed within
-one build and thread count (see the README), so another build skips.
+one build and thread count (see the README), so another build skips. The
+`semi` mode is also replayed in a process that may run on one CPU, where the
+conv stages' block pool runs inline; its digest must not change.
 """
 
 import json
@@ -28,15 +30,19 @@ EXPECTED = {
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+# argv: cache, split, then the EXPECTED keys to train (all when none are given)
 SCRIPT = r"""
 import hashlib, json, sys
-from lungsound import dataset, training
+from lungsound import dataset, nn, training
 
 cache = dataset.FeatureCache.load(sys.argv[1])
 split = dataset.SplitManifest.load(sys.argv[2])
 out = {}
 for mode, drop in [("baseline", None), ("semi", None), ("semi", "co_refinement"),
                    ("semi", "co_refurbishing"), ("semi", "both")]:
+    key = mode if drop is None else f"drop={drop}"
+    if sys.argv[3:] and key not in sys.argv[3:]:
+        continue
     cfg = training.TrainConfig(epochs=2, refit_epochs=2, batch_size=8, mode=mode,
                                seed=5, validation_fraction=0.1)
     if mode == "baseline":
@@ -48,8 +54,8 @@ for mode, drop in [("baseline", None), ("semi", None), ("semi", "co_refinement")
         h.update(f"{name}:{arr.dtype.str}:{arr.shape}".encode())
         h.update(arr.tobytes())
     h.update(json.dumps([manifest.epoch_rows, manifest.schedule], sort_keys=True).encode())
-    out[mode if drop is None else f"drop={drop}"] = h.hexdigest()
-print(json.dumps(out))
+    out[key] = h.hexdigest()
+print(json.dumps({"usable_cpus": nn.usable_cpus(), "hashes": out}))
 """
 
 
@@ -62,19 +68,42 @@ def _build():
     return {"numpy": np.__version__, "blas": name}
 
 
-def replay_hashes(cache_path, split_path) -> dict:
+def replay_hashes(cache_path, split_path, *keys, preexec_fn=None):
+    """Train the modes named by `keys` (all when none) in a fresh interpreter;
+    returns (the nn usable-CPU count there, {key: digest})."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(cache_path), str(split_path)],
-                          env=env, capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(cache_path), str(split_path), *keys],
+                          env=env, capture_output=True, text=True, timeout=300,
+                          preexec_fn=preexec_fn)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    return out["usable_cpus"], out["hashes"]
 
 
-def test_replay_hashes_match_recorded_build(tmp_path, small_corpus, small_split):
+def _skip_other_build():
     if _build() != BUILD:
         pytest.skip(f"hashes were recorded on {BUILD}; this build is {_build()}, "
                     "and replay is only claimed within one build")
+
+
+def test_replay_hashes_match_recorded_build(tmp_path, small_corpus, small_split):
+    _skip_other_build()
     split_path = tmp_path / "split.json"
     small_split.save(split_path)
-    assert replay_hashes(small_corpus["cache_path"], split_path) == EXPECTED
+    assert replay_hashes(small_corpus["cache_path"], split_path)[1] == EXPECTED
+
+
+def test_semi_replays_on_one_cpu(tmp_path, small_corpus, small_split):
+    """The conv stages' block pool sizes itself to the usable CPUs; a process
+    that may run on one CPU runs every block inline and trains the same bits."""
+    _skip_other_build()
+    if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs sched_setaffinity and at least two usable CPUs")
+    cpu = min(os.sched_getaffinity(0))
+    split_path = tmp_path / "split.json"
+    small_split.save(split_path)
+    cpus, hashes = replay_hashes(small_corpus["cache_path"], split_path, "semi",
+                                 preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+    assert cpus == 1
+    assert hashes == {"semi": EXPECTED["semi"]}
