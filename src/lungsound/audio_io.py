@@ -28,10 +28,6 @@ class AudioClip:
     samples: np.ndarray
     sample_rate: int
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 def _chunks(data: bytes):
     """Yield (chunk id, payload) pairs from a RIFF body, honouring pad bytes."""

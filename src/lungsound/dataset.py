@@ -44,11 +44,6 @@ class RecordingMeta:
     equipment: str
     path: str = ""
 
-    @property
-    def stem(self) -> str:
-        return "_".join([str(self.patient_id), self.recording_index,
-                         self.chest_location, self.acquisition_mode, self.equipment])
-
 
 def parse_filename(stem: str, path: str = "") -> RecordingMeta:
     """Split an underscore-delimited recording stem into its five fields."""

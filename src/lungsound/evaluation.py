@@ -34,7 +34,7 @@ def confusion(y_true, y_pred, n_classes: int = N_CLASSES) -> np.ndarray:
     return cm
 
 
-@dataclass
+@dataclass(eq=False)
 class ClassificationReport:
     precision: np.ndarray   # per class
     recall: np.ndarray
@@ -73,18 +73,6 @@ class ClassificationReport:
                    support=np.array(support, dtype=np.int64), accuracy=float(d["accuracy"]),
                    macro_avg=tuple(macro[:3]), weighted_avg=tuple(weighted[:3]),
                    total=int(macro[3]))
-
-    def __eq__(self, other):
-        if not isinstance(other, ClassificationReport):
-            return NotImplemented
-        return (np.array_equal(self.precision, other.precision)
-                and np.array_equal(self.recall, other.recall)
-                and np.array_equal(self.f1, other.f1)
-                and np.array_equal(self.support, other.support)
-                and self.accuracy == other.accuracy
-                and tuple(self.macro_avg) == tuple(other.macro_avg)
-                and tuple(self.weighted_avg) == tuple(other.weighted_avg)
-                and self.total == other.total)
 
 
 def _safe_div(num, den):

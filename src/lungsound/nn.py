@@ -105,31 +105,6 @@ class CnnSpec:
     channels: tuple = (16, 32, 64, 128)
     n_classes: int = N_CLASSES
 
-    def layer_shapes(self):
-        """Activation shapes from input through pooling stages to the head."""
-        h, w = self.input_shape
-        shapes = [(h, w, 1)]
-        c_in = 1
-        for c_out in self.channels:
-            if h < 2 or w < 2:
-                raise ShapeMismatch(f"activation {h}x{w} too small for a 2x2 stage")
-            h, w = h - 1, w - 1          # valid 2x2 convolution
-            shapes.append((h, w, c_out))
-            h, w = h // 2, w // 2        # 2x2 pool, stride 2
-            shapes.append((h, w, c_out))
-            c_in = c_out
-        shapes.append((self.channels[-1],))
-        shapes.append((self.n_classes,))
-        return shapes
-
-    def param_count(self) -> int:
-        count = 0
-        c_in = 1
-        for c_out in self.channels:
-            count += 2 * 2 * c_in * c_out + c_out
-            c_in = c_out
-        return count + self.channels[-1] * self.n_classes + self.n_classes
-
 
 @dataclass
 class ModelParams:
@@ -148,9 +123,6 @@ class ModelParams:
     def arrays(self):
         return [a for _, a in self.named()]
 
-    def count(self) -> int:
-        return sum(a.size for a in self.arrays())
-
     @property
     def dtype(self):
         return self.dense_w.dtype
@@ -159,11 +131,6 @@ class ModelParams:
         return ModelParams([k.copy() for k in self.conv_kernels],
                            [b.copy() for b in self.conv_biases],
                            self.dense_w.copy(), self.dense_b.copy())
-
-    def astype(self, dtype) -> "ModelParams":
-        return ModelParams([k.astype(dtype) for k in self.conv_kernels],
-                           [b.astype(dtype) for b in self.conv_biases],
-                           self.dense_w.astype(dtype), self.dense_b.astype(dtype))
 
     def zeros_like(self) -> "ModelParams":
         return ModelParams([np.zeros_like(k) for k in self.conv_kernels],
@@ -483,21 +450,16 @@ def maxpool2d_backward(dy: np.ndarray, idx: np.ndarray, x_shape) -> np.ndarray:
     The training path does this inside _conv_backward; this is the reference
     the fused stage is tested against.
     """
-    single = dy.ndim == 3
-    if single:
-        dy, idx = dy[None], idx[None]
-        x_shape = (1,) + tuple(x_shape)
     b, h, w, c = x_shape
     hp, wp = h // 2, w // 2
     dx = np.zeros(x_shape, dtype=dy.dtype)
     for slot, (di, dj) in enumerate(_POOL_OFFSETS):
         dx[:, di:2 * hp:2, dj:2 * wp:2, :] += dy * (idx == slot)
-    return dx[0] if single else dx
+    return dx
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
-    axes = (1, 2) if x.ndim == 4 else (0, 1)
-    return x.mean(axis=axes)
+    return x.mean(axis=(1, 2))
 
 
 def dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -523,19 +485,18 @@ def _keep_scale(dtype, rate: float):
     return dtype.type(1) / dtype.type(1.0 - rate)
 
 
-def dropout(x: np.ndarray, rate: float, rng: np.random.Generator, training: bool,
-            ws=None) -> np.ndarray:
+def dropout(x: np.ndarray, rate: float, rng: np.random.Generator, ws=None) -> np.ndarray:
     """Inverted dropout in place: zero each entry of x with probability `rate`,
     scale survivors by 1/(1-rate); returns x.
 
-    Inference mode and rate 0 leave x untouched. The draws run block by block
-    (their scratch from `ws` when given); successive draws along axis 0
-    continue one stream, so x ends as x * ((one full-shape draw >= rate) / (1 -
-    rate)), rounded once.
+    Rate 0 leaves x untouched. The draws run block by block (their scratch
+    from `ws` when given); successive draws along axis 0 continue one stream,
+    so x ends as x * ((one full-shape draw >= rate) / (1 - rate)), rounded
+    once.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return x
     row_bytes = 8 * x[:1].size
     blocks, step, _ = _blocks(len(x), row_bytes)
@@ -554,19 +515,18 @@ def dropout(x: np.ndarray, rate: float, rng: np.random.Generator, training: bool
 
 @dataclass
 class ForwardTrace:
-    """Intermediate activations retained for the backward pass."""
+    """Intermediate activations retained for the backward pass, which reads
+    each stage's input shape off x and pool_out."""
 
     params: ModelParams
     training: bool
     dropout_rate: float
     x: np.ndarray                       # (B, H, W, 1)
     conv_cols: list = field(default_factory=list)
-    conv_in_shapes: list = field(default_factory=list)
     pool_out: list = field(default_factory=list)     # pooled maps, after dropout in training
     pool_idx: list = field(default_factory=list)
     drop_masks: list = field(default_factory=list)   # empty: dropout keeps no mask
     dense_in: np.ndarray = None         # (B, C_last)
-    gap_shape: tuple = None
     logits: np.ndarray = None
     probs: np.ndarray = None
     workspace: Workspace = None         # the stage arrays above are views of its buffers
@@ -593,15 +553,13 @@ def forward_batch(params: ModelParams, xs: np.ndarray, training: bool = False,
         ws.forwards += 1
         trace.stamp = ws.forwards
     for k, (kernel, bias) in enumerate(zip(params.conv_kernels, params.conv_biases)):
-        trace.conv_in_shapes.append(a.shape)
         a, idx, cols = _conv_forward(a, kernel, bias, keep_trace, ws, k)
         if training:
-            dropout(a, dropout_rate, rng, True, ws)
+            dropout(a, dropout_rate, rng, ws)
         if keep_trace:
             trace.conv_cols.append(cols)
             trace.pool_out.append(a)
             trace.pool_idx.append(idx)
-    trace.gap_shape = a.shape
     gap = global_avg_pool(a)
     logits = dense(gap, params.dense_w, params.dense_b)
     probs = softmax(logits)
@@ -637,9 +595,9 @@ def backward_from_dp(trace: ForwardTrace, dp: np.ndarray) -> ModelParams:
     grads.dense_b[:] = dlogits.sum(axis=0)
     da = dlogits @ params.dense_w.T
 
-    b, hg, wg, cg = trace.gap_shape
-    da = np.broadcast_to(da[:, None, None, :] / (hg * wg),
-                         trace.gap_shape).astype(params.dtype)
+    gap_shape = trace.pool_out[-1].shape
+    da = np.broadcast_to(da[:, None, None, :] / (gap_shape[1] * gap_shape[2]),
+                         gap_shape).astype(params.dtype)
 
     dropped = trace.training and trace.dropout_rate > 0
     ws = trace.workspace
@@ -651,8 +609,9 @@ def backward_from_dp(trace: ForwardTrace, dp: np.ndarray) -> ModelParams:
         np.multiply(da, kept, out=da)
         if dropped:
             da *= _keep_scale(da.dtype, trace.dropout_rate)
+        x_shape = (trace.pool_out[i - 1] if i else trace.x).shape
         da, dk, db = _conv_backward(da, trace.conv_cols[i], params.conv_kernels[i],
-                                    trace.conv_in_shapes[i], i > 0, trace.pool_idx[i], ws, i)
+                                    x_shape, i > 0, trace.pool_idx[i], ws, i)
         grads.conv_kernels[i][:] = dk
         grads.conv_biases[i][:] = db
     return grads
@@ -660,7 +619,7 @@ def backward_from_dp(trace: ForwardTrace, dp: np.ndarray) -> ModelParams:
 
 def loss_and_backward(params: ModelParams, trace: ForwardTrace, target: np.ndarray,
                       loss_kind: str = "cross_entropy"):
-    """Loss plus gradients for a trace produced by forward() / forward_batch().
+    """Loss plus gradients for a trace produced by forward_batch().
 
     Raises StaleTrace when the trace was built from different parameters, or
     when a later forward through its workspace reused its buffers.
@@ -672,8 +631,6 @@ def loss_and_backward(params: ModelParams, trace: ForwardTrace, target: np.ndarr
     if trace.workspace is not None and trace.stamp != trace.workspace.forwards:
         raise StaleTrace("a later forward reused this trace's workspace buffers")
     targets = np.asarray(target, dtype=trace.probs.dtype)
-    if targets.ndim == 1:
-        targets = targets[None]
     if targets.shape != trace.probs.shape:
         raise ShapeMismatch(f"targets {targets.shape} vs probs {trace.probs.shape}")
     loss, dp = _loss_and_dp(trace.probs, targets, loss_kind)

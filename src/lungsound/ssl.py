@@ -52,14 +52,6 @@ class SslConfig:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
 
-    def neutralized(self) -> "SslConfig":
-        """Knobs set so every strategy degenerates to plain supervision."""
-        return SslConfig(temperature=1.0, n_augmentations=1, mixup_alpha=self.mixup_alpha,
-                         unlabeled_loss_weight=0.0, ramp_fraction=self.ramp_fraction,
-                         refurbish_weight=1.0, refurbish_fraction=1.0,
-                         refinement_weight=0.0, augment_noise_scale=0.0,
-                         augment_max_mask_frames=0, fixed_lambda=1.0)
-
 
 def augment(x: np.ndarray, rng: np.random.Generator, noise_scale: float = 0.05,
             max_mask_frames: int = 40) -> np.ndarray:

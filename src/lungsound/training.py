@@ -143,12 +143,13 @@ class FeatureNormalizer:
 PREDICT_CHUNK = 32
 
 
-def predict_batch(params: nn.ModelParams, xs: np.ndarray, chunk: int = PREDICT_CHUNK,
+def predict_batch(params: nn.ModelParams, xs: np.ndarray,
                   ws: nn.Workspace | None = None) -> np.ndarray:
-    """Inference-mode class predictions for a stack of feature matrices."""
+    """Inference-mode class predictions for a stack of feature matrices, in
+    chunks of PREDICT_CHUNK rows."""
     out = []
-    for i in range(0, len(xs), chunk):
-        probs, _ = nn.forward_batch(params, xs[i:i + chunk], keep_trace=False, ws=ws)
+    for i in range(0, len(xs), PREDICT_CHUNK):
+        probs, _ = nn.forward_batch(params, xs[i:i + PREDICT_CHUNK], keep_trace=False, ws=ws)
         out.append(probs.argmax(axis=1))
     return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
 
@@ -311,10 +312,11 @@ def _write_run(manifest: RunManifest, t0: float, out_dir, tag: str, params=None)
 
 
 def _train(cfg: TrainConfig, cache: FeatureCache, split: SplitManifest, out_dir,
-           mode: str, drop: str | None = None):
+           drop: str | None = None):
     """SSL epochs, then supervised ones with a fresh optimizer; returns (params,
-    manifest). Semi runs cfg.epochs + cfg.refit_epochs, baseline 0 + cfg.epochs."""
-    ssl_epochs, sup_epochs, phase = ((0, cfg.epochs, "supervised") if mode == "baseline"
+    manifest). By cfg.mode, semi runs cfg.epochs + cfg.refit_epochs and
+    baseline 0 + cfg.epochs."""
+    ssl_epochs, sup_epochs, phase = ((0, cfg.epochs, "supervised") if cfg.mode == "baseline"
                                      else (cfg.epochs, cfg.refit_epochs, "refit"))
     co_passes = [name for name in CO_PASSES if drop not in (name, "both")]
     t0 = time.monotonic()
@@ -329,11 +331,11 @@ def _train(cfg: TrainConfig, cache: FeatureCache, split: SplitManifest, out_dir,
                           min(len(xs_val), PREDICT_CHUNK)))
 
     params = nn.init_params(substream(cfg.seed, "init"))
-    manifest = RunManifest(mode=mode, seed=cfg.seed, ablation=drop, config=asdict(cfg),
+    manifest = RunManifest(mode=cfg.mode, seed=cfg.seed, ablation=drop, config=asdict(cfg),
                            cache_path=cache.path, split_seed=split.seed,
                            feature_config_hash=cache.config_hash.hex(),
                            cache_sha256=cache.file_sha256)
-    tag = f"{mode}{'-drop-' + drop if drop else ''}-seed{cfg.seed}"
+    tag = f"{cfg.mode}{'-drop-' + drop if drop else ''}-seed{cfg.seed}"
 
     def record(row, passes):
         """Validate, then log and keep one epoch row; returns its accuracy."""
@@ -382,7 +384,9 @@ def _train(cfg: TrainConfig, cache: FeatureCache, split: SplitManifest, out_dir,
 def train_baseline(cfg: TrainConfig, cache: FeatureCache, split: SplitManifest,
                    out_dir=None):
     """Supervised training on the labeled split; returns (params, manifest)."""
-    return _train(cfg, cache, split, out_dir, "baseline")
+    if cfg.mode != "baseline":
+        raise ValueError(f"train_baseline needs mode 'baseline', got {cfg.mode!r}")
+    return _train(cfg, cache, split, out_dir)
 
 
 def train_semi(cfg: TrainConfig, cache: FeatureCache, split: SplitManifest,
@@ -393,9 +397,11 @@ def train_semi(cfg: TrainConfig, cache: FeatureCache, split: SplitManifest,
     `drop` selector skips co passes); afterwards a supervised fine-tune on the
     labeled split with validation early stopping and a fresh optimizer state.
     """
+    if cfg.mode != "semi":
+        raise ValueError(f"train_semi needs mode 'semi', got {cfg.mode!r}")
     if drop is not None and drop not in VALID_DROPS:
         raise ValueError(f"drop must be one of {sorted(VALID_DROPS)}, got {drop!r}")
-    return _train(cfg, cache, split, out_dir, "semi", drop)
+    return _train(cfg, cache, split, out_dir, drop)
 
 
 def evaluate_split(params: nn.ModelParams, cache: FeatureCache, split: SplitManifest,

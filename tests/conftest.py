@@ -9,12 +9,10 @@ sys.path.insert(0, str(Path(__file__).parent))  # for reference_mfcc
 from lungsound import dataset, features, synthetic
 
 
-@pytest.fixture(scope="session")
-def small_corpus(tmp_path_factory):
-    """Tiny six-class corpus (8 recordings/class, 1 s clips) plus its cache."""
-    root = tmp_path_factory.mktemp("small-corpus")
-    audio_dir, csv_path = synthetic.generate_corpus(root, recordings_per_class=8,
-                                                    seed=7, duration_s=1.0)
+def cached_corpus(root, **corpus):
+    """synthetic.generate_corpus(root, **corpus) plus the feature cache of its
+    in-scope recordings at root/features.lsfc."""
+    audio_dir, csv_path = synthetic.generate_corpus(root, **corpus)
     cfg = features.MfccConfig()
     metas = dataset.scan_audio_dir(audio_dir)
     diagnoses = dataset.load_diagnoses(csv_path)
@@ -23,14 +21,16 @@ def small_corpus(tmp_path_factory):
     cache_path = root / "features.lsfc"
     failures = dataset.build_feature_cache(entries, cfg, cache_path)
     assert not failures
-    return {
-        "root": root,
-        "audio_dir": audio_dir,
-        "csv": csv_path,
-        "cfg": cfg,
-        "cache_path": cache_path,
-        "cache": dataset.FeatureCache.load(cache_path, expected_config=cfg),
-    }
+    return dict(root=root, audio_dir=audio_dir, csv=csv_path, cfg=cfg, cache_path=cache_path,
+                cache=dataset.FeatureCache.load(cache_path, expected_config=cfg))
+
+
+@pytest.fixture(scope="session")
+def small_corpus(tmp_path_factory):
+    """Tiny six-class corpus (8 recordings/class, 1 s clips) plus its cache;
+    two more recordings have an out-of-scope diagnosis and are not cached."""
+    return cached_corpus(tmp_path_factory.mktemp("small-corpus"), recordings_per_class=8,
+                         seed=7, duration_s=1.0, include_excluded=2)
 
 
 @pytest.fixture(scope="session")

@@ -4,16 +4,43 @@ The network evaluates conv -> ReLU -> max pool as one polyphase stage
 (nn._conv_forward / nn._conv_backward). These are the separate layers that
 stage must agree with: a loop-style convolution, the im2col convolution the
 unfused network ran, a loop-style max pool, ReLU and their backward passes.
-It also holds helpers only tests call: a single-input `forward`, the loss
-without gradients and the inference-mode loss of mixmatch's two mixed
-batches, the soft-label predicate, and the finite-difference gradient check
-with its kink-margin probe.
+It also holds helpers only tests call: the activation shapes and parameter
+count a CnnSpec implies, the loss without gradients and the inference-mode
+loss of mixmatch's two mixed batches, the soft-label predicate, the SSL
+config that degenerates to supervision, and the finite-difference gradient
+check with its kink-margin probe.
 """
 
 import numpy as np
 
-from lungsound import nn
+from lungsound import nn, ssl
 from lungsound.errors import ShapeMismatch
+
+
+def layer_shapes(spec):
+    """Activation shapes of a CnnSpec from input through pooling stages to the head."""
+    h, w = spec.input_shape
+    shapes = [(h, w, 1)]
+    for c_out in spec.channels:
+        if h < 2 or w < 2:
+            raise ShapeMismatch(f"activation {h}x{w} too small for a 2x2 stage")
+        h, w = h - 1, w - 1          # valid 2x2 convolution
+        shapes.append((h, w, c_out))
+        h, w = h // 2, w // 2        # 2x2 pool, stride 2
+        shapes.append((h, w, c_out))
+    shapes.append((spec.channels[-1],))
+    shapes.append((spec.n_classes,))
+    return shapes
+
+
+def param_count(spec):
+    """Trainable parameters of a CnnSpec: 2x2 kernels and biases, then the head."""
+    count = 0
+    c_in = 1
+    for c_out in spec.channels:
+        count += 2 * 2 * c_in * c_out + c_out
+        c_in = c_out
+    return count + spec.channels[-1] * spec.n_classes + spec.n_classes
 
 
 def conv2d_loop(x, kernel, bias):
@@ -44,21 +71,18 @@ def im2col(x):
 
 
 def conv2d(x, kernel, bias):
-    """Valid stride-1 2x2 cross-correlation as one im2col GEMM plus bias.
+    """Valid stride-1 2x2 cross-correlation of a (B, H, W, C) batch as one
+    im2col GEMM plus bias.
 
     This is the unfused convolution, rounded exactly as the fused stage rounds
-    each conv output. Accepts a single (H, W, C) map or a (B, H, W, C) batch.
+    each conv output.
     """
-    single = x.ndim == 3
-    if single:
-        x = x[None]
     b, h, w, c_in = x.shape
     kh, kw, kc, c_out = kernel.shape
     if (kh, kw) != (2, 2) or kc != c_in or h < 2 or w < 2:
         raise ShapeMismatch(f"conv2d: input {x.shape[1:]} vs kernel {kernel.shape}")
     out = im2col(x) @ kernel.reshape(4 * c_in, c_out) + bias
-    out = out.reshape(b, h - 1, w - 1, c_out)
-    return out[0] if single else out
+    return out.reshape(b, h - 1, w - 1, c_out)
 
 
 def conv2d_backward(dz, x, kernel):
@@ -80,12 +104,9 @@ def conv2d_backward(dz, x, kernel):
 def maxpool2d(x):
     """2x2 window, stride 2, trailing odd rows/columns dropped, window by window.
 
-    Returns (pooled, idx) where idx holds the within-window argmax slot
-    (row-major, first occurrence on ties). Accepts (H, W, C) or (B, H, W, C).
+    Returns (pooled, idx) of a (B, H, W, C) batch, where idx holds the
+    within-window argmax slot (row-major, first occurrence on ties).
     """
-    single = x.ndim == 3
-    if single:
-        x = x[None]
     b, h, w, c = x.shape
     if h < 2 or w < 2:
         raise ShapeMismatch(f"maxpool2d: input {x.shape[1:]} smaller than window")
@@ -97,8 +118,6 @@ def maxpool2d(x):
             win = x[:, 2 * i:2 * i + 2, 2 * j:2 * j + 2, :].reshape(b, 4, c)
             out[:, i, j] = win.max(axis=1)
             idx[:, i, j] = win.argmax(axis=1)  # argmax takes the first maximum
-    if single:
-        return out[0], idx[0]
     return out, idx
 
 
@@ -131,16 +150,17 @@ def forward_probs(params, xs):
     return nn.softmax(nn.dense(nn.global_avg_pool(a), params.dense_w, params.dense_b))
 
 
-def forward(params, x, training=False, rng=None, dropout_rate=0.2):
-    """Single-input forward; returns (probability vector, trace)."""
-    probs, trace = nn.forward_batch(params, np.asarray(x)[None], training=training,
-                                    rng=rng, dropout_rate=dropout_rate, keep_trace=True)
-    return probs[0], trace
-
-
 def loss_value(probs, targets, loss_kind):
     """Mean batch loss without gradients."""
     return nn._loss_and_dp(probs, np.asarray(targets, dtype=probs.dtype), loss_kind)[0]
+
+
+def neutralized():
+    """An SslConfig with every knob set so each strategy degenerates to plain
+    supervision."""
+    return ssl.SslConfig(temperature=1.0, n_augmentations=1, unlabeled_loss_weight=0.0,
+                         refurbish_weight=1.0, refurbish_fraction=1.0, refinement_weight=0.0,
+                         augment_noise_scale=0.0, augment_max_mask_frames=0, fixed_lambda=1.0)
 
 
 def is_soft_label(p, tol=1e-6):
@@ -188,6 +208,43 @@ def kink_margin(params, xs):
     return margin
 
 
+def clear_probe(params, xs, eps):
+    """True when a forward at xs passes gradient through every stage and
+    clears the ReLU and pooling kinks by more than 8 * eps."""
+    # a stage with no positive output passes no gradient down: every conv
+    # gradient would be zero on both sides and a check would compare zeros
+    _, trace = nn.forward_batch(params, xs, keep_trace=True)
+    return all((a > 0).any() for a in trace.pool_out) and kink_margin(params, xs) > 8 * eps
+
+
+def finite_difference_error(params, xs, targets, loss_kind, eps, floor=1e-6):
+    """Backprop gradients at (params, xs, targets) against central differences
+    of step eps. Returns (max_rel_err, n_params, grads), with rel err over
+    max(|a|, |b|, floor)."""
+    def loss_at():
+        probs, trace = nn.forward_batch(params, xs, training=False, keep_trace=True)
+        return loss_value(probs, targets, loss_kind), trace
+
+    _, grads = nn.loss_and_backward(params, loss_at()[1], targets, loss_kind)
+    max_rel = 0.0
+    n_checked = 0
+    for p_arr, g_arr in zip(params.arrays(), grads.arrays()):
+        flat_p = p_arr.reshape(-1)
+        flat_g = g_arr.reshape(-1)
+        for j in range(flat_p.size):
+            orig = flat_p[j]
+            flat_p[j] = orig + eps
+            up = loss_at()[0]
+            flat_p[j] = orig - eps
+            down = loss_at()[0]
+            flat_p[j] = orig
+            fd = (up - down) / (2.0 * eps)
+            rel = abs(flat_g[j] - fd) / max(abs(flat_g[j]), abs(fd), floor)
+            max_rel = max(max_rel, rel)
+            n_checked += 1
+    return max_rel, n_checked, grads
+
+
 def gradient_check(spec, seed=0, eps=1e-3, loss_kind="cross_entropy", batch=2):
     """Compare backprop gradients against central finite differences.
 
@@ -203,36 +260,8 @@ def gradient_check(spec, seed=0, eps=1e-3, loss_kind="cross_entropy", batch=2):
         xs = rng.normal(0.0, 0.5, size=(batch,) + spec.input_shape)
         targets = rng.random((batch, spec.n_classes)) + 0.1
         targets /= targets.sum(axis=1, keepdims=True)
-        # a stage with no positive output passes no gradient down: every conv
-        # gradient would be zero on both sides and the check would compare zeros
-        _, trace = nn.forward_batch(params, xs, training=False, keep_trace=True)
-        live = all((a > 0).any() for a in trace.pool_out)
-        if live and kink_margin(params, xs) > 8 * eps:
+        if clear_probe(params, xs, eps):
             break
     else:
         raise RuntimeError("could not find a live, kink-free probe point")
-
-    def loss_at():
-        probs, trace = nn.forward_batch(params, xs, training=False, keep_trace=True)
-        return loss_value(probs, targets, loss_kind), trace
-
-    _, trace = loss_at()
-    _, grads = nn.loss_and_backward(params, trace, targets, loss_kind)
-
-    max_rel = 0.0
-    n_checked = 0
-    for p_arr, g_arr in zip(params.arrays(), grads.arrays()):
-        flat_p = p_arr.reshape(-1)
-        flat_g = g_arr.reshape(-1)
-        for j in range(flat_p.size):
-            orig = flat_p[j]
-            flat_p[j] = orig + eps
-            up = loss_at()[0]
-            flat_p[j] = orig - eps
-            down = loss_at()[0]
-            flat_p[j] = orig
-            fd = (up - down) / (2.0 * eps)
-            rel = abs(flat_g[j] - fd) / max(abs(flat_g[j]), abs(fd), 1e-6)
-            max_rel = max(max_rel, rel)
-            n_checked += 1
-    return max_rel, n_checked
+    return finite_difference_error(params, xs, targets, loss_kind, eps)[:2]

@@ -14,16 +14,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lungsound import dataset, evaluation, features, nn, ssl, training
+from lungsound import dataset, evaluation, features, nn, training
 from lungsound.features import MfccConfig, extract_mfcc
 from lungsound.audio_io import AudioClip
 from lungsound.rng import substream
-from lungsound.synthetic import generate_corpus
 from lungsound.training import TrainConfig, train_baseline, train_semi
 
 import nn_oracle as oracle
+from conftest import cached_corpus
 from report_fixtures import BASELINE_CM, BASELINE_EXPECTED, SEMI_CM, SEMI_EXPECTED
 from reference_mfcc import reference_mfcc
+from test_dataset import labels_from_counts
 
 
 def criterion(n, description):
@@ -44,17 +45,8 @@ def criterion(n, description):
 def tone_corpus(tmp_path_factory):
     """Six-class corpus (60 recordings/class) with its cache and split."""
     t0 = time.monotonic()
-    root = tmp_path_factory.mktemp("tone-corpus")
-    audio_dir, csv_path = generate_corpus(root, recordings_per_class=60, seed=0,
-                                          duration_s=2.0)
-    cfg = MfccConfig()
-    metas = dataset.scan_audio_dir(audio_dir)
-    diagnoses = dataset.load_diagnoses(csv_path)
-    entries = [(i, diagnoses[m.patient_id], m.path) for i, m in enumerate(metas)]
-    cache_path = root / "features.lsfc"
-    failures = dataset.build_feature_cache(entries, cfg, cache_path)
-    assert not failures
-    cache = dataset.FeatureCache.load(cache_path, expected_config=cfg)
+    cache = cached_corpus(tmp_path_factory.mktemp("tone-corpus"), recordings_per_class=60,
+                          seed=0, duration_s=2.0)["cache"]
     labels = {int(r): int(c) for r, c in zip(cache.ids, cache.classes)}
     split = dataset.make_splits(labels, seed=0, unlabeled_fraction=0.5)
     return {"cache": cache, "split": split, "build_seconds": time.monotonic() - t0}
@@ -105,10 +97,10 @@ def test_c3_shape_fidelity():
                 (8, 213, 64), (4, 106, 64),
                 (3, 105, 128), (1, 52, 128),
                 (128,), (6,)]
-    assert spec.layer_shapes() == expected
-    assert spec.param_count() == 44086
+    assert oracle.layer_shapes(spec) == expected
+    assert oracle.param_count(spec) == 44086
     params = nn.init_params(substream(0, "init"), spec)
-    assert params.count() == 44086
+    assert sum(a.size for a in params.arrays()) == 44086
     x = np.random.default_rng(3).normal(size=(1, 40, 862)).astype(np.float32)
     probs, trace = nn.forward_batch(params, x, training=False, keep_trace=True)
     assert [t.shape[1:] for t in trace.pool_out] == expected[2::2][:4]
@@ -142,13 +134,7 @@ def test_c4_metric_reproduction():
 @criterion(5, "stratified split reproduces supports {3,3,159,7,7,5} and the 13/3 class")
 def test_c5_split_reproduction():
     t0 = time.monotonic()
-    counts = {0: 16, 1: 13, 2: 793, 3: 35, 4: 37, 5: 23}
-    labels = {}
-    rec = 0
-    for cls, n in counts.items():
-        for _ in range(n):
-            labels[rec] = cls
-            rec += 1
+    labels = labels_from_counts({0: 16, 1: 13, 2: 793, 3: 35, 4: 37, 5: 23})
     manifest = dataset.make_splits(labels, seed=0, unlabeled_fraction=0.5)
     supports = [sum(1 for r in manifest.test if labels[r] == c) for c in range(6)]
     assert supports == [3, 3, 159, 7, 7, 5]
@@ -164,7 +150,7 @@ def test_c6_degeneracy_equivalence(tone_corpus):
     t0 = time.monotonic()
     cache, split = tone_corpus["cache"], tone_corpus["split"]
     cfg = TrainConfig(epochs=1, refit_epochs=0, batch_size=16, mode="semi", seed=42,
-                      ssl=ssl.SslConfig().neutralized(), validation_fraction=0.0)
+                      ssl=oracle.neutralized(), validation_fraction=0.0)
     lab_ids, xs_lab, ys_lab, xs_unlab, _ = training._prepare(cache, split)
     onehot = training.one_hot(ys_lab)
 

@@ -58,6 +58,16 @@ def test_missing_fmt_chunk(tmp_path):
         audio_io.load_wav(write(tmp_path, make_wav(b"\x00\x00", include_fmt=False)))
 
 
+@pytest.mark.parametrize("data,message", [
+    (make_wav(b"")[:-8], "missing data chunk"),  # the empty data chunk's 8-byte header cut
+    (make_wav(b"\x00\x00", channels=0), "channel count 0"),
+    (make_wav(b"\x00\x00", rate=0), "sample rate 0"),
+], ids=["no-data-chunk", "zero-channels", "zero-rate"])
+def test_unusable_header_fields(tmp_path, data, message):
+    with pytest.raises(MalformedHeader, match=message):
+        audio_io.load_wav(write(tmp_path, data))
+
+
 def test_truncated_chunk(tmp_path):
     good = make_wav(struct.pack("<4h", 1, 2, 3, 4))
     with pytest.raises(MalformedHeader):

@@ -18,6 +18,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _data_error(code, out, err):
+    return code == 2 and out == "" and len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_help_exits_zero(capsys):
     for sub in ("extract", "split", "train", "evaluate", "compare"):
         code, out, _ = run_cli(capsys, sub, "--help")
@@ -61,7 +65,8 @@ def test_full_pipeline(capsys, tmp_path, small_corpus):
                            "--diagnosis-csv", str(small_corpus["csv"]),
                            "--out", str(cache), "--jobs", "1")
     assert code == 0
-    assert "cached 48 recordings" in out
+    assert "cached 48 recordings" in out and "failed" not in out  # 2 Asthma WAVs dropped
+    assert len(list(small_corpus["audio_dir"].glob("*.wav"))) == 50
 
     code, out, _ = run_cli(capsys, "split", "--cache", str(cache), "--seed", "3",
                            "--unlabeled-fraction", "0.4", "--out", str(manifest))
@@ -123,6 +128,38 @@ def test_drop_with_baseline_rejected(capsys, tmp_path, small_corpus):
     assert "drop" in err
 
 
+def test_train_non_finite_features_is_numeric_error(capsys, tmp_path, small_corpus,
+                                                    small_split):
+    rec_id = small_split.train_labeled[0]
+    row = int(small_corpus["cache"].rows([rec_id])[0])
+    data = bytearray(small_corpus["cache_path"].read_bytes())
+    at = 42 + row * (5 + 4 * 40 * 862) + 5  # header, earlier records, then id and class
+    data[at:at + 4] = struct.pack("<f", float("nan"))
+    cache = tmp_path / "nan.lsfc"
+    cache.write_bytes(bytes(data))
+    assert np.isnan(dataset.FeatureCache.load(cache).gather([rec_id])).sum() == 1
+    manifest = tmp_path / "split.json"
+    small_split.save(manifest)
+    code, out, err = run_cli(capsys, "train", "--cache", str(cache), "--manifest", str(manifest),
+                             "--mode", "baseline", "--out-dir", str(tmp_path / "run"),
+                             "--epochs", "1", "--batch-size", "8")
+    assert code == 3 and out == "", (code, out, err)
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "epoch 0, batch 0" in err
+    run = json.loads((tmp_path / "run" / "baseline-seed0-manifest.json").read_text())
+    assert run["aborted"]["epoch"] == 0 and "loss" in run["aborted"]["error"]
+    assert not (tmp_path / "run" / "baseline-seed0.lsnn").exists()
+
+
+def test_split_bad_unlabeled_fraction_is_usage_error(capsys, tmp_path, small_corpus):
+    code, out, err = run_cli(capsys, "split", "--cache", str(small_corpus["cache_path"]),
+                             "--unlabeled-fraction", "1.5", "--out", str(tmp_path / "m.json"))
+    assert code == 1 and out == "", (code, out, err)
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "unlabeled_fraction" in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_evaluate_config_hash_mismatch(capsys, tmp_path, small_corpus):
     cache_a = small_corpus["cache_path"]
     manifest = tmp_path / "split.json"
@@ -165,15 +202,9 @@ def test_compare_report_missing_class_is_data_error(capsys, tmp_path):
     damaged = json.loads(evaluation.report(SEMI_CM).to_json())
     del damaged["Pneumonia"]
     b.write_text(json.dumps(damaged))
-    code, out, err = run_cli(capsys, "compare", "--a", str(a), "--b", str(b))
-    assert code == 2
-    assert out == ""
-    assert len(err.splitlines()) == 1 and "Traceback" not in err
-    assert "Pneumonia" in err
-
-
-def _data_error(code, out, err):
-    return code == 2 and out == "" and len(err.splitlines()) == 1 and "Traceback" not in err
+    result = run_cli(capsys, "compare", "--a", str(a), "--b", str(b))
+    assert _data_error(*result), result
+    assert "Pneumonia" in result[2]
 
 
 def test_extract_drops_partial_trailing_sample(capsys, tmp_path, small_corpus):
@@ -193,6 +224,17 @@ def test_extract_drops_partial_trailing_sample(capsys, tmp_path, small_corpus):
     assert code == 0, err
     assert "cached 3 recordings" in out and "(1 failed)" in out
     assert len(dataset.FeatureCache.load(cache)) == 3
+
+
+def test_extract_only_out_of_scope_diagnoses_is_data_error(capsys, tmp_path, small_corpus):
+    lines = small_corpus["csv"].read_text().splitlines()
+    csv = tmp_path / "diagnosis.csv"
+    csv.write_text("".join(f"{line}\n" for line in lines if line.endswith(",Asthma")))
+    result = run_cli(capsys, "extract", "--audio-dir", str(small_corpus["audio_dir"]),
+                     "--diagnosis-csv", str(csv), "--out", str(tmp_path / "c.lsfc"))
+    assert _data_error(*result), result
+    assert "no usable recordings" in result[2]
+    assert not (tmp_path / "c.lsfc").exists()
 
 
 def test_extract_jobs_default_counts_usable_cpus(monkeypatch):

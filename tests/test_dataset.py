@@ -23,7 +23,6 @@ def test_parse_filename():
     assert meta.chest_location == "Al"
     assert meta.acquisition_mode == "sc"
     assert meta.equipment == "Meditron"
-    assert meta.stem == "101_1b1_Al_sc_Meditron"
 
 
 def test_parse_filename_wrong_field_count():
@@ -86,7 +85,7 @@ def test_empty_diagnoses_leads_to_no_usable_data(tmp_path):
         make_splits({}, seed=0, unlabeled_fraction=0.5)
 
 
-def _labels_from_counts(counts):
+def labels_from_counts(counts):
     labels = {}
     rec_id = 0
     for cls, n in counts.items():
@@ -97,9 +96,8 @@ def _labels_from_counts(counts):
 
 
 def test_reference_class_counts_give_published_supports():
-    manifest = make_splits(_labels_from_counts(REFERENCE_COUNTS), seed=0,
-                           unlabeled_fraction=0.5)
-    labels = _labels_from_counts(REFERENCE_COUNTS)
+    labels = labels_from_counts(REFERENCE_COUNTS)
+    manifest = make_splits(labels, seed=0, unlabeled_fraction=0.5)
     supports = [sum(1 for r in manifest.test if labels[r] == c) for c in range(6)]
     assert supports == [3, 3, 159, 7, 7, 5]
     assert len(manifest.test) == 184
@@ -120,7 +118,7 @@ def test_unlabeled_fraction():
 
 
 def test_split_determinism():
-    labels = _labels_from_counts(REFERENCE_COUNTS)
+    labels = labels_from_counts(REFERENCE_COUNTS)
     a = make_splits(labels, seed=5, unlabeled_fraction=0.3)
     b = make_splits(labels, seed=5, unlabeled_fraction=0.3)
     assert a.train_labeled == b.train_labeled
@@ -131,7 +129,7 @@ def test_split_determinism():
 
 
 def test_no_leakage():
-    manifest = make_splits(_labels_from_counts(REFERENCE_COUNTS), seed=2,
+    manifest = make_splits(labels_from_counts(REFERENCE_COUNTS), seed=2,
                            unlabeled_fraction=0.4)
     lab, unlab, test = map(set, (manifest.train_labeled, manifest.train_unlabeled,
                                  manifest.test))

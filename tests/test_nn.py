@@ -14,54 +14,55 @@ SMALL = nn.CnnSpec(input_shape=(8, 16), channels=(2, 3))
 
 
 def test_conv2d_full_overlap_sums_input():
-    x = np.arange(4, dtype=float).reshape(2, 2, 1)
+    x = np.arange(4, dtype=float).reshape(1, 2, 2, 1)
     out = oracle.conv2d(x, np.ones((2, 2, 1, 1)), np.zeros(1))
-    assert out.shape == (1, 1, 1)
-    assert out[0, 0, 0] == 6.0
+    assert out.shape == (1, 1, 1, 1)
+    assert out[0, 0, 0, 0] == 6.0
 
 
 def test_conv2d_identity_kernel_crops(rng):
-    x = rng.normal(size=(5, 7, 1))
+    x = rng.normal(size=(1, 5, 7, 1))
     k = np.zeros((2, 2, 1, 1))
     k[0, 0, 0, 0] = 1.0
     out = oracle.conv2d(x, k, np.zeros(1))
-    assert np.allclose(out[:, :, 0], x[:4, :6, 0])
+    assert np.allclose(out[0, :, :, 0], x[0, :4, :6, 0])
 
 
 def test_conv2d_matches_loop_oracle(rng):
     x = rng.normal(size=(4, 4, 3))
     k = rng.normal(size=(2, 2, 3, 5))
     b = rng.normal(size=5)
-    assert np.allclose(oracle.conv2d(x, k, b), oracle.conv2d_loop(x, k, b), rtol=1e-12, atol=1e-12)
+    assert np.allclose(oracle.conv2d(x[None], k, b)[0], oracle.conv2d_loop(x, k, b),
+                       rtol=1e-12, atol=1e-12)
 
 
 def test_conv2d_shape_errors(rng):
     with pytest.raises(ShapeMismatch):
-        oracle.conv2d(rng.normal(size=(4, 4, 2)), rng.normal(size=(2, 2, 3, 5)), np.zeros(5))
+        oracle.conv2d(rng.normal(size=(1, 4, 4, 2)), rng.normal(size=(2, 2, 3, 5)), np.zeros(5))
     with pytest.raises(ShapeMismatch):
-        oracle.conv2d(rng.normal(size=(1, 4, 3)), rng.normal(size=(2, 2, 3, 5)), np.zeros(5))
+        oracle.conv2d(rng.normal(size=(1, 1, 4, 3)), rng.normal(size=(2, 2, 3, 5)), np.zeros(5))
 
 
 def test_maxpool_basics():
-    x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1)
+    x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1)
     out, idx = oracle.maxpool2d(x)
-    assert out[0, 0, 0] == 4.0
-    assert idx[0, 0, 0] == 3
+    assert out[0, 0, 0, 0] == 4.0
+    assert idx[0, 0, 0, 0] == 3
 
 
 def test_maxpool_drops_odd_trailing(rng):
-    x = rng.normal(size=(5, 7, 2))
+    x = rng.normal(size=(1, 5, 7, 2))
     out, _ = oracle.maxpool2d(x)
-    assert out.shape == (2, 3, 2)
+    assert out.shape == (1, 2, 3, 2)
 
 
 def test_maxpool_tie_routes_first_occurrence():
-    x = np.full((2, 2, 1), 5.0)
+    x = np.full((1, 2, 2, 1), 5.0)
     out, idx = oracle.maxpool2d(x)
-    assert idx[0, 0, 0] == 0
-    dy = np.array([[[2.0]]])
-    dx = nn.maxpool2d_backward(dy, idx, (2, 2, 1))
-    assert dx[0, 0, 0] == 2.0
+    assert idx[0, 0, 0, 0] == 0
+    dy = np.array([[[[2.0]]]])
+    dx = nn.maxpool2d_backward(dy, idx, x.shape)
+    assert dx[0, 0, 0, 0] == 2.0
     assert dx.sum() == 2.0
 
 
@@ -178,7 +179,7 @@ def test_blocked_stage_is_bit_identical(monkeypatch, rng, batch):
         dx, dk, db = nn._conv_backward(dy * (pooled > 0), cols, k, x.shape, True, idx)
         monkeypatch.setattr(nn, "_BLOCK_BYTES", rows * drop_row)
         assert len(nn._blocks(batch, drop_row)[0]) == -(-batch // rows)
-        dropped = nn.dropout(pooled.copy(), 0.3, substream(1, "dropout"), training=True)
+        dropped = nn.dropout(pooled.copy(), 0.3, substream(1, "dropout"))
         return pooled, idx, cols, inferred[0], dropped, dx, dk, db
 
     want = run(batch)
@@ -294,8 +295,8 @@ def test_row_scored_alone_equals_row_in_batch(rng):
 
 
 def test_global_avg_pool_constant():
-    x = np.full((3, 5, 4), 2.5)
-    assert np.allclose(nn.global_avg_pool(x), 2.5)
+    x = np.full((2, 3, 5, 4), 2.5)
+    assert np.array_equal(nn.global_avg_pool(x), np.full((2, 4), 2.5))
 
 
 def test_softmax_uniform():
@@ -311,21 +312,14 @@ def test_softmax_stability():
 def test_dropout_rate_zero_identity(rng):
     x = rng.normal(size=(4, 4)).astype(np.float32)
     before = x.copy()
-    out = nn.dropout(x, 0.0, substream(0, "dropout"), training=True)
+    out = nn.dropout(x, 0.0, substream(0, "dropout"))
     assert out is x
     assert np.array_equal(x, before)
 
 
-def test_dropout_inference_identity(rng):
-    x = rng.normal(size=(4, 4))
-    before = x.copy()
-    out = nn.dropout(x, 0.5, None, training=False)
-    assert out is x and np.array_equal(x, before)
-
-
 def test_dropout_zero_fraction():
     x = np.ones(100000, dtype=np.float32)
-    out = nn.dropout(x, 0.2, substream(9, "dropout"), training=True)
+    out = nn.dropout(x, 0.2, substream(9, "dropout"))
     assert out is x  # in place
     frac = float((out == 0).mean())
     assert 0.19 <= frac <= 0.21
@@ -344,7 +338,7 @@ def test_backward_mask_order_is_bit_identical(rng):
     mask = (substream(2, "dropout").random(pool.shape) >= 0.2).astype(np.float32)
     mask /= 0.8
     want = (da * mask) * (pool > 0)
-    after = nn.dropout(pool.copy(), 0.2, substream(2, "dropout"), training=True)
+    after = nn.dropout(pool.copy(), 0.2, substream(2, "dropout"))
     assert after.tobytes() == (pool * mask).tobytes()
     got = (da * (after > 0)) * (np.float32(1) / np.float32(0.8))
     assert got.tobytes() == want.tobytes()  # signed zeros included
@@ -443,16 +437,15 @@ def test_workspace_grows_past_capacity(monkeypatch):
 
 def test_forward_zero_params_uniform():
     params = nn.init_params(substream(0, "init")).zeros_like()
-    probs, _ = oracle.forward(params, np.zeros((40, 862)))
+    probs, _ = nn.forward_batch(params, np.zeros((1, 40, 862)))
     assert np.allclose(probs, 1 / 6)
 
 
 def test_forward_probability_contract(rng):
     params = nn.init_params(substream(1, "init"))
-    for _ in range(3):
-        probs, _ = oracle.forward(params, rng.normal(size=(40, 862)).astype(np.float32))
-        assert (probs >= 0).all()
-        assert abs(probs.sum() - 1.0) < 1e-9
+    probs, _ = nn.forward_batch(params, rng.normal(size=(3, 40, 862)).astype(np.float32))
+    assert (probs >= 0).all()
+    assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
 
 
 def test_forward_shape_chain(rng):
@@ -460,7 +453,7 @@ def test_forward_shape_chain(rng):
     params = nn.init_params(substream(2, "init"), spec)
     _, trace = nn.forward_batch(params, rng.normal(size=(1, 40, 862)).astype(np.float32),
                                 training=False, keep_trace=True)
-    shapes = spec.layer_shapes()
+    shapes = oracle.layer_shapes(spec)
     pool_shapes = shapes[2::2][:4]
     assert [t.shape[1:] for t in trace.pool_out] == pool_shapes
     assert trace.dense_in.shape == (1, 128)
@@ -469,8 +462,8 @@ def test_forward_shape_chain(rng):
 
 def test_parameter_count():
     spec = nn.CnnSpec()
-    assert spec.param_count() == 44086
-    assert nn.init_params(substream(0, "init"), spec).count() == 44086
+    assert oracle.param_count(spec) == 44086
+    assert sum(a.size for a in nn.init_params(substream(0, "init"), spec).arrays()) == 44086
 
 
 def test_loss_values():
@@ -496,6 +489,15 @@ def test_stale_trace_detected(rng):
         nn.loss_and_backward(params, trace2, target)
 
 
+def test_targets_must_match_probs_shape(rng):
+    params = nn.init_params(substream(4, "init"), SMALL)
+    x = rng.normal(size=(1, 8, 16)).astype(np.float32)
+    _, trace = nn.forward_batch(params, x, keep_trace=True)
+    for target in (np.full(6, 1 / 6), np.full((2, 6), 1 / 6)):  # a lone row is not promoted
+        with pytest.raises(ShapeMismatch):
+            nn.loss_and_backward(params, trace, target)
+
+
 def test_trace_reused_by_later_forward_is_stale(rng):
     params = nn.init_params(substream(4, "init"), SMALL)
     ws = nn.Workspace(2)
@@ -514,7 +516,7 @@ def test_trace_reused_by_later_forward_is_stale(rng):
 
 def test_gradient_check_cross_entropy():
     max_rel, n = oracle.gradient_check(SMALL, seed=0, batch=1)
-    assert n == SMALL.param_count()
+    assert n == oracle.param_count(SMALL)
     assert max_rel < 1e-4
 
 
@@ -532,7 +534,7 @@ def test_adam_zero_gradient_is_identity():
 
 
 def test_adam_first_step_magnitude():
-    params = nn.init_params(substream(5, "init"), SMALL).astype(np.float64)
+    params = nn.init_params(substream(5, "init"), SMALL, dtype=np.float64)
     grads = params.zeros_like()
     for g in grads.arrays():
         g[:] = 3.7  # arbitrary constant gradient
@@ -544,7 +546,7 @@ def test_adam_first_step_magnitude():
 
 def test_adam_converges_on_quadratic():
     # every coordinate runs the same scalar recurrence from w0 = 1
-    params = nn.init_params(substream(5, "init"), SMALL).astype(np.float64)
+    params = nn.init_params(substream(5, "init"), SMALL, dtype=np.float64)
     for a in params.arrays():
         a[:] = 1.0
     state = nn.AdamState.for_params(params)

@@ -25,6 +25,23 @@ def random_soft_labels(rng, n):
     return p / p.sum(axis=1, keepdims=True)
 
 
+def batches(rng, n_lab, n_unlab):
+    """A labeled batch with one-hot targets and an unlabeled batch of TINY inputs."""
+    xs = rng.normal(size=(n_lab, 8, 16)).astype(np.float32)
+    ys = np.eye(6, dtype=np.float32)[rng.integers(0, 6, n_lab)]
+    return xs, ys, rng.normal(size=(n_unlab, 8, 16)).astype(np.float32)
+
+
+def assert_step_is_supervised(terms_of, xs, ys, dropout):
+    """A step on the terms `terms_of(params)` builds moves the parameters
+    exactly as a plain cross-entropy step on (xs, ys) does."""
+    p1, p2 = tiny_params(dtype=np.float32), tiny_params(dtype=np.float32)
+    nn.weighted_gradient_step(p1, nn.AdamState.for_params(p1), terms_of(p1), substream(*dropout))
+    nn.weighted_gradient_step(p2, nn.AdamState.for_params(p2),
+                              [(1.0, xs, ys, "cross_entropy")], substream(*dropout))
+    assert all(np.array_equal(a, b) for a, b in zip(p1.arrays(), p2.arrays()))
+
+
 # -- augmentation ----------------------------------------------------------
 
 def test_augment_degenerate_is_identity(rng):
@@ -94,9 +111,8 @@ def test_guess_label_degenerates_to_forward(rng):
     params = tiny_params()
     u = rng.normal(size=(3, 8, 16)).astype(np.float32)
     guess = ssl.guess_labels(params, u, k=1, temperature=1.0)
-    for i in range(3):
-        direct, _ = oracle.forward(params, u[i])
-        assert np.allclose(guess[i], direct, atol=1e-12)
+    direct, _ = nn.forward_batch(params, u)
+    assert np.allclose(guess, direct, atol=1e-12)
 
 
 def test_guess_label_is_soft_label_and_sharper(rng):
@@ -142,9 +158,7 @@ def test_mixmatch_counts_and_targets(rng):
     params = tiny_params(dtype=np.float32)
     cfg = ssl.SslConfig()
     bl, bu = 5, 5
-    xs = rng.normal(size=(bl, 8, 16)).astype(np.float32)
-    ys = np.eye(6, dtype=np.float32)[rng.integers(0, 6, bl)]
-    us = rng.normal(size=(bu, 8, 16)).astype(np.float32)
+    xs, ys, us = batches(rng, bl, bu)
     (x_in, x_tgt), (u_in, u_tgt) = ssl.mixmatch(xs, ys, us, params, cfg,
                                                 substream(0, "augment"), substream(0, "mixup"))
     assert x_in.shape == (bl, 8, 16) and x_tgt.shape == (bl, 6)
@@ -156,7 +170,7 @@ def test_mixmatch_counts_and_targets(rng):
 
 def test_mixmatch_degenerates_to_labeled_batch(rng):
     params = tiny_params(dtype=np.float32)
-    cfg = ssl.SslConfig().neutralized()
+    cfg = oracle.neutralized()
     xs = rng.normal(size=(4, 8, 16)).astype(np.float32)
     ys = np.eye(6, dtype=np.float32)[[0, 2, 4, 5]]
     us = rng.normal(size=(4, 8, 16)).astype(np.float32)
@@ -188,27 +202,15 @@ def test_mixmatch_loss_components(rng):
 # -- co-refinement -----------------------------------------------------------
 
 def test_co_refinement_zero_weight_is_supervised(rng):
-    xs = rng.normal(size=(6, 8, 16)).astype(np.float32)
-    ys = np.eye(6, dtype=np.float32)[rng.integers(0, 6, 6)]
-    us = rng.normal(size=(6, 8, 16)).astype(np.float32)
-
-    p1 = tiny_params(dtype=np.float32)
-    nn.weighted_gradient_step(p1, nn.AdamState.for_params(p1),
-                              ssl.co_refinement_step(p1, xs, ys, us, 0.0),
-                              substream(0, "dropout", 0, 1, 0))
-
-    p2 = tiny_params(dtype=np.float32)
-    nn.weighted_gradient_step(p2, nn.AdamState.for_params(p2),
-                              [(1.0, xs, ys, "cross_entropy")], substream(0, "dropout", 0, 1, 0))
-    assert all(np.array_equal(a, b) for a, b in zip(p1.arrays(), p2.arrays()))
+    xs, ys, us = batches(rng, 6, 6)
+    assert_step_is_supervised(lambda p: ssl.co_refinement_step(p, xs, ys, us, 0.0), xs, ys,
+                              (0, "dropout", 0, 1, 0))
 
 
 def test_co_refinement_losses_finite(rng):
     params = tiny_params(dtype=np.float32)
     state = nn.AdamState.for_params(params)
-    xs = rng.normal(size=(6, 8, 16)).astype(np.float32)
-    ys = np.eye(6, dtype=np.float32)[rng.integers(0, 6, 6)]
-    us = rng.normal(size=(6, 8, 16)).astype(np.float32)
+    xs, ys, us = batches(rng, 6, 6)
     terms = ssl.co_refinement_step(params, xs, ys, us, 0.5)
     lab, unlab = nn.weighted_gradient_step(params, state, terms, substream(1, "dropout", 0, 1, 0))
     assert np.isfinite(lab) and np.isfinite(unlab)
@@ -223,32 +225,14 @@ def test_self_distillation_gradient_matches_finite_difference(rng):
     eps = 1e-5
     for _ in range(64):  # a probe point with every stage live and clear of kinks
         xs = rng.normal(0.0, 0.5, size=(2, 8, 16))
-        _, trace = nn.forward_batch(params, xs, training=False, keep_trace=True)
-        if all((a > 0).any() for a in trace.pool_out) and oracle.kink_margin(params, xs) > 8 * eps:
+        if oracle.clear_probe(params, xs, eps):
             break
     else:
         pytest.fail("no live, kink-free probe point")
     targets, _ = nn.forward_batch(tiny_params(seed=4), xs, training=False, keep_trace=False)
-
-    def loss_at():
-        probs, trace = nn.forward_batch(params, xs, training=False, keep_trace=True)
-        return oracle.loss_value(probs, targets, "cross_entropy"), trace
-
-    _, trace = loss_at()
-    _, grads = nn.loss_and_backward(params, trace, targets, "cross_entropy")
+    max_rel, _, grads = oracle.finite_difference_error(params, xs, targets, "cross_entropy",
+                                                       eps, floor=1e-4)
     assert all(float(np.abs(g).max()) > 0.1 for g in grads.conv_kernels)  # every stage learns
-    max_rel = 0.0
-    for p_arr, g_arr in zip(params.arrays(), grads.arrays()):
-        fp, fg = p_arr.reshape(-1), g_arr.reshape(-1)
-        for j in range(fp.size):
-            o = fp[j]
-            fp[j] = o + eps
-            up = loss_at()[0]
-            fp[j] = o - eps
-            down = loss_at()[0]
-            fp[j] = o
-            fd = (up - down) / (2 * eps)
-            max_rel = max(max_rel, abs(fg[j] - fd) / max(abs(fg[j]), abs(fd), 1e-4))
     assert max_rel < 1e-4
 
 
@@ -270,28 +254,17 @@ def test_refurbish_targets_are_soft_labels(rng):
 
 
 def test_co_refurbishing_neutral_is_supervised(rng):
-    xs = rng.normal(size=(6, 8, 16)).astype(np.float32)
-    ys = np.eye(6, dtype=np.float32)[rng.integers(0, 6, 6)]
-    us = rng.normal(size=(6, 8, 16)).astype(np.float32)
-
-    p1 = tiny_params(dtype=np.float32)
-    terms = ssl.co_refurbishing_step(p1, xs, ys, us, weight=1.0, fraction=1.0,
-                                     rng=substream(0, "refurbish", 0, 0))
-    nn.weighted_gradient_step(p1, nn.AdamState.for_params(p1), terms,
-                              substream(0, "dropout", 0, 2, 0))
-
-    p2 = tiny_params(dtype=np.float32)
-    nn.weighted_gradient_step(p2, nn.AdamState.for_params(p2),
-                              [(1.0, xs, ys, "cross_entropy")], substream(0, "dropout", 0, 2, 0))
-    assert all(np.array_equal(a, b) for a, b in zip(p1.arrays(), p2.arrays()))
+    xs, ys, us = batches(rng, 6, 6)
+    assert_step_is_supervised(
+        lambda p: ssl.co_refurbishing_step(p, xs, ys, us, weight=1.0, fraction=1.0,
+                                           rng=substream(0, "refurbish", 0, 0)),
+        xs, ys, (0, "dropout", 0, 2, 0))
 
 
 def test_co_refurbishing_blends_subset(rng):
     params = tiny_params(dtype=np.float32)
     state = nn.AdamState.for_params(params)
-    xs = rng.normal(size=(8, 8, 16)).astype(np.float32)
-    ys = np.eye(6, dtype=np.float32)[rng.integers(0, 6, 8)]
-    us = rng.normal(size=(4, 8, 16)).astype(np.float32)
+    xs, ys, us = batches(rng, 8, 4)
     terms = ssl.co_refurbishing_step(params, xs, ys, us, weight=0.7, fraction=0.3,
                                      rng=substream(4, "refurbish", 0, 0))
     lab, unlab = nn.weighted_gradient_step(params, state, terms,
@@ -304,6 +277,6 @@ def test_ssl_config_validation():
         ssl.SslConfig(temperature=0.0)
     with pytest.raises(ValueError):
         ssl.SslConfig(refurbish_weight=1.5)
-    neutral = ssl.SslConfig().neutralized()
+    neutral = oracle.neutralized()
     assert neutral.unlabeled_loss_weight == 0.0
     assert neutral.fixed_lambda == 1.0

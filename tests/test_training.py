@@ -4,28 +4,33 @@ import logging
 import numpy as np
 import pytest
 
-from lungsound import dataset, nn, ssl, training
+from lungsound import dataset, nn, training
 from lungsound.dataset import FeatureCache, SplitManifest
 from lungsound.errors import NonFiniteLoss
 from lungsound.rng import substream
 from lungsound.training import (TrainConfig, run_mixmatch_epoch, run_supervised_epoch,
                                 train_baseline, train_semi)
 
+import nn_oracle as oracle
+
 
 def neutral_config(epochs, **kw):
     """All SSL knobs set so a semi schedule degenerates to supervision."""
-    return TrainConfig(epochs=epochs, mode="semi", ssl=ssl.SslConfig().neutralized(), **kw)
+    return TrainConfig(epochs=epochs, mode="semi", ssl=oracle.neutralized(), **kw)
 
 
 def params_equal(a, b):
     return all(np.array_equal(x, y) for x, y in zip(a.arrays(), b.arrays()))
 
 
-def memorization_cache(rng, n=10):
+def memorization_cache(rng, n=10, unlabeled_fraction=0.0):
+    """A cache of n random recordings, classes in turn, and a seed-0 split of it."""
     mats = rng.normal(0.0, 1.0, size=(n, 40, 862)).astype(np.float32)
     classes = np.arange(n) % 6
-    return FeatureCache(ids=np.arange(n), classes=classes.astype(np.int64),
-                        matrices=mats, config_hash=b"\x00" * 32)
+    cache = FeatureCache(ids=np.arange(n), classes=classes.astype(np.int64),
+                         matrices=mats, config_hash=b"\x00" * 32)
+    return cache, dataset.make_splits({i: i % 6 for i in range(n)}, seed=0,
+                                      unlabeled_fraction=unlabeled_fraction)
 
 
 def test_overfit_memorization_set(small_corpus):
@@ -76,6 +81,16 @@ def test_ablation_schedules(small_corpus, small_split):
     assert m_both.schedule[0]["passes"] == ["mixmatch"]
     with pytest.raises(ValueError):
         train_semi(cfg, small_corpus["cache"], small_split, drop="everything")
+
+
+def test_entry_point_refuses_the_other_mode(tmp_path, rng):
+    # a manifest must not record one mode and a config naming the other
+    cache, split = memorization_cache(rng)
+    for train, mode in ((train_baseline, "semi"), (train_semi, "baseline")):
+        cfg = TrainConfig(epochs=1, refit_epochs=1, mode=mode, validation_fraction=0.0)
+        with pytest.raises(ValueError, match=f"got '{mode}'"):
+            train(cfg, cache, split, out_dir=tmp_path)
+    assert not any(tmp_path.iterdir())
 
 
 def test_degenerate_epoch_equals_supervised(small_corpus, small_split):
@@ -145,9 +160,7 @@ def test_ramp_weight():
 
 
 def test_every_epoch_logs_one_line(caplog, rng):
-    cache = memorization_cache(rng, n=18)
-    labels = {int(i): int(c) for i, c in zip(cache.ids, cache.classes)}
-    split = dataset.make_splits(labels, seed=0, unlabeled_fraction=0.5)
+    cache, split = memorization_cache(rng, n=18, unlabeled_fraction=0.5)
     semi = TrainConfig(epochs=2, refit_epochs=2, batch_size=8, mode="semi", seed=0,
                        validation_fraction=0.0)
     base = TrainConfig(epochs=2, batch_size=8, seed=0, validation_fraction=0.0)
@@ -165,10 +178,8 @@ def test_every_epoch_logs_one_line(caplog, rng):
 
 
 def test_non_finite_loss_aborts_with_manifest(tmp_path, rng):
-    cache = memorization_cache(rng)
+    cache, split = memorization_cache(rng)
     cache.matrices[3, 5, 5] = np.nan
-    labels = {int(i): int(c) for i, c in zip(cache.ids, cache.classes)}
-    split = dataset.make_splits(labels, seed=0, unlabeled_fraction=0.0)
     cfg = TrainConfig(epochs=2, batch_size=4, seed=0, validation_fraction=0.0)
     with pytest.raises(NonFiniteLoss) as exc_info:
         train_baseline(cfg, cache, split, out_dir=tmp_path)
