@@ -164,7 +164,7 @@ def _cmd_evaluate(args) -> int:
         raise ConfigHashMismatch(
             f"{args.checkpoint} was trained against a different feature config")
     try:
-        norm = training.FeatureNormalizer.from_meta(meta) if "norm_mean" in meta else None
+        norm = training.FeatureNormalizer.from_meta(meta)
     except DataError as exc:
         raise DataError(f"{args.checkpoint}: {exc}") from None
     y_true, y_pred = training.evaluate_split(params, cache, split, norm=norm)

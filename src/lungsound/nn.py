@@ -40,34 +40,37 @@ changes no result bit:
 - successive rng.random draws along axis 0 continue one stream, so the
   blocked dropout mask equals the mask of one full-shape draw.
 
-The blocks of a stage forward, and the mask and dx blocks of its backward,
-run on a thread pool with one worker per usable CPU (usable_cpus: the
-process's CPU affinity set). The caller's thread is worker 0; each worker
-takes the next unclaimed block and writes only that block's slices of the
-outputs and its own slice of the scratch (and, in inference, of the patch
-buffer). A call with one block, or a process with one usable CPU, runs
-inline, and the pool is built by the first call that needs it. No result
-bit depends on the worker count: a block's arithmetic is the same on any
-worker, and the work whose order matters stays on the caller's thread (the
-dropout draws, the dkernel GEMM, db, the head, softmax and Adam); db and the
-dkernel GEMM run there while the pool masks and builds dx. Every worker
-calls the BLAS, so BLAS threads times workers can oversubscribe the CPUs:
-pin OPENBLAS_NUM_THREADS=1, as replay needs anyway. Workers call numpy and
-_phase_patches only, never a function the benchmark's tracer wraps by name,
-because its span stack is not thread-safe. A forked child drops the parent's
-pool, whose threads did not come along, and builds its own.
+Every forward and backward runs in a Workspace. A training run
+(training._train) passes one to all its forwards and backwards, and
+training.predict_batch one to all its chunks; forward_batch builds one for
+its batch when given none. It holds one flat buffer per role, sized on first
+use for its `rows` (its largest batch), so later forwards reuse pages
+instead of taking freshly zeroed ones. The roles are each stage's patch
+matrix (inference forwards put each worker's block patches there), pooled
+map and argmax slots; two dx buffers (stage i-1 writes one while it reads
+stage i's); the phase-stacked conv gradient; and two scratch blocks for
+arrays that die with their call, the conv stages' with one slice per
+worker. A forward overwrites the previous trace's buffers, so
+loss_and_backward refuses (StaleTrace) a trace whose workspace has run a
+forward since.
 
-A training run (training._train) passes one Workspace to all its forwards
-and backwards. It holds one flat buffer per role, sized on first use for the
-run's largest batch, so steps reuse pages instead of taking freshly zeroed
-ones; without a workspace the same code allocates fresh arrays. The roles
-are each stage's patch matrix (inference forwards put each worker's block
-patches there), pooled map and argmax slots; two dx buffers (stage i-1
-writes one while it reads stage i's); the phase-stacked conv gradient; and
-two scratch blocks for arrays that die with their call, the conv stages'
-with one slice per worker. A forward overwrites the previous trace's
-buffers, so loss_and_backward refuses (StaleTrace) a trace whose workspace
-has run a forward since.
+The blocks of a stage forward, and the mask and dx blocks of its backward,
+run with one worker per usable CPU (usable_cpus: the process's CPU affinity
+set). The caller's thread is worker 0; each worker takes the next unclaimed
+block and writes only that block's slices of the outputs and its own slice
+of the scratch (and, in inference, of the patch buffer). A call with one
+block, or a process with one usable CPU, runs inline. The first call that
+needs more workers builds the workspace's pool of usable_cpus() - 1 threads,
+whose threads end when the workspace is collected; a forked child builds its
+own, as the parent's threads did not come along. No result bit depends on
+the worker count: a block's arithmetic is the same on any worker, and the
+work whose order matters stays on the caller's thread (the dropout draws,
+the dkernel GEMM, db, the head, softmax and Adam); db and the dkernel GEMM
+run there while the pool masks and builds dx. Every worker calls the BLAS,
+so BLAS threads times workers can oversubscribe the CPUs: pin
+OPENBLAS_NUM_THREADS=1, as replay needs anyway. Workers call numpy and
+_phase_patches only, never a function the benchmark's tracer wraps by name,
+because its span stack is not thread-safe.
 
 Dropout scales the pooled map in place and keeps no mask, so in training
 pool_out > 0 exactly where an entry was kept and is positive (a positive
@@ -195,38 +198,12 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-_pool = None  # (threads, ThreadPoolExecutor), built by the first parallel call
-_pool_lock = threading.Lock()
-
-
-def _executor(threads: int) -> ThreadPoolExecutor:
-    """The block pool, with room for at least `threads` threads."""
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] < threads:
-            if _pool is not None:
-                _pool[1].shutdown(wait=False)
-            _pool = (threads, ThreadPoolExecutor(threads, thread_name_prefix="lungsound-nn"))
-        return _pool[1]
-
-
-def _drop_pool() -> None:
-    """In a forked child: forget the parent's pool, whose threads did not
-    come along; the child builds its own when it needs one."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
-def _run_blocks(blocks, workers: int, work, first=None):
+def _run_blocks(ws, blocks, workers: int, work, first=None):
     """Call work(w, s) once for every block slice s, where w < workers names
     the worker that runs it and so its scratch slice; returns first().
 
     Each worker takes the next unclaimed block until none is left. The
-    caller's thread is worker 0 and the pool runs the rest; the caller calls
+    caller's thread is worker 0 and ws's pool runs the rest; the caller calls
     `first` (when given) before it takes a block, so that work overlaps the
     pool's. One worker runs inline and never touches the pool. Returns once
     every block is done.
@@ -243,8 +220,10 @@ def _run_blocks(blocks, workers: int, work, first=None):
 
     futures = []
     if workers > 1:
-        pool = _executor(workers - 1)
-        futures = [pool.submit(drain, w) for w in range(1, workers)]
+        if ws.pool is None or ws.pool_pid != os.getpid():  # unbuilt, or a forked copy
+            ws.pool = ThreadPoolExecutor(usable_cpus() - 1, thread_name_prefix="lungsound-nn")
+            ws.pool_pid = os.getpid()
+        futures = [ws.pool.submit(drain, w) for w in range(1, workers)]
     try:
         result = first() if first is not None else None
         drain(0)
@@ -257,24 +236,26 @@ def _run_blocks(blocks, workers: int, work, first=None):
 
 @dataclass(eq=False)
 class Workspace:
-    """Step buffers for one training run: `rows` is its largest batch, `buffers`
-    maps a role to its flat buffer (see _empty), `forwards` counts forwards."""
+    """The execution context of forwards and backwards: `rows` is the largest
+    batch it is sized for, `buffers` maps a role to its flat buffer (see
+    _empty), `forwards` counts forwards, and `pool` is the block pool (see
+    _run_blocks), built in process `pool_pid`."""
 
     rows: int
     forwards: int = 0
     buffers: dict = field(default_factory=dict)
+    pool: ThreadPoolExecutor | None = field(default=None, init=False, repr=False)
+    pool_pid: int = field(default=0, init=False, repr=False)
 
 
 def _empty(ws, role, shape, dtype, n, row_bytes=None, per_worker=False):
-    """np.empty(shape, dtype), or with a workspace a view of role's buffer.
+    """A view of shape and dtype on role's buffer in the workspace ws.
 
     shape spans n examples: a whole batch, or one block of examples of
     row_bytes each, or (per_worker) one such block for each worker. A buffer
     is sized for as many examples as that request spans at ws.rows, or for n
     when more; an old one is freed first.
     """
-    if ws is None:
-        return np.empty(shape, dtype)
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
     if role not in ws.buffers or ws.buffers[role].size < nbytes:
         ws.buffers.pop(role, None)
@@ -312,16 +293,15 @@ def _phase_patches(x: np.ndarray, out: np.ndarray) -> None:
         out[...] = win
 
 
-def _conv_forward(x, kernel, bias, keep_trace, ws=None, stage=0):
+def _conv_forward(x, kernel, bias, keep_trace, ws, stage=0):
     """Fused valid 2x2 conv -> ReLU -> 2x2/stride-2 max pool of a (B, H, W, C) batch.
 
     The conv is evaluated at the four pool phases, and pooling is the
     elementwise max of the four phase maps. Bias and ReLU are applied once, on
     the pooled map; rounding is monotone, so max(fl(a+b), fl(c+b)) ==
     fl(max(a, c) + b) and the result equals conv+bias -> ReLU -> pool exactly.
-    The batch runs in blocks of examples on the block pool, and the arrays
-    come from `ws` when given, under this stage's roles (see the module
-    docstring).
+    The batch runs in blocks of examples on ws's block pool, and the arrays
+    come from ws under this stage's roles (see the module docstring).
     Returns (pooled, idx, cols). idx is the within-window argmax slot (row-major,
     first occurrence on ties, taken before the bias is added) and cols the
     (4 * B * Hp * Wp, 4C) phase patch matrix, phase-major; both are None
@@ -371,13 +351,13 @@ def _conv_forward(x, kernel, bias, keep_trace, ws=None, stage=0):
             lower = (bottom > top).view(np.int8)
             idx[s] = left + lower * (right + 2 - left)
 
-    _run_blocks(blocks, workers, block)
+    _run_blocks(ws, blocks, workers, block)
     if not keep_trace:
         return out, None, None
     return out, idx, cols.reshape(4 * b * hp * wp, 4 * c_in)
 
 
-def _conv_backward(dy, cols, kernel, x_shape, need_dx, idx, ws=None, stage=0):
+def _conv_backward(dy, cols, kernel, x_shape, need_dx, idx, ws, stage=0):
     """Backward of the fused stage; returns (dx, dkernel, dbias).
 
     dy is the gradient at the pooled map with the ReLU mask already applied;
@@ -386,8 +366,8 @@ def _conv_backward(dy, cols, kernel, x_shape, need_dx, idx, ws=None, stage=0):
     dy * (idx == phase). dkernel is one GEMM over all phases and examples.
     dx is built block by block: the 2x2 taps of one phase cover disjoint
     pixels, so each phase adds one product per kernel row ki, in phase order.
-    The mask and dx blocks run on the block pool, db and dkernel on the
-    caller's thread. The arrays come from `ws` when given.
+    The mask and dx blocks run on ws's block pool, db and dkernel on the
+    caller's thread. The arrays come from ws.
     """
     b, _, _, c_in = x_shape
     c_out = kernel.shape[3]
@@ -423,10 +403,10 @@ def _conv_backward(dy, cols, kernel, x_shape, need_dx, idx, ws=None, stage=0):
 
     # the caller sums db while the pool masks, and runs the dkernel GEMM,
     # which reads every mask, while the pool builds dx
-    db = _run_blocks(blocks, workers, masks, lambda: dy.reshape(-1, c_out).sum(axis=0))
+    db = _run_blocks(ws, blocks, workers, masks, lambda: dy.reshape(-1, c_out).sum(axis=0))
     if not need_dx:
         return None, kernel_grad(), db
-    dk = _run_blocks(blocks, workers, dx_block, kernel_grad)
+    dk = _run_blocks(ws, blocks, workers, dx_block, kernel_grad)
     return dx, dk, db
 
 
@@ -485,12 +465,12 @@ def _keep_scale(dtype, rate: float):
     return dtype.type(1) / dtype.type(1.0 - rate)
 
 
-def dropout(x: np.ndarray, rate: float, rng: np.random.Generator, ws=None) -> np.ndarray:
+def dropout(x: np.ndarray, rate: float, rng: np.random.Generator, ws: Workspace) -> np.ndarray:
     """Inverted dropout in place: zero each entry of x with probability `rate`,
     scale survivors by 1/(1-rate); returns x.
 
     Rate 0 leaves x untouched. The draws run block by block (their scratch
-    from `ws` when given); successive draws along axis 0 continue one stream,
+    from ws); successive draws along axis 0 continue one stream,
     so x ends as x * ((one full-shape draw >= rate) / (1 - rate)), rounded
     once.
     """
@@ -522,6 +502,8 @@ class ForwardTrace:
     training: bool
     dropout_rate: float
     x: np.ndarray                       # (B, H, W, 1)
+    workspace: Workspace                # the stage arrays below are views of its buffers
+    stamp: int                          # workspace.forwards once this forward began
     conv_cols: list = field(default_factory=list)
     pool_out: list = field(default_factory=list)     # pooled maps, after dropout in training
     pool_idx: list = field(default_factory=list)
@@ -529,8 +511,6 @@ class ForwardTrace:
     dense_in: np.ndarray = None         # (B, C_last)
     logits: np.ndarray = None
     probs: np.ndarray = None
-    workspace: Workspace = None         # the stage arrays above are views of its buffers
-    stamp: int = 0                      # workspace.forwards once this forward began
 
 
 def forward_batch(params: ModelParams, xs: np.ndarray, training: bool = False,
@@ -539,19 +519,20 @@ def forward_batch(params: ModelParams, xs: np.ndarray, training: bool = False,
     """Forward pass over a (B, H, W) batch; returns (probs, trace).
 
     When training, `rng` supplies the dropout draws. Set keep_trace=False for
-    pure inference to skip caching the backward-pass intermediates. With `ws`
-    the stage arrays, and so the trace, live in the workspace's buffers.
+    pure inference to skip caching the backward-pass intermediates. The stage
+    arrays, and so the trace, live in the buffers of `ws`, or of a workspace
+    built for this batch when none is given.
     """
     if training and dropout_rate > 0 and rng is None:
         raise ValueError("training forward with dropout needs an rng")
     if keep_trace is None:
         keep_trace = training
     a = np.ascontiguousarray(xs, dtype=params.dtype)[..., None]
+    if ws is None:
+        ws = Workspace(len(a))
+    ws.forwards += 1
     trace = ForwardTrace(params=params, training=training, dropout_rate=dropout_rate, x=a,
-                         workspace=ws)
-    if ws is not None:
-        ws.forwards += 1
-        trace.stamp = ws.forwards
+                         workspace=ws, stamp=ws.forwards)
     for k, (kernel, bias) in enumerate(zip(params.conv_kernels, params.conv_biases)):
         a, idx, cols = _conv_forward(a, kernel, bias, keep_trace, ws, k)
         if training:
@@ -628,7 +609,7 @@ def loss_and_backward(params: ModelParams, trace: ForwardTrace, target: np.ndarr
         raise StaleTrace("trace was produced by a different parameter set")
     if trace.probs is None:
         raise StaleTrace("trace was not kept (forward ran with keep_trace=False)")
-    if trace.workspace is not None and trace.stamp != trace.workspace.forwards:
+    if trace.stamp != trace.workspace.forwards:
         raise StaleTrace("a later forward reused this trace's workspace buffers")
     targets = np.asarray(target, dtype=trace.probs.dtype)
     if targets.shape != trace.probs.shape:
@@ -680,8 +661,8 @@ def weighted_gradient_step(params: ModelParams, opt_state: AdamState, terms,
     terms are skipped outright so they cost nothing and leave the arithmetic
     of the remaining terms untouched. The terms' training forwards draw their
     dropout masks from `rng` in term order, and their forwards and backwards
-    run through `ws` when given. Returns one loss per term (0.0 for skipped
-    ones).
+    run in `ws`, or each in its own workspace when none is given. Returns
+    one loss per term (0.0 for skipped ones).
     """
     total_grads = None
     losses = []
@@ -691,7 +672,7 @@ def weighted_gradient_step(params: ModelParams, opt_state: AdamState, terms,
             continue
         _, trace = forward_batch(params, xs, training=True, rng=rng, ws=ws)
         loss, grads = loss_and_backward(params, trace, targets, loss_kind)
-        del trace  # outside a workspace, free its activations before the next forward
+        del trace  # a per-forward workspace goes with it, before the next forward
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"{loss_kind} loss is {loss}")
         losses.append(loss)
@@ -769,6 +750,8 @@ def load_checkpoint(path):
             tensors[name] = np.frombuffer(data[pos:pos + n_bytes], dtype="<f4").reshape(dims)
             pos += n_bytes
         metadata = json.loads(data[pos:].decode()) if pos < len(data) else {}
+        if not isinstance(metadata, dict):
+            raise MalformedHeader(f"{path}: checkpoint metadata is not a JSON object")
 
         n_conv = sum(1 for name in tensors if name.endswith(".kernel"))
         params = ModelParams(

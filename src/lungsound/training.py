@@ -61,8 +61,10 @@ class TrainConfig:
     validation_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("need epochs >= 0 and batch_size >= 1")
+        if self.epochs < 0 or self.refit_epochs < 0 or self.batch_size < 1:
+            raise ValueError("need epochs >= 0, refit_epochs >= 0 and batch_size >= 1")
+        if self.early_stop_patience < 1:
+            raise ValueError("early_stop_patience must be >= 1")
         if not 0.0 <= self.validation_fraction < 0.5:
             raise ValueError("validation_fraction must be in [0, 0.5)")
         if self.mode not in ("baseline", "semi"):
@@ -146,7 +148,10 @@ PREDICT_CHUNK = 32
 def predict_batch(params: nn.ModelParams, xs: np.ndarray,
                   ws: nn.Workspace | None = None) -> np.ndarray:
     """Inference-mode class predictions for a stack of feature matrices, in
-    chunks of PREDICT_CHUNK rows."""
+    chunks of PREDICT_CHUNK rows that all run in `ws`, or in one workspace
+    built for this call."""
+    if ws is None:
+        ws = nn.Workspace(min(len(xs), PREDICT_CHUNK))
     out = []
     for i in range(0, len(xs), PREDICT_CHUNK):
         probs, _ = nn.forward_batch(params, xs[i:i + PREDICT_CHUNK], keep_trace=False, ws=ws)
@@ -405,17 +410,11 @@ def train_semi(cfg: TrainConfig, cache: FeatureCache, split: SplitManifest,
 
 
 def evaluate_split(params: nn.ModelParams, cache: FeatureCache, split: SplitManifest,
-                   norm: FeatureNormalizer | None = None):
-    """(true labels, predicted labels) over the manifest's test recordings.
-
-    `norm` must be the normalizer the model was trained with; when omitted,
-    it is refitted on the training pools of the same split, which reproduces
-    the training-time statistics exactly.
-    """
+                   norm: FeatureNormalizer):
+    """(true labels, predicted labels) over the manifest's test recordings,
+    standardized by `norm`, the normalizer the model was trained with."""
     if not split.test:
         raise NoUsableData("split has no test recordings")
-    if norm is None:
-        _, _, _, _, norm = _prepare(cache, split)
     xs = norm.apply(cache.gather(split.test))
     ys = cache.classes[cache.rows(split.test)]
     return ys, predict_batch(params, xs)

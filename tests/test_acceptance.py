@@ -18,7 +18,7 @@ from lungsound import dataset, evaluation, features, nn, training
 from lungsound.features import MfccConfig, extract_mfcc
 from lungsound.audio_io import AudioClip
 from lungsound.rng import substream
-from lungsound.training import TrainConfig, train_baseline, train_semi
+from lungsound.training import FeatureNormalizer, TrainConfig, train_baseline, train_semi
 
 import nn_oracle as oracle
 from conftest import cached_corpus
@@ -177,14 +177,16 @@ def test_c7_synthetic_end_to_end(tone_corpus):
     for seed in (0, 1, 2):
         bcfg = TrainConfig(epochs=25, batch_size=16, seed=seed, early_stop_patience=5,
                            validation_fraction=0.1)
-        bp, _ = train_baseline(bcfg, cache, split)
-        y, p = training.evaluate_split(bp, cache, split)
+        bp, bman = train_baseline(bcfg, cache, split)
+        y, p = training.evaluate_split(bp, cache, split,
+                                       FeatureNormalizer.from_meta(bman.normalizer))
         base_accs.append(float((y == p).mean()))
 
         scfg = TrainConfig(epochs=3, refit_epochs=20, batch_size=16, mode="semi",
                            seed=seed, early_stop_patience=5, validation_fraction=0.1)
-        sp, _ = train_semi(scfg, cache, split)
-        y, p = training.evaluate_split(sp, cache, split)
+        sp, sman = train_semi(scfg, cache, split)
+        y, p = training.evaluate_split(sp, cache, split,
+                                       FeatureNormalizer.from_meta(sman.normalizer))
         semi_accs.append(float((y == p).mean()))
 
     elapsed = time.monotonic() - t0 + tone_corpus["build_seconds"]
@@ -220,21 +222,23 @@ def test_c8_corpus_scale_reproduction(tmp_path):
     labels = {int(r): int(c) for r, c in zip(cache.ids, cache.classes)}
     split = dataset.make_splits(labels, seed=0, unlabeled_fraction=0.5)
 
-    def accuracy(params):
-        y, p = training.evaluate_split(params, cache, split)
+    def accuracy(run):
+        params, manifest = run
+        y, p = training.evaluate_split(params, cache, split,
+                                       FeatureNormalizer.from_meta(manifest.normalizer))
         return float((y == p).mean())
 
     results = {"baseline": [], "semi": [], "drop_refinement": [], "drop_refurbishing": []}
     for seed in (0, 1, 2):
         bcfg = TrainConfig(epochs=60, batch_size=16, seed=seed, validation_fraction=0.1)
-        results["baseline"].append(accuracy(train_baseline(bcfg, cache, split)[0]))
+        results["baseline"].append(accuracy(train_baseline(bcfg, cache, split)))
         scfg = TrainConfig(epochs=10, refit_epochs=60, batch_size=16, mode="semi",
                            seed=seed, validation_fraction=0.1)
-        results["semi"].append(accuracy(train_semi(scfg, cache, split)[0]))
+        results["semi"].append(accuracy(train_semi(scfg, cache, split)))
         results["drop_refinement"].append(
-            accuracy(train_semi(scfg, cache, split, drop="co_refinement")[0]))
+            accuracy(train_semi(scfg, cache, split, drop="co_refinement")))
         results["drop_refurbishing"].append(
-            accuracy(train_semi(scfg, cache, split, drop="co_refurbishing")[0]))
+            accuracy(train_semi(scfg, cache, split, drop="co_refurbishing")))
 
     means = {k: float(np.mean(v)) for k, v in results.items()}
     targets = {"baseline": 0.891, "semi": 0.929,

@@ -151,6 +151,21 @@ def test_train_non_finite_features_is_numeric_error(capsys, tmp_path, small_corp
     assert not (tmp_path / "run" / "baseline-seed0.lsnn").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--refit-epochs", "-3"), ("--patience", "0"),
+                                         ("--patience", "-1")])
+def test_train_bad_config_is_usage_error(capsys, tmp_path, small_corpus, small_split,
+                                         flag, value):
+    manifest = tmp_path / "split.json"
+    small_split.save(manifest)
+    code, out, err = run_cli(capsys, "train", "--cache", str(small_corpus["cache_path"]),
+                             "--manifest", str(manifest), "--mode", "semi",
+                             "--out-dir", str(tmp_path / "run"), "--epochs", "1",
+                             "--batch-size", "8", flag, value)
+    assert code == 1 and out == "", (code, out, err)
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_split_bad_unlabeled_fraction_is_usage_error(capsys, tmp_path, small_corpus):
     code, out, err = run_cli(capsys, "split", "--cache", str(small_corpus["cache_path"]),
                              "--unlabeled-fraction", "1.5", "--out", str(tmp_path / "m.json"))
@@ -309,14 +324,18 @@ def test_malformed_split_manifest_is_data_error(capsys, tmp_path, small_corpus, 
 def test_evaluate_refuses_checkpoint_it_cannot_score(capsys, tmp_path, small_corpus, small_split):
     manifest = tmp_path / "split.json"
     small_split.save(manifest)
-    meta = {"config_hash": small_corpus["cache"].config_hash.hex()}
-    nan_params = nn.init_params(substream(0, "init"))
+    meta = {"config_hash": small_corpus["cache"].config_hash.hex()}  # no normalizer
+    good = nn.init_params(substream(0, "init"))
+    nan_params = good.copy()
     nan_params.dense_b[0] = np.nan
-    for params, reason in ((nn.init_params(substream(0, "init"), nn.CnnSpec((8, 16), (2, 3))),
-                            "production network"),
-                           (nan_params, "not all finite")):
+    for params, metadata, reason in (
+            (nn.init_params(substream(0, "init"), nn.CnnSpec((8, 16), (2, 3))), meta,
+             "production network"),
+            (nan_params, meta, "not all finite"),
+            (good, [1, 2], "not a JSON object"),
+            (good, meta, "unreadable normalizer")):
         ckpt = tmp_path / "model.lsnn"
-        nn.save_checkpoint(ckpt, params, meta)
+        nn.save_checkpoint(ckpt, params, metadata)
         result = run_cli(capsys, "evaluate", "--checkpoint", str(ckpt),
                          "--cache", str(small_corpus["cache_path"]), "--manifest", str(manifest),
                          "--report", str(tmp_path / "r.txt"))

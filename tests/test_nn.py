@@ -102,14 +102,14 @@ def _stage_case(rng, shape, c_out=5):
 @pytest.mark.parametrize("shape", STAGE_SHAPES)
 def test_fused_stage_forward_bit_identical(rng, shape):
     x, k, b = _stage_case(rng, shape)
-    pooled, idx, _ = nn._conv_forward(x, k, b, True)
+    pooled, idx, _ = nn._conv_forward(x, k, b, True, nn.Workspace(len(x)))
     want, want_idx, z = oracle.stage_forward(x, k, b)
     assert pooled.dtype == np.float32
     assert np.array_equal(pooled, want)
     positive = want > 0
     assert 0 < positive.mean() < 1
     assert np.array_equal(idx[positive], want_idx[positive])
-    assert np.array_equal(nn._conv_forward(x, k, b, False)[0], want)
+    assert np.array_equal(nn._conv_forward(x, k, b, False, nn.Workspace(len(x)))[0], want)
     # the unfused pool that oracle.kink_margin uses agrees with the oracle as well
     assert np.array_equal(nn._maxpool_core(oracle.relu(z)), want)
 
@@ -118,15 +118,16 @@ def test_fused_stage_forward_bit_identical(rng, shape):
 def test_fused_stage_backward_matches_oracle(rng, shape):
     x, k, b = _stage_case(rng, shape)
     x, k, b = x.astype(np.float64), k.astype(np.float64), b.astype(np.float64)
-    pooled, idx, cols = nn._conv_forward(x, k, b, True)
+    ws = nn.Workspace(len(x))
+    pooled, idx, cols = nn._conv_forward(x, k, b, True, ws)
     _, want_idx, z = oracle.stage_forward(x, k, b)
     dy = rng.normal(size=pooled.shape)
-    dx, dk, db = nn._conv_backward(dy * (pooled > 0), cols, k, x.shape, True, idx)
+    dx, dk, db = nn._conv_backward(dy * (pooled > 0), cols, k, x.shape, True, idx, ws)
     want_dx, want_dk, want_db = oracle.stage_backward(dy, x, k, z, want_idx)
     assert np.allclose(dx, want_dx, rtol=1e-12, atol=1e-12)
     assert np.allclose(dk, want_dk, rtol=1e-12, atol=1e-12)
     assert np.allclose(db, want_db, rtol=1e-12, atol=1e-12)
-    no_dx, dk2, db2 = nn._conv_backward(dy * (pooled > 0), cols, k, x.shape, False, idx)
+    no_dx, dk2, db2 = nn._conv_backward(dy * (pooled > 0), cols, k, x.shape, False, idx, ws)
     assert no_dx is None
     assert np.array_equal(dk2, dk) and np.array_equal(db2, db)
 
@@ -136,9 +137,9 @@ def test_fused_stage_too_small_raises(rng):
     b = np.zeros(3, dtype=np.float32)
     for shape in [(1, 2, 5, 1), (1, 5, 2, 1)]:
         with pytest.raises(ShapeMismatch):
-            nn._conv_forward(np.zeros(shape, np.float32), k, b, True)
+            nn._conv_forward(np.zeros(shape, np.float32), k, b, True, nn.Workspace(1))
     with pytest.raises(ShapeMismatch):
-        nn._conv_forward(np.zeros((1, 5, 5, 2), np.float32), k, b, True)
+        nn._conv_forward(np.zeros((1, 5, 5, 2), np.float32), k, b, True, nn.Workspace(1))
     # the second stage sees a 2x7 map: the conv would leave a single row
     params = nn.init_params(substream(0, "init"), SMALL)
     with pytest.raises(ShapeMismatch):
@@ -174,12 +175,13 @@ def test_blocked_stage_is_bit_identical(monkeypatch, rng, batch):
     def run(rows):
         monkeypatch.setattr(nn, "_BLOCK_BYTES", rows * stage_row)
         assert len(nn._blocks(batch, stage_row)[0]) == -(-batch // rows)
-        pooled, idx, cols = nn._conv_forward(x, k, b, True)
-        inferred = nn._conv_forward(x, k, b, False)
-        dx, dk, db = nn._conv_backward(dy * (pooled > 0), cols, k, x.shape, True, idx)
+        ws = nn.Workspace(batch)
+        pooled, idx, cols = nn._conv_forward(x, k, b, True, ws)
+        inferred = nn._conv_forward(x, k, b, False, nn.Workspace(batch))
+        dx, dk, db = nn._conv_backward(dy * (pooled > 0), cols, k, x.shape, True, idx, ws)
         monkeypatch.setattr(nn, "_BLOCK_BYTES", rows * drop_row)
         assert len(nn._blocks(batch, drop_row)[0]) == -(-batch // rows)
-        dropped = nn.dropout(pooled.copy(), 0.3, substream(1, "dropout"))
+        dropped = nn.dropout(pooled.copy(), 0.3, substream(1, "dropout"), nn.Workspace(batch))
         return pooled, idx, cols, inferred[0], dropped, dx, dk, db
 
     want = run(batch)
@@ -210,9 +212,10 @@ def test_blocked_network_step_is_bit_identical(monkeypatch, rng):
 
 def _steps_on_workers(monkeypatch, workers):
     """A 16-row and a 48-row training step (forward, backward, Adam) and a
-    32-row inference forward through a workspace and one without, in blocks
-    of one example run by `workers` workers; returns the bytes of every
-    probability, gradient and updated parameter."""
+    32-row inference forward through one workspace, and the inference forward
+    again in a workspace of its own, in blocks of one example run by
+    `workers` workers; returns the bytes of every probability, gradient and
+    updated parameter, and the shared workspace."""
     monkeypatch.setattr(nn, "usable_cpus", lambda: workers)
     monkeypatch.setattr(nn, "_BLOCK_BYTES", 1)
     params = nn.init_params(substream(2, "init"))
@@ -231,23 +234,25 @@ def _steps_on_workers(monkeypatch, workers):
     xs = data.normal(size=(32, 40, 862)).astype(np.float32)
     for w in (ws, None):
         out.append(nn.forward_batch(params, xs, keep_trace=False, ws=w)[0])
-    return [a.tobytes() for a in out]
+    return [a.tobytes() for a in out], ws
 
 
 def test_worker_count_changes_no_bit(monkeypatch):
-    def no_pool(threads):
+    def no_pool(*args, **kwargs):
         raise AssertionError("one worker must run inline")
 
     with monkeypatch.context() as m:
-        m.setattr(nn, "_executor", no_pool)
-        want = _steps_on_workers(m, 1)
+        m.setattr(nn, "ThreadPoolExecutor", no_pool)
+        want, ws = _steps_on_workers(m, 1)
+        assert ws.pool is None
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # hand the interpreter lock over often
     try:
         for workers in (2, 4):  # 4: more workers than this machine may have CPUs
             with monkeypatch.context() as m:
-                assert _steps_on_workers(m, workers) == want, workers
-                assert nn._pool is not None and nn._pool[0] >= workers - 1
+                got, ws = _steps_on_workers(m, workers)
+                assert got == want, workers
+                assert ws.pool is not None and ws.pool._max_workers == workers - 1
     finally:
         sys.setswitchinterval(interval)
 
@@ -256,19 +261,22 @@ def test_forked_child_builds_its_own_pool(monkeypatch):
     monkeypatch.setattr(nn, "usable_cpus", lambda: 2)
     params = nn.init_params(substream(2, "init"))
     xs = np.random.default_rng(12).normal(size=(4, 40, 862)).astype(np.float32)
-    want, _ = nn.forward_batch(params, xs, keep_trace=False)  # four blocks at stage 0
-    assert nn._pool is not None
+    ws = nn.Workspace(len(xs))
+    want, _ = nn.forward_batch(params, xs, keep_trace=False, ws=ws)  # four blocks at stage 0
+    assert ws.pool is not None
     ctx = multiprocessing.get_context("fork")
     receiver, sender = ctx.Pipe(duplex=False)
 
     def child():
-        sender.send_bytes(nn.forward_batch(params, xs, keep_trace=False)[0].tobytes())
+        # the child's copy of ws holds a pool whose threads stayed in the parent
+        sender.send_bytes(b"".join(nn.forward_batch(params, xs, keep_trace=False, ws=w)[0]
+                                   .tobytes() for w in (ws, None)))
 
     proc = ctx.Process(target=child)
     proc.start()
     try:
         assert receiver.poll(60), "the forked child's forward did not finish"
-        assert receiver.recv_bytes() == want.tobytes()
+        assert receiver.recv_bytes() == 2 * want.tobytes()
     finally:
         proc.join(10)
         if proc.is_alive():
@@ -312,14 +320,14 @@ def test_softmax_stability():
 def test_dropout_rate_zero_identity(rng):
     x = rng.normal(size=(4, 4)).astype(np.float32)
     before = x.copy()
-    out = nn.dropout(x, 0.0, substream(0, "dropout"))
+    out = nn.dropout(x, 0.0, substream(0, "dropout"), nn.Workspace(len(x)))
     assert out is x
     assert np.array_equal(x, before)
 
 
 def test_dropout_zero_fraction():
     x = np.ones(100000, dtype=np.float32)
-    out = nn.dropout(x, 0.2, substream(9, "dropout"))
+    out = nn.dropout(x, 0.2, substream(9, "dropout"), nn.Workspace(len(x)))
     assert out is x  # in place
     frac = float((out == 0).mean())
     assert 0.19 <= frac <= 0.21
@@ -338,7 +346,7 @@ def test_backward_mask_order_is_bit_identical(rng):
     mask = (substream(2, "dropout").random(pool.shape) >= 0.2).astype(np.float32)
     mask /= 0.8
     want = (da * mask) * (pool > 0)
-    after = nn.dropout(pool.copy(), 0.2, substream(2, "dropout"))
+    after = nn.dropout(pool.copy(), 0.2, substream(2, "dropout"), nn.Workspace(len(pool)))
     assert after.tobytes() == (pool * mask).tobytes()
     got = (da * (after > 0)) * (np.float32(1) / np.float32(0.8))
     assert got.tobytes() == want.tobytes()  # signed zeros included
@@ -610,6 +618,7 @@ def test_checkpoint_truncated_anywhere_is_malformed(tmp_path):
             nn.load_checkpoint(cut)
     for damaged in (data[:-1],                                   # metadata JSON cut short
                     data[:terminator + 2] + b"\xff{}",           # metadata not UTF-8
+                    data[:terminator + 2] + b"[1, 2]",           # metadata not an object
                     data.replace(b"dense.bias", b"dense.bxas")):  # a tensor missing
         cut.write_bytes(damaged)
         with pytest.raises(MalformedHeader):

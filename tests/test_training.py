@@ -1,5 +1,7 @@
 import json
 import logging
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ from lungsound import dataset, nn, training
 from lungsound.dataset import FeatureCache, SplitManifest
 from lungsound.errors import NonFiniteLoss
 from lungsound.rng import substream
-from lungsound.training import (TrainConfig, run_mixmatch_epoch, run_supervised_epoch,
-                                train_baseline, train_semi)
+from lungsound.training import (FeatureNormalizer, TrainConfig, run_mixmatch_epoch,
+                                run_supervised_epoch, train_baseline, train_semi)
 
 import nn_oracle as oracle
 
@@ -206,8 +208,43 @@ def test_artifacts_written(tmp_path, small_corpus, small_split):
     assert len(saved["epoch_rows"]) == len(manifest.epoch_rows)
 
 
+def test_train_config_validation():
+    for bad in (dict(epochs=-1), dict(refit_epochs=-3, mode="semi"), dict(batch_size=0),
+                dict(early_stop_patience=0), dict(early_stop_patience=-2),
+                dict(validation_fraction=0.5), dict(mode="both")):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
+    TrainConfig(epochs=0, refit_epochs=0, early_stop_patience=1)
+
+
 def test_evaluate_split(small_corpus, small_split):
-    params = nn.init_params(substream(0, "init"))
-    y_true, y_pred = training.evaluate_split(params, small_corpus["cache"], small_split)
+    # zero epochs: the initial parameters, with the run's fitted normalizer
+    params, manifest = train_baseline(TrainConfig(epochs=0), small_corpus["cache"], small_split)
+    norm = FeatureNormalizer.from_meta(manifest.normalizer)
+    y_true, y_pred = training.evaluate_split(params, small_corpus["cache"], small_split, norm)
     assert len(y_true) == len(small_split.test) == len(y_pred)
     assert set(np.unique(y_true)) <= set(range(6))
+
+
+def test_no_block_pool_thread_outlives_its_workspace(monkeypatch, small_corpus, small_split):
+    built = []
+
+    class CountedPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs["thread_name_prefix"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(nn, "ThreadPoolExecutor", CountedPool)
+    before = set(threading.enumerate())
+    cfg = TrainConfig(epochs=1, batch_size=8, seed=3, validation_fraction=0.2)
+    params, manifest = train_baseline(cfg, small_corpus["cache"], small_split)
+    training.evaluate_split(params, small_corpus["cache"], small_split,
+                            FeatureNormalizer.from_meta(manifest.normalizer))
+    # one pool for the training run, one for the scoring call
+    assert built == ["lungsound-nn"] * 2
+    left = [t for t in threading.enumerate()
+            if t not in before and t.name.startswith("lungsound-nn")]
+    for t in left:
+        t.join(timeout=10)
+    assert not [t.name for t in left if t.is_alive()]
