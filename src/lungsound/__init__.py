@@ -6,7 +6,7 @@ co-refinement and co-refurbishing passes over an unlabeled pool -> per-class
 classification reports.
 """
 
-from .audio_io import WORKING_RATE, AudioClip, load_wav, resample
+from .audio_io import AudioClip, load_wav, resample
 from .dataset import (CLASS_IDS, CLASS_NAMES, FeatureCache, RecordingMeta, SplitManifest,
                       build_feature_cache, load_diagnoses, make_splits, parse_filename,
                       scan_audio_dir)

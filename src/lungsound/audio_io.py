@@ -14,9 +14,6 @@ import numpy as np
 
 from .errors import EmptyAudio, MalformedHeader, UnsupportedEncoding
 
-# 512-sample hops over 20 s at this rate give the fixed 862-frame feature width.
-WORKING_RATE = 22050
-
 _FMT_PCM = 1
 _FMT_FLOAT = 3
 

@@ -43,14 +43,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lungsound", description=__doc__.split("\n")[1])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("extract", help="decode WAVs and build the feature cache")
+    p = sub.add_parser("extract", help="decode WAVs and build the fixed-grid feature cache")
     p.add_argument("--audio-dir", required=True)
     p.add_argument("--diagnosis-csv", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--sample-rate", type=int, default=22050)
-    p.add_argument("--clip-seconds", type=float, default=20.0)
-    p.add_argument("--frame-length", type=int, default=2048)
-    p.add_argument("--hop-length", type=int, default=512)
     p.add_argument("--jobs", type=int, default=nn.usable_cpus())
 
     p = sub.add_parser("split", help="build a stratified train/unlabeled/test manifest")
@@ -61,20 +57,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="split at patient granularity instead of per recording")
     p.add_argument("--out", required=True)
 
+    train = training.TrainConfig()  # the train defaults
     p = sub.add_parser("train", help="train a model on a cache + split manifest")
     p.add_argument("--cache", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--mode", choices=("baseline", "semi"), required=True)
     p.add_argument("--drop", choices=("co_refinement", "co_refurbishing", "both"))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=train.seed)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--epochs", type=int, default=60)
-    p.add_argument("--refit-epochs", type=int, default=60)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--patience", type=int, default=10)
-    p.add_argument("--validation-fraction", type=float, default=0.1)
-    p.add_argument("--unlabeled-loss-weight", type=float, default=1.0)
+    p.add_argument("--epochs", type=int, default=train.epochs)
+    p.add_argument("--refit-epochs", type=int, default=train.refit_epochs)
+    p.add_argument("--batch-size", type=int, default=train.batch_size)
+    p.add_argument("--learning-rate", type=float, default=train.learning_rate)
+    p.add_argument("--patience", type=int, default=train.early_stop_patience)
+    p.add_argument("--validation-fraction", type=float, default=train.validation_fraction)
+    p.add_argument("--unlabeled-loss-weight", type=float, default=train.ssl.unlabeled_loss_weight)
 
     p = sub.add_parser("evaluate", help="score a checkpoint on the test split")
     p.add_argument("--checkpoint", required=True)
@@ -91,9 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_extract(args) -> int:
-    cfg = features.MfccConfig(sample_rate=args.sample_rate, clip_seconds=args.clip_seconds,
-                              frame_length=args.frame_length, hop_length=args.hop_length,
-                              n_fft=args.frame_length)
     metas = dataset.scan_audio_dir(args.audio_dir)
     diagnoses = dataset.load_diagnoses(args.diagnosis_csv)
     entries = []
@@ -108,7 +102,8 @@ def _cmd_extract(args) -> int:
         raise NoUsableData(f"no usable recordings under {args.audio_dir}")
     if dropped:
         log.info("extract: dropped %d recordings with missing/excluded diagnoses", dropped)
-    failures = dataset.build_feature_cache(entries, cfg, args.out, jobs=args.jobs)
+    failures = dataset.build_feature_cache(entries, features.MfccConfig(), args.out,
+                                           jobs=args.jobs)
     print(f"cached {len(entries) - len(failures)} recordings to {args.out}"
           + (f" ({len(failures)} failed)" if failures else ""))
     return EXIT_OK

@@ -258,6 +258,8 @@ def build_feature_cache(entries, cfg: features.MfccConfig, out_path, jobs: int =
     list of per-file failures as (recording id, path, message). Files that
     fail to decode are skipped, not fatal.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if (cfg.n_coefficients, cfg.target_frames) != _CACHE_SHAPE:
         raise ValueError(f"cache records are fixed at {_CACHE_SHAPE}, "
                          f"config gives ({cfg.n_coefficients}, {cfg.target_frames})")

@@ -21,15 +21,15 @@ N_CLASSES = len(CLASS_NAMES)
 _METRIC_KEYS = ("precision", "recall", "f1-score", "support")
 
 
-def confusion(y_true, y_pred, n_classes: int = N_CLASSES) -> np.ndarray:
+def confusion(y_true, y_pred) -> np.ndarray:
     """counts[t][p] = number of items with true class t predicted as p."""
     t = np.asarray(y_true, dtype=np.int64)
     p = np.asarray(y_pred, dtype=np.int64)
     if t.shape != p.shape or t.ndim != 1:
         raise LengthMismatch(f"true {t.shape} vs predicted {p.shape}")
-    if t.size and (t.min() < 0 or t.max() >= n_classes or p.min() < 0 or p.max() >= n_classes):
-        raise OutOfRangeLabel(f"labels must lie in 0..{n_classes - 1}")
-    cm = np.zeros((n_classes, n_classes), dtype=np.int64)
+    if t.size and (t.min() < 0 or t.max() >= N_CLASSES or p.min() < 0 or p.max() >= N_CLASSES):
+        raise OutOfRangeLabel(f"labels must lie in 0..{N_CLASSES - 1}")
+    cm = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     np.add.at(cm, (t, p), 1)
     return cm
 

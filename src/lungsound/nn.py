@@ -3,9 +3,10 @@
 Layout is channels-last (batch, height, width, channels). The classifier is a
 stack of valid 2x2 convolutions, each followed by ReLU, 2x2/stride-2 max
 pooling and (in training) inverted dropout, ending in global average pooling,
-a dense head and softmax. The architecture is parameterized by CnnSpec so the
-same code runs both the production geometry and shrunken clones for
-finite-difference gradient checks.
+a dense head of N_CLASSES outputs and softmax. CnnSpec parameterizes the
+geometry so the same code runs both the production network and shrunken
+clones for finite-difference gradient checks. The dropout rate and Adam's
+betas and epsilon are module constants; only the learning rate is passed in.
 
 Each conv -> ReLU -> pool stage is evaluated by pool phase (polyphase): the
 conv is computed separately at the four slots (di, dj) of the 2x2 pool
@@ -96,6 +97,8 @@ import numpy as np
 from .errors import MalformedHeader, NonFiniteLoss, ShapeMismatch, StaleTrace
 
 N_CLASSES = 6
+DROPOUT_RATE = 0.2  # of every conv stage's pooled map, in training forwards
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decays, denominator floor
 
 PROB_FLOOR = 1e-12  # clamp inside the cross-entropy log
 
@@ -106,15 +109,14 @@ class CnnSpec:
 
     input_shape: tuple = (40, 862)
     channels: tuple = (16, 32, 64, 128)
-    n_classes: int = N_CLASSES
 
 
 @dataclass
 class ModelParams:
     conv_kernels: list      # kernel i: (2, 2, c_in, c_out)
     conv_biases: list       # bias i: (c_out,)
-    dense_w: np.ndarray     # (c_last, n_classes)
-    dense_b: np.ndarray     # (n_classes,)
+    dense_w: np.ndarray     # (c_last, N_CLASSES)
+    dense_b: np.ndarray     # (N_CLASSES,)
 
     def named(self):
         for i, (k, b) in enumerate(zip(self.conv_kernels, self.conv_biases)):
@@ -160,8 +162,8 @@ def init_params(rng: np.random.Generator, spec: CnnSpec = CnnSpec(),
         biases.append(np.zeros(c_out, dtype=dtype))
         c_in = c_out
     bound = np.sqrt(6.0 / spec.channels[-1])
-    dense_w = rng.uniform(-bound, bound, size=(spec.channels[-1], spec.n_classes)).astype(dtype)
-    dense_b = np.zeros(spec.n_classes, dtype=dtype)
+    dense_w = rng.uniform(-bound, bound, size=(spec.channels[-1], N_CLASSES)).astype(dtype)
+    dense_b = np.zeros(N_CLASSES, dtype=dtype)
     return ModelParams(kernels, biases, dense_w, dense_b)
 
 
@@ -499,8 +501,7 @@ class ForwardTrace:
     each stage's input shape off x and pool_out."""
 
     params: ModelParams
-    training: bool
-    dropout_rate: float
+    training: bool                      # dropout at DROPOUT_RATE ran after each stage
     x: np.ndarray                       # (B, H, W, 1)
     workspace: Workspace                # the stage arrays below are views of its buffers
     stamp: int                          # workspace.forwards once this forward began
@@ -514,16 +515,17 @@ class ForwardTrace:
 
 
 def forward_batch(params: ModelParams, xs: np.ndarray, training: bool = False,
-                  rng: np.random.Generator | None = None, dropout_rate: float = 0.2,
+                  rng: np.random.Generator | None = None,
                   keep_trace: bool | None = None, ws: Workspace | None = None):
     """Forward pass over a (B, H, W) batch; returns (probs, trace).
 
-    When training, `rng` supplies the dropout draws. Set keep_trace=False for
-    pure inference to skip caching the backward-pass intermediates. The stage
-    arrays, and so the trace, live in the buffers of `ws`, or of a workspace
-    built for this batch when none is given.
+    When training, each stage's pooled map gets dropout at DROPOUT_RATE, whose
+    draws `rng` supplies. keep_trace (default: training) keeps the
+    backward-pass intermediates. The stage arrays, and so the trace, live in
+    the buffers of `ws`, or of a workspace built for this batch when none is
+    given.
     """
-    if training and dropout_rate > 0 and rng is None:
+    if training and rng is None:
         raise ValueError("training forward with dropout needs an rng")
     if keep_trace is None:
         keep_trace = training
@@ -531,12 +533,12 @@ def forward_batch(params: ModelParams, xs: np.ndarray, training: bool = False,
     if ws is None:
         ws = Workspace(len(a))
     ws.forwards += 1
-    trace = ForwardTrace(params=params, training=training, dropout_rate=dropout_rate, x=a,
-                         workspace=ws, stamp=ws.forwards)
+    trace = ForwardTrace(params=params, training=training, x=a, workspace=ws,
+                         stamp=ws.forwards)
     for k, (kernel, bias) in enumerate(zip(params.conv_kernels, params.conv_biases)):
         a, idx, cols = _conv_forward(a, kernel, bias, keep_trace, ws, k)
         if training:
-            dropout(a, dropout_rate, rng, ws)
+            dropout(a, DROPOUT_RATE, rng, ws)
         if keep_trace:
             trace.conv_cols.append(cols)
             trace.pool_out.append(a)
@@ -580,7 +582,6 @@ def backward_from_dp(trace: ForwardTrace, dp: np.ndarray) -> ModelParams:
     da = np.broadcast_to(da[:, None, None, :] / (gap_shape[1] * gap_shape[2]),
                          gap_shape).astype(params.dtype)
 
-    dropped = trace.training and trace.dropout_rate > 0
     ws = trace.workspace
     for i in reversed(range(len(params.conv_kernels))):
         # relu and dropout masks in the pooled domain, in place on this
@@ -588,8 +589,8 @@ def backward_from_dp(trace: ForwardTrace, dp: np.ndarray) -> ModelParams:
         pool = trace.pool_out[i]
         kept = np.greater(pool, 0, out=_empty(ws, "scratch", pool.shape, bool, len(pool)))
         np.multiply(da, kept, out=da)
-        if dropped:
-            da *= _keep_scale(da.dtype, trace.dropout_rate)
+        if trace.training:
+            da *= _keep_scale(da.dtype, DROPOUT_RATE)
         x_shape = (trace.pool_out[i - 1] if i else trace.x).shape
         da, dk, db = _conv_backward(da, trace.conv_cols[i], params.conv_kernels[i],
                                     x_shape, i > 0, trace.pool_idx[i], ws, i)
@@ -631,28 +632,27 @@ class AdamState:
         return cls(step=0, m=params.zeros_like(), v=params.zeros_like())
 
 
-def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
-              lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8):
-    """One Adam update with bias correction; params and state update in place."""
+def adam_step(params: ModelParams, grads: ModelParams, state: AdamState, lr: float):
+    """One Adam update with bias correction (ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
+    at learning rate lr; params and state update in place."""
     state.step += 1
     t = state.step
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     for p, g, m, v in zip(params.arrays(), grads.arrays(),
                           state.m.arrays(), state.v.arrays()):
         if p.shape != g.shape:
             raise ShapeMismatch(f"adam: param {p.shape} vs grad {g.shape}")
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return params, state
 
 
 def weighted_gradient_step(params: ModelParams, opt_state: AdamState, terms,
-                           rng: np.random.Generator, lr: float = 1e-3,
+                           rng: np.random.Generator, lr: float,
                            ws: Workspace | None = None) -> list:
     """One Adam step on a weighted sum of loss terms; params and opt_state
     update in place.
@@ -686,7 +686,7 @@ def weighted_gradient_step(params: ModelParams, opt_state: AdamState, terms,
     if total_grads is not None:
         if not total_grads.all_finite():
             raise NonFiniteLoss("non-finite gradient")
-        adam_step(params, total_grads, opt_state, lr=lr)
+        adam_step(params, total_grads, opt_state, lr)
     return losses
 
 

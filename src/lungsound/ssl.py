@@ -28,14 +28,15 @@ import numpy as np
 from . import nn
 from .errors import DegenerateInput
 
+MIXUP_ALPHA = 0.75     # mixup draws lambda from Beta(MIXUP_ALPHA, MIXUP_ALPHA)
+RAMP_FRACTION = 0.25   # the unlabeled loss weight ramps up over this fraction of epochs
+
 
 @dataclass(frozen=True)
 class SslConfig:
     temperature: float = 0.5          # sharpening temperature
     n_augmentations: int = 2          # augmented copies per unlabeled item
-    mixup_alpha: float = 0.75         # Beta(alpha, alpha) for mixup
     unlabeled_loss_weight: float = 1.0
-    ramp_fraction: float = 0.25       # fraction of epochs to ramp the weight over
     refurbish_weight: float = 0.7     # weight kept on the true label
     refurbish_fraction: float = 0.3   # labeled fraction whose targets get blended
     refinement_weight: float = 0.5
@@ -44,8 +45,8 @@ class SslConfig:
     fixed_lambda: float | None = None  # overrides the Beta draw when set
 
     def __post_init__(self):
-        if self.temperature <= 0 or self.n_augmentations < 1 or self.mixup_alpha <= 0:
-            raise ValueError("need temperature > 0, n_augmentations >= 1, mixup_alpha > 0")
+        if self.temperature <= 0 or self.n_augmentations < 1:
+            raise ValueError("need temperature > 0 and n_augmentations >= 1")
         for name in ("unlabeled_loss_weight", "refurbish_weight",
                      "refurbish_fraction", "refinement_weight"):
             v = getattr(self, name)
@@ -53,8 +54,8 @@ class SslConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
 
 
-def augment(x: np.ndarray, rng: np.random.Generator, noise_scale: float = 0.05,
-            max_mask_frames: int = 40) -> np.ndarray:
+def augment(x: np.ndarray, rng: np.random.Generator, noise_scale: float,
+            max_mask_frames: int) -> np.ndarray:
     """Additive Gaussian noise plus one time-mask span set to the matrix mean.
 
     Noise sigma is noise_scale times the matrix standard deviation; the mask
@@ -93,19 +94,19 @@ def guess_labels(params: nn.ModelParams, copies: np.ndarray, k: int,
 
     `copies` holds k consecutive rows per item; returns one label per item.
     """
-    probs, _ = nn.forward_batch(params, copies, training=False, keep_trace=False, ws=ws)
+    probs, _ = nn.forward_batch(params, copies, ws=ws)
     probs = probs.astype(np.float64).reshape(len(copies) // k, k, -1)
     return np.stack([sharpen(p.mean(axis=0), temperature) for p in probs])
 
 
-def mixup(x1, y1, x2, y2, alpha: float, rng: np.random.Generator,
-          fixed_lambda: float | None = None):
-    """Convex combination with lam' = max(lam, 1 - lam), lam ~ Beta(alpha, alpha).
+def mixup(x1, y1, x2, y2, rng: np.random.Generator, fixed_lambda: float | None = None):
+    """Convex combination with lam' = max(lam, 1 - lam), lam ~ Beta(MIXUP_ALPHA,
+    MIXUP_ALPHA) or fixed_lambda.
 
     The result is always at least half-weighted toward (x1, y1); a forced
     lam' of exactly 1 returns copies of the first pair.
     """
-    lam = float(rng.beta(alpha, alpha)) if fixed_lambda is None else float(fixed_lambda)
+    lam = float(rng.beta(MIXUP_ALPHA, MIXUP_ALPHA) if fixed_lambda is None else fixed_lambda)
     lam = max(lam, 1.0 - lam)
     if lam == 1.0:
         return np.array(x1), np.array(y1)
@@ -140,8 +141,8 @@ def mixmatch(labeled_x, labeled_y, unlabeled_x, params: nn.ModelParams, cfg: Ssl
     perm = rng_mixup.permutation(len(all_x))
     mixed_x, mixed_y = np.empty_like(all_x), np.empty_like(all_y)
     for i, j in enumerate(perm):
-        mixed_x[i], mixed_y[i] = mixup(all_x[i], all_y[i], all_x[j], all_y[j],
-                                       cfg.mixup_alpha, rng_mixup, cfg.fixed_lambda)
+        mixed_x[i], mixed_y[i] = mixup(all_x[i], all_y[i], all_x[j], all_y[j], rng_mixup,
+                                       cfg.fixed_lambda)
     return (mixed_x[:n_lab], mixed_y[:n_lab]), (mixed_x[n_lab:], mixed_y[n_lab:])
 
 
@@ -155,7 +156,7 @@ def co_refinement_step(params: nn.ModelParams, labeled_x: np.ndarray,
     """
     terms = [(1.0, labeled_x, labeled_y, "cross_entropy")]
     if refinement_weight > 0 and len(unlabeled_x):
-        targets_u, _ = nn.forward_batch(params, unlabeled_x, keep_trace=False, ws=ws)
+        targets_u, _ = nn.forward_batch(params, unlabeled_x, ws=ws)
         terms.append((refinement_weight, unlabeled_x, targets_u, "cross_entropy"))
     return terms
 
@@ -183,12 +184,11 @@ def co_refurbishing_step(params: nn.ModelParams, labeled_x: np.ndarray,
     targets = np.asarray(labeled_y, dtype=np.float64).copy()
     if n_ref > 0 and weight < 1.0:
         chosen = np.sort(rng.choice(n, size=n_ref, replace=False))
-        preds, _ = nn.forward_batch(params, labeled_x[chosen], training=False,
-                                    keep_trace=False, ws=ws)
+        preds, _ = nn.forward_batch(params, labeled_x[chosen], ws=ws)
         targets[chosen] = refurbish_targets(targets[chosen], preds, weight)
 
     terms = [(1.0, labeled_x, targets, "cross_entropy")]
     if weight < 1.0 and len(unlabeled_x):
-        targets_u, _ = nn.forward_batch(params, unlabeled_x, keep_trace=False, ws=ws)
+        targets_u, _ = nn.forward_batch(params, unlabeled_x, ws=ws)
         terms.append((1.0 - weight, unlabeled_x, targets_u, "cross_entropy"))
     return terms

@@ -29,6 +29,8 @@ _RECIPES = (
 
 _PATIENTS_PER_CLASS = 12
 
+_SAMPLE_RATES = (22050, 44100)  # alternate across recordings, to exercise the resampler
+
 
 def write_wav_pcm16(path, samples: np.ndarray, sample_rate: int) -> None:
     """Minimal 16-bit mono PCM writer."""
@@ -59,11 +61,9 @@ def tone_mixture(class_id: int, rng: np.random.Generator, duration_s: float,
 
 
 def generate_corpus(root, recordings_per_class: int = 60, seed: int = 0,
-                    duration_s: float = 2.0, sample_rates=(22050, 44100),
-                    include_excluded: int = 0):
+                    duration_s: float = 2.0, include_excluded: int = 0):
     """Write the corpus under `root`; returns (audio_dir, diagnosis_csv_path).
 
-    Sample rates alternate across recordings to exercise the resampler.
     `include_excluded` adds that many recordings with an out-of-scope
     diagnosis (Asthma) that ingestion must drop.
     """
@@ -75,7 +75,7 @@ def generate_corpus(root, recordings_per_class: int = 60, seed: int = 0,
     per_patient = max(1, recordings_per_class // _PATIENTS_PER_CLASS)
 
     def emit(pid: int, rec_idx: int, class_id: int | None, counter: int):
-        rate = sample_rates[counter % len(sample_rates)]
+        rate = _SAMPLE_RATES[counter % len(_SAMPLE_RATES)]
         sig = (tone_mixture(class_id, rng, duration_s, rate) if class_id is not None
                else 0.1 * rng.normal(size=int(duration_s * rate)))
         write_wav_pcm16(audio_dir / f"{pid}_{rec_idx}b1_Tc_sc_Synth.wav", sig, rate)

@@ -65,6 +65,8 @@ class TrainConfig:
             raise ValueError("need epochs >= 0, refit_epochs >= 0 and batch_size >= 1")
         if self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be >= 1")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0.0 <= self.validation_fraction < 0.5:
             raise ValueError("validation_fraction must be in [0, 0.5)")
         if self.mode not in ("baseline", "semi"):
@@ -97,8 +99,8 @@ class RunManifest:
         Path(path).write_text(self.to_json())
 
 
-def one_hot(labels, n_classes: int = nn.N_CLASSES) -> np.ndarray:
-    return np.eye(n_classes, dtype=np.float32)[np.asarray(labels, dtype=np.int64)]
+def one_hot(labels) -> np.ndarray:
+    return np.eye(nn.N_CLASSES, dtype=np.float32)[np.asarray(labels, dtype=np.int64)]
 
 
 @dataclass
@@ -154,7 +156,7 @@ def predict_batch(params: nn.ModelParams, xs: np.ndarray,
         ws = nn.Workspace(min(len(xs), PREDICT_CHUNK))
     out = []
     for i in range(0, len(xs), PREDICT_CHUNK):
-        probs, _ = nn.forward_batch(params, xs[i:i + PREDICT_CHUNK], keep_trace=False, ws=ws)
+        probs, _ = nn.forward_batch(params, xs[i:i + PREDICT_CHUNK], ws=ws)
         out.append(probs.argmax(axis=1))
     return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
 
@@ -189,8 +191,8 @@ def _stratified_validation(ids, classes, fraction, seed):
 
 
 def _ramp_weight(cfg: TrainConfig, epoch: int) -> float:
-    """Unlabeled-loss weight, ramped linearly over the first epochs."""
-    ramp = max(1, int(round(cfg.ssl.ramp_fraction * cfg.epochs)))
+    """Unlabeled-loss weight, ramped linearly over the first RAMP_FRACTION of epochs."""
+    ramp = max(1, int(round(ssl.RAMP_FRACTION * cfg.epochs)))
     return cfg.ssl.unlabeled_loss_weight * min(1.0, (epoch + 1) / ramp)
 
 

@@ -11,7 +11,7 @@ from lungsound import dataset, features, synthetic
 
 def cached_corpus(root, **corpus):
     """synthetic.generate_corpus(root, **corpus) plus the feature cache of its
-    in-scope recordings at root/features.lsfc."""
+    in-scope recordings (`entries`) at root/features.lsfc."""
     audio_dir, csv_path = synthetic.generate_corpus(root, **corpus)
     cfg = features.MfccConfig()
     metas = dataset.scan_audio_dir(audio_dir)
@@ -21,7 +21,8 @@ def cached_corpus(root, **corpus):
     cache_path = root / "features.lsfc"
     failures = dataset.build_feature_cache(entries, cfg, cache_path)
     assert not failures
-    return dict(root=root, audio_dir=audio_dir, csv=csv_path, cfg=cfg, cache_path=cache_path,
+    return dict(root=root, audio_dir=audio_dir, csv=csv_path, cfg=cfg, entries=entries,
+                cache_path=cache_path,
                 cache=dataset.FeatureCache.load(cache_path, expected_config=cfg))
 
 

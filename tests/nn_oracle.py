@@ -29,7 +29,7 @@ def layer_shapes(spec):
         h, w = h // 2, w // 2        # 2x2 pool, stride 2
         shapes.append((h, w, c_out))
     shapes.append((spec.channels[-1],))
-    shapes.append((spec.n_classes,))
+    shapes.append((nn.N_CLASSES,))
     return shapes
 
 
@@ -40,7 +40,7 @@ def param_count(spec):
     for c_out in spec.channels:
         count += 2 * 2 * c_in * c_out + c_out
         c_in = c_out
-    return count + spec.channels[-1] * spec.n_classes + spec.n_classes
+    return count + spec.channels[-1] * nn.N_CLASSES + nn.N_CLASSES
 
 
 def conv2d_loop(x, kernel, bias):
@@ -258,7 +258,7 @@ def gradient_check(spec, seed=0, eps=1e-3, loss_kind="cross_entropy", batch=2):
         rng = np.random.default_rng(np.random.SeedSequence((seed, attempt)))
         params = nn.init_params(rng, spec, dtype=np.float64)
         xs = rng.normal(0.0, 0.5, size=(batch,) + spec.input_shape)
-        targets = rng.random((batch, spec.n_classes)) + 0.1
+        targets = rng.random((batch, nn.N_CLASSES)) + 0.1
         targets /= targets.sum(axis=1, keepdims=True)
         if clear_probe(params, xs, eps):
             break

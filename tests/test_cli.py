@@ -1,12 +1,13 @@
 import json
 import os
+import re
 import shutil
 import struct
 
 import numpy as np
 import pytest
 
-from lungsound import cli, dataset, evaluation, nn
+from lungsound import cli, dataset, evaluation, features, nn
 from lungsound.rng import substream
 from report_fixtures import BASELINE_CM, SEMI_CM
 from test_audio_io import make_wav
@@ -29,6 +30,10 @@ def test_help_exits_zero(capsys):
         assert "usage" in out.lower()
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
+    # the front end is fixed: extract takes no option that could change the grid
+    _, out, _ = run_cli(capsys, "extract", "--help")
+    assert set(re.findall(r"--[a-z-]+", out)) == {"--help", "--audio-dir", "--diagnosis-csv",
+                                                  "--out", "--jobs"}
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -152,7 +157,9 @@ def test_train_non_finite_features_is_numeric_error(capsys, tmp_path, small_corp
 
 
 @pytest.mark.parametrize("flag, value", [("--refit-epochs", "-3"), ("--patience", "0"),
-                                         ("--patience", "-1")])
+                                         ("--patience", "-1"), ("--learning-rate", "nan"),
+                                         ("--learning-rate", "inf"), ("--learning-rate", "0"),
+                                         ("--learning-rate", "-1")])
 def test_train_bad_config_is_usage_error(capsys, tmp_path, small_corpus, small_split,
                                          flag, value):
     manifest = tmp_path / "split.json"
@@ -185,10 +192,8 @@ def test_evaluate_config_hash_mismatch(capsys, tmp_path, small_corpus):
             "--epochs", "1", "--batch-size", "8")
     # rebuild the cache with a different hop length: different config hash
     cache_b = tmp_path / "other.lsfc"
-    code, _, _ = run_cli(capsys, "extract", "--audio-dir", str(small_corpus["audio_dir"]),
-                         "--diagnosis-csv", str(small_corpus["csv"]),
-                         "--out", str(cache_b), "--hop-length", "256", "--jobs", "1")
-    assert code == 0
+    assert not dataset.build_feature_cache(small_corpus["entries"],
+                                           features.MfccConfig(hop_length=256), cache_b)
     code, _, err = run_cli(capsys, "evaluate",
                            "--checkpoint", str(out_dir / "baseline-seed0.lsnn"),
                            "--cache", str(cache_b), "--manifest", str(manifest),
@@ -250,6 +255,31 @@ def test_extract_only_out_of_scope_diagnoses_is_data_error(capsys, tmp_path, sma
     assert _data_error(*result), result
     assert "no usable recordings" in result[2]
     assert not (tmp_path / "c.lsfc").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--sample-rate", "16000"), ("--clip-seconds", "10"),
+                                         ("--frame-length", "512"), ("--hop-length", "256")])
+def test_extract_front_end_flag_is_usage_error(capsys, tmp_path, small_corpus, flag, value):
+    # the cache and the network fix the 40x862 grid; these flags could only
+    # truncate, zero-pad or break it
+    cache = tmp_path / "c.lsfc"
+    code, out, err = run_cli(capsys, "extract", "--audio-dir", str(small_corpus["audio_dir"]),
+                             "--diagnosis-csv", str(small_corpus["csv"]), "--out", str(cache),
+                             "--jobs", "1", flag, value)
+    assert code == 1 and out == "", (code, out, err)
+    assert "unrecognized arguments" in err and "Traceback" not in err
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_extract_jobs_below_one_is_usage_error(capsys, tmp_path, small_corpus, jobs):
+    cache = tmp_path / "c.lsfc"
+    code, out, err = run_cli(capsys, "extract", "--audio-dir", str(small_corpus["audio_dir"]),
+                             "--diagnosis-csv", str(small_corpus["csv"]), "--out", str(cache),
+                             "--jobs", jobs)
+    assert code == 1 and out == "", (code, out, err)
+    assert len(err.splitlines()) == 1 and "Traceback" not in err and "jobs" in err
+    assert not cache.exists()
 
 
 def test_extract_jobs_default_counts_usable_cpus(monkeypatch):

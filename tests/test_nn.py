@@ -229,7 +229,7 @@ def _steps_on_workers(monkeypatch, workers):
         probs, trace = nn.forward_batch(params, xs, training=True,
                                         rng=substream(3, "dropout", i), ws=ws)
         _, grads = nn.loss_and_backward(params, trace, ys)
-        nn.adam_step(params, grads, state)
+        nn.adam_step(params, grads, state, 1e-3)
         out += [probs, *grads.arrays(), *params.arrays()]
     xs = data.normal(size=(32, 40, 862)).astype(np.float32)
     for w in (ws, None):
@@ -360,8 +360,7 @@ def test_dropout_gradients_match_unfused_reference(rng):
         bias[:] = rng.normal(0.0, 0.05, size=bias.shape)
     xs = rng.normal(size=(3, 12, 20))
     ys = np.eye(6)[[0, 3, 5]]
-    _, trace = nn.forward_batch(params, xs, training=True, rng=substream(3, "dropout"),
-                                dropout_rate=0.3)
+    _, trace = nn.forward_batch(params, xs, training=True, rng=substream(3, "dropout"))
     _, grads = nn.loss_and_backward(params, trace, ys)
     # unfused stages, a full-shape mask per stage from the same stream, and a
     # backward that applies the mask before the ReLU
@@ -369,7 +368,7 @@ def test_dropout_gradients_match_unfused_reference(rng):
     a, kept = xs[..., None], []
     for kernel, bias in zip(params.conv_kernels, params.conv_biases):
         pooled, idx, z = oracle.stage_forward(a, kernel, bias)
-        mask = (draws.random(pooled.shape) >= 0.3) / 0.7
+        mask = (draws.random(pooled.shape) >= nn.DROPOUT_RATE) / (1 - nn.DROPOUT_RATE)
         kept.append((a, z, idx, mask))
         a = pooled * mask
     probs = nn.softmax(nn.dense(nn.global_avg_pool(a), params.dense_w, params.dense_b))
@@ -384,7 +383,7 @@ def test_dropout_gradients_match_unfused_reference(rng):
 
 
 def _step_schedule(monkeypatch, ws, schedule):
-    """Run ("step", rows, rate) training steps (forward, backward, Adam) and
+    """Run ("step", rows) training steps (forward, backward, Adam) and
     ("infer", rows) inference forwards; returns the bytes of every result
     array and, with a workspace, its buffer identities after each operation."""
     # stage 0 holds 4 * 11 * 19 * 3 floats of phase conv output per example:
@@ -395,17 +394,17 @@ def _step_schedule(monkeypatch, ws, schedule):
     state = nn.AdamState.for_params(params)
     data = np.random.default_rng(7)
     results, identities = [], []
-    for i, (kind, rows, *rate) in enumerate(schedule):
+    for i, (kind, rows) in enumerate(schedule):
         xs = data.normal(size=(rows, 24, 40)).astype(np.float32)
         if kind == "infer":
             probs, _ = nn.forward_batch(params, xs, keep_trace=False, ws=ws)
             results.append(probs.tobytes())
         else:
             ys = np.eye(6, dtype=np.float32)[data.integers(0, 6, rows)]
-            probs, trace = nn.forward_batch(params, xs, training=True, dropout_rate=rate[0],
+            probs, trace = nn.forward_batch(params, xs, training=True,
                                             rng=substream(3, "dropout", i), ws=ws)
             _, grads = nn.loss_and_backward(params, trace, ys)
-            nn.adam_step(params, grads, state)
+            nn.adam_step(params, grads, state, 1e-3)
             results.append([a.tobytes() for a in [probs, *grads.arrays(), *params.arrays()]])
         if ws is not None:
             identities.append({role: id(buf) for role, buf in ws.buffers.items()})
@@ -413,7 +412,7 @@ def _step_schedule(monkeypatch, ws, schedule):
 
 
 def test_workspace_steps_are_bit_identical(monkeypatch):
-    schedule = [("step", 16, 0.2), ("step", 8, 0.2), ("step", 32, 0.2), ("step", 16, 0.2)]
+    schedule = [("step", 16), ("step", 8), ("step", 32), ("step", 16)]
     want, _ = _step_schedule(monkeypatch, None, schedule)
     ws = nn.Workspace(32)
     got, identities = _step_schedule(monkeypatch, ws, schedule)
@@ -425,9 +424,8 @@ def test_workspace_steps_are_bit_identical(monkeypatch):
     assert ws.forwards == len(schedule)
 
 
-def test_workspace_rate_zero_and_inference_between_steps(monkeypatch):
-    schedule = [("step", 16, 0.2), ("infer", 32), ("step", 16, 0.0), ("infer", 5),
-                ("step", 8, 0.2)]
+def test_workspace_inference_between_steps(monkeypatch):
+    schedule = [("step", 16), ("infer", 32), ("infer", 5), ("step", 8)]
     want, _ = _step_schedule(monkeypatch, None, schedule)
     got, identities = _step_schedule(monkeypatch, nn.Workspace(32), schedule)
     assert got == want
@@ -435,7 +433,7 @@ def test_workspace_rate_zero_and_inference_between_steps(monkeypatch):
 
 
 def test_workspace_grows_past_capacity(monkeypatch):
-    schedule = [("step", 4, 0.2), ("step", 9, 0.2), ("step", 4, 0.2)]
+    schedule = [("step", 4), ("step", 9), ("step", 4)]
     want, _ = _step_schedule(monkeypatch, None, schedule)
     got, identities = _step_schedule(monkeypatch, nn.Workspace(4), schedule)
     assert got == want
@@ -537,7 +535,7 @@ def test_adam_zero_gradient_is_identity():
     params = nn.init_params(substream(5, "init"), SMALL)
     before = params.copy()
     state = nn.AdamState.for_params(params)
-    nn.adam_step(params, params.zeros_like(), state)
+    nn.adam_step(params, params.zeros_like(), state, 1e-3)
     assert all(np.array_equal(a, b) for a, b in zip(params.arrays(), before.arrays()))
 
 
@@ -571,7 +569,7 @@ def test_adam_shape_mismatch():
     grads = nn.init_params(substream(5, "init"), nn.CnnSpec(input_shape=(8, 16),
                                                             channels=(3, 5)))
     with pytest.raises(ShapeMismatch):
-        nn.adam_step(params, grads, nn.AdamState.for_params(params))
+        nn.adam_step(params, grads, nn.AdamState.for_params(params), 1e-3)
 
 
 def test_init_determinism_and_bounds():
@@ -634,7 +632,8 @@ def test_training_step_determinism(rng):
         state = nn.AdamState.for_params(params)
         for step in range(10):
             drng = substream(3, "dropout", 0, 0, step)
-            nn.weighted_gradient_step(params, state, [(1.0, xs, ys, "cross_entropy")], drng)
+            nn.weighted_gradient_step(params, state, [(1.0, xs, ys, "cross_entropy")], drng,
+                                      1e-3)
         return params
 
     a, b = run(), run()
@@ -649,4 +648,4 @@ def test_non_finite_loss_raises(rng):
     with pytest.raises(NonFiniteLoss):
         nn.weighted_gradient_step(params, nn.AdamState.for_params(params),
                                   [(1.0, xs, ys, "cross_entropy")],
-                                  substream(3, "dropout", 0, 0, 0))
+                                  substream(3, "dropout", 0, 0, 0), 1e-3)

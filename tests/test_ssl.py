@@ -8,6 +8,8 @@ from lungsound.rng import substream
 import nn_oracle as oracle
 
 TINY = nn.CnnSpec(input_shape=(8, 16), channels=(2, 3))
+CFG = ssl.SslConfig()
+LR = 1e-3
 
 
 def entropy(p):
@@ -36,9 +38,10 @@ def assert_step_is_supervised(terms_of, xs, ys, dropout):
     """A step on the terms `terms_of(params)` builds moves the parameters
     exactly as a plain cross-entropy step on (xs, ys) does."""
     p1, p2 = tiny_params(dtype=np.float32), tiny_params(dtype=np.float32)
-    nn.weighted_gradient_step(p1, nn.AdamState.for_params(p1), terms_of(p1), substream(*dropout))
+    nn.weighted_gradient_step(p1, nn.AdamState.for_params(p1), terms_of(p1), substream(*dropout),
+                              LR)
     nn.weighted_gradient_step(p2, nn.AdamState.for_params(p2),
-                              [(1.0, xs, ys, "cross_entropy")], substream(*dropout))
+                              [(1.0, xs, ys, "cross_entropy")], substream(*dropout), LR)
     assert all(np.array_equal(a, b) for a, b in zip(p1.arrays(), p2.arrays()))
 
 
@@ -52,8 +55,10 @@ def test_augment_degenerate_is_identity(rng):
 
 def test_augment_preserves_shape_and_differs(rng):
     x = rng.normal(size=(40, 862)).astype(np.float32)
-    a = ssl.augment(x, substream(0, "augment", 0))
-    b = ssl.augment(x, substream(0, "augment", 1))
+    a = ssl.augment(x, substream(0, "augment", 0), CFG.augment_noise_scale,
+                    CFG.augment_max_mask_frames)
+    b = ssl.augment(x, substream(0, "augment", 1), CFG.augment_noise_scale,
+                    CFG.augment_max_mask_frames)
     assert a.shape == x.shape == b.shape
     assert a.dtype == x.dtype
     assert not np.array_equal(a, b)
@@ -119,7 +124,8 @@ def test_guess_label_is_soft_label_and_sharper(rng):
     params = tiny_params()
     u = rng.normal(size=(8, 16)).astype(np.float32)
     arng = substream(1, "augment")
-    copies = np.stack([ssl.augment(u, arng) for _ in range(2)])
+    copies = np.stack([ssl.augment(u, arng, CFG.augment_noise_scale,
+                                   CFG.augment_max_mask_frames) for _ in range(2)])
     mean_pred, _ = nn.forward_batch(params, copies)
     mean_pred = mean_pred.mean(axis=0)
     guess = ssl.guess_labels(params, copies, k=2, temperature=0.5)
@@ -133,9 +139,9 @@ def test_guess_label_is_soft_label_and_sharper(rng):
 def test_mixup_forced_endpoints(rng):
     x1, x2 = rng.normal(size=(2, 4, 5))
     y1, y2 = random_soft_labels(rng, 2)
-    mx, my = ssl.mixup(x1, y1, x2, y2, 0.75, substream(0, "mixup"), fixed_lambda=1.0)
+    mx, my = ssl.mixup(x1, y1, x2, y2, substream(0, "mixup"), fixed_lambda=1.0)
     assert np.array_equal(mx, x1) and np.array_equal(my, y1)
-    mx, my = ssl.mixup(x1, y1, x2, y2, 0.75, substream(0, "mixup"), fixed_lambda=0.5)
+    mx, my = ssl.mixup(x1, y1, x2, y2, substream(0, "mixup"), fixed_lambda=0.5)
     assert np.allclose(mx, (x1 + x2) / 2)
     assert np.allclose(my, (y1 + y2) / 2)
 
@@ -146,7 +152,7 @@ def test_mixup_lambda_distribution(rng):
     y1, y2 = random_soft_labels(rng, 2)
     mrng = substream(5, "mixup")
     for _ in range(10000):
-        mx, my = ssl.mixup(x1, y1, x2, y2, 0.75, mrng)
+        mx, my = ssl.mixup(x1, y1, x2, y2, mrng)
         lam = 1.0 - float(mx[0, 0])  # weight on the first argument
         assert 0.5 <= lam <= 1.0
         assert oracle.is_soft_label(my)
@@ -212,7 +218,8 @@ def test_co_refinement_losses_finite(rng):
     state = nn.AdamState.for_params(params)
     xs, ys, us = batches(rng, 6, 6)
     terms = ssl.co_refinement_step(params, xs, ys, us, 0.5)
-    lab, unlab = nn.weighted_gradient_step(params, state, terms, substream(1, "dropout", 0, 1, 0))
+    lab, unlab = nn.weighted_gradient_step(params, state, terms,
+                                           substream(1, "dropout", 0, 1, 0), LR)
     assert np.isfinite(lab) and np.isfinite(unlab)
     assert lab >= 0 and unlab >= 0
 
@@ -268,7 +275,7 @@ def test_co_refurbishing_blends_subset(rng):
     terms = ssl.co_refurbishing_step(params, xs, ys, us, weight=0.7, fraction=0.3,
                                      rng=substream(4, "refurbish", 0, 0))
     lab, unlab = nn.weighted_gradient_step(params, state, terms,
-                                           substream(4, "dropout", 0, 2, 0))
+                                           substream(4, "dropout", 0, 2, 0), LR)
     assert np.isfinite(lab) and np.isfinite(unlab) and unlab > 0
 
 

@@ -36,7 +36,7 @@ def test_tracer_hooks_one_training_step(rng, monkeypatch):
     try:
         nn.weighted_gradient_step(params, nn.AdamState.for_params(params),
                                   [(1.0, xs, ys, "cross_entropy")],
-                                  substream(0, "dropout", 0, 0, 0))
+                                  substream(0, "dropout", 0, 0, 0), 1e-3)
         nn.forward_batch(params, xs)
     finally:
         tracer.uninstall()

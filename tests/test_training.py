@@ -211,7 +211,9 @@ def test_artifacts_written(tmp_path, small_corpus, small_split):
 def test_train_config_validation():
     for bad in (dict(epochs=-1), dict(refit_epochs=-3, mode="semi"), dict(batch_size=0),
                 dict(early_stop_patience=0), dict(early_stop_patience=-2),
-                dict(validation_fraction=0.5), dict(mode="both")):
+                dict(validation_fraction=0.5), dict(mode="both"),
+                dict(learning_rate=float("nan")), dict(learning_rate=float("inf")),
+                dict(learning_rate=0.0), dict(learning_rate=-1.0)):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
     TrainConfig(epochs=0, refit_epochs=0, early_stop_patience=1)
