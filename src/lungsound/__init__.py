@@ -16,7 +16,7 @@ from .nn import (AdamState, CnnSpec, ModelParams, adam_step, forward_batch, init
                  load_checkpoint, loss_and_backward, save_checkpoint)
 from .ssl import (SslConfig, augment, co_refinement_step, co_refurbishing_step, guess_labels,
                   mixmatch, mixup, sharpen)
-from .training import (FeatureNormalizer, RunManifest, TrainConfig, evaluate_split,
+from .training import (FeatureNormalizer, RunManifest, TrainConfig, evaluate_split, load_model,
                        train_baseline, train_semi)
 
 __version__ = "0.1.0"

@@ -17,11 +17,9 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import dataset, evaluation, features, nn, training
 from . import ssl as ssl_strategies
-from .errors import ConfigHashMismatch, DataError, NonFiniteLoss, NoUsableData
+from .errors import DataError, NonFiniteLoss, NoUsableData
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -147,21 +145,7 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     cache = dataset.FeatureCache.load(args.cache)
     split = dataset.SplitManifest.load(args.manifest)
-    params, meta = nn.load_checkpoint(args.checkpoint)
-    shapes = [a.shape for a in params.arrays()]
-    if shapes != [a.shape for a in nn.init_params(np.random.default_rng(0)).arrays()]:
-        raise DataError(f"{args.checkpoint}: tensor shapes {shapes} do not fit the "
-                        f"production network {nn.CnnSpec()}")
-    if not params.all_finite():
-        raise DataError(f"{args.checkpoint}: parameters are not all finite")
-    stored = meta.get("config_hash")
-    if stored is not None and stored != cache.config_hash.hex():
-        raise ConfigHashMismatch(
-            f"{args.checkpoint} was trained against a different feature config")
-    try:
-        norm = training.FeatureNormalizer.from_meta(meta)
-    except DataError as exc:
-        raise DataError(f"{args.checkpoint}: {exc}") from None
+    params, norm = training.load_model(args.checkpoint, cache)
     y_true, y_pred = training.evaluate_split(params, cache, split, norm=norm)
     cm = evaluation.confusion(y_true, y_pred)
     rep = evaluation.report(cm)

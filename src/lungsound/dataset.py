@@ -24,6 +24,7 @@ import numpy as np
 from . import audio_io, features
 from .errors import (ConfigHashMismatch, DataError, MalformedCsv, MalformedHeader,
                      MalformedName, NoUsableData, UnknownPatient)
+from .nn import N_CLASSES
 from .rng import substream
 
 log = logging.getLogger(__name__)
@@ -230,8 +231,9 @@ def make_splits(labels: dict, seed: int, unlabeled_fraction: float,
 # -- feature cache ---------------------------------------------------------
 #
 # Cache v1, little-endian: the _HEADER (magic, version, feature-config hash,
-# record count), `count` packed _RECORDs sorted by id, then a UTF-8 JSON
-# trailer {"stems": {id: stem}, "failures": [[id, path, message], ...]}.
+# record count), `count` packed _RECORDs in strictly increasing id order (class
+# UNLABELED or 0..N_CLASSES-1), then a UTF-8 JSON trailer {"stems": {id: stem}
+# for every record, "failures": [[id, path, message], ...]}.
 
 _CACHE_MAGIC = b"LSFC"
 _CACHE_VERSION = 1
@@ -291,14 +293,14 @@ class FeatureCache:
     def __init__(self, ids, classes, matrices, config_hash, stems=None, path=None,
                  file_sha256=None):
         self.ids = np.asarray(ids)
+        if (np.diff(self.ids) <= 0).any():
+            raise ValueError("recording ids are not strictly increasing")
         self.classes = np.asarray(classes)
         self.matrices = matrices
         self.config_hash = config_hash
         self.stems = stems or {}
         self.path = path
         self.file_sha256 = file_sha256
-        self._order = np.argsort(self.ids, kind="stable")
-        self._sorted_ids = self.ids[self._order]
 
     def __len__(self):
         return len(self.ids)
@@ -307,12 +309,12 @@ class FeatureCache:
         """Row positions of recording ids, in the order given; an id absent
         from the cache raises UnknownPatient."""
         want = np.asarray(rec_ids, dtype=np.int64)
-        at = np.searchsorted(self._sorted_ids, want, side="right") - 1  # last of equal ids
-        known = at >= 0
-        known[known] = self._sorted_ids[at[known]] == want[known]
+        at = np.searchsorted(self.ids, want)
+        known = at < len(self.ids)
+        known[known] = self.ids[at[known]] == want[known]
         if not known.all():
             raise UnknownPatient(f"recording {want[~known][0]} not present in cache")
-        return self._order[at]
+        return at
 
     def gather(self, rec_ids) -> np.ndarray:
         """Feature matrices of recording ids, stacked in the order given."""
@@ -345,12 +347,16 @@ class FeatureCache:
                 tail = fh.read()
                 trailer = json.loads(tail.decode())
                 stems = {int(k): v for k, v in trailer.get("stems", {}).items()}
+                if not ((recs["cls"] >= UNLABELED) & (recs["cls"] < N_CLASSES)).all():
+                    raise ValueError(f"a class id lies outside {UNLABELED}..{N_CLASSES - 1}")
+                if stems.keys() != set(recs["id"].tolist()):
+                    raise ValueError("the trailer's stems do not name exactly the records")
+                digest = hashlib.sha256(head)
+                digest.update(recs)
+                digest.update(tail)
+                return cls(recs["id"].astype(np.int64), recs["cls"].astype(np.int64),
+                           recs["mat"], config_hash, stems, str(path), digest.hexdigest())
             except (struct.error, ValueError, AttributeError) as exc:
-                # short header or record block; missing trailer, or bad UTF-8, JSON or stems in it
+                # a short header or record block, a bad trailer, or records that break the format
                 raise MalformedHeader(f"{path}: damaged cache ({type(exc).__name__}: {exc})") \
                     from None
-        digest = hashlib.sha256(head)
-        digest.update(recs)
-        digest.update(tail)
-        return cls(recs["id"].astype(np.int64), recs["cls"].astype(np.int64), recs["mat"],
-                   config_hash, stems, str(path), file_sha256=digest.hexdigest())

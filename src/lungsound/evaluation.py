@@ -16,8 +16,8 @@ import numpy as np
 
 from .dataset import CLASS_NAMES
 from .errors import DataError, EmptyEvaluation, LengthMismatch, OutOfRangeLabel
+from .nn import N_CLASSES
 
-N_CLASSES = len(CLASS_NAMES)
 _METRIC_KEYS = ("precision", "recall", "f1-score", "support")
 
 

@@ -462,32 +462,28 @@ def _softmax_backward(p, dp):
     return p * (dp - (dp * p).sum(axis=-1, keepdims=True))
 
 
-def _keep_scale(dtype, rate: float):
-    """The survivor scale of inverted dropout, 1 / (1 - rate), in dtype."""
-    return dtype.type(1) / dtype.type(1.0 - rate)
+def _keep_scale(dtype):
+    """The survivor scale of inverted dropout, 1 / (1 - DROPOUT_RATE), in dtype."""
+    return dtype.type(1) / dtype.type(1.0 - DROPOUT_RATE)
 
 
-def dropout(x: np.ndarray, rate: float, rng: np.random.Generator, ws: Workspace) -> np.ndarray:
-    """Inverted dropout in place: zero each entry of x with probability `rate`,
-    scale survivors by 1/(1-rate); returns x.
+def dropout(x: np.ndarray, rng: np.random.Generator, ws: Workspace) -> np.ndarray:
+    """Inverted dropout in place: zero each entry of x with probability
+    DROPOUT_RATE, scale survivors by 1/(1-DROPOUT_RATE); returns x.
 
-    Rate 0 leaves x untouched. The draws run block by block (their scratch
-    from ws); successive draws along axis 0 continue one stream,
-    so x ends as x * ((one full-shape draw >= rate) / (1 - rate)), rounded
+    The draws run block by block (their scratch from ws); successive draws
+    along axis 0 continue one stream, so x ends as
+    x * ((one full-shape draw >= DROPOUT_RATE) / (1 - DROPOUT_RATE)), rounded
     once.
     """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return x
     row_bytes = 8 * x[:1].size
     blocks, step, _ = _blocks(len(x), row_bytes)
     draws = _empty(ws, "scratch", (step,) + x.shape[1:], np.float64, step, row_bytes)
     keep = _empty(ws, "keep", draws.shape, x.dtype, step, row_bytes)
-    scale = _keep_scale(x.dtype, rate)
+    scale = _keep_scale(x.dtype)
     for s in blocks:
         n = s.stop - s.start
-        np.greater_equal(rng.random(out=draws[:n]), rate, out=keep[:n], casting="unsafe")
+        np.greater_equal(rng.random(out=draws[:n]), DROPOUT_RATE, out=keep[:n], casting="unsafe")
         keep[:n] *= scale
         x[s] *= keep[:n]
     return x
@@ -538,7 +534,7 @@ def forward_batch(params: ModelParams, xs: np.ndarray, training: bool = False,
     for k, (kernel, bias) in enumerate(zip(params.conv_kernels, params.conv_biases)):
         a, idx, cols = _conv_forward(a, kernel, bias, keep_trace, ws, k)
         if training:
-            dropout(a, DROPOUT_RATE, rng, ws)
+            dropout(a, rng, ws)
         if keep_trace:
             trace.conv_cols.append(cols)
             trace.pool_out.append(a)
@@ -590,7 +586,7 @@ def backward_from_dp(trace: ForwardTrace, dp: np.ndarray) -> ModelParams:
         kept = np.greater(pool, 0, out=_empty(ws, "scratch", pool.shape, bool, len(pool)))
         np.multiply(da, kept, out=da)
         if trace.training:
-            da *= _keep_scale(da.dtype, DROPOUT_RATE)
+            da *= _keep_scale(da.dtype)
         x_shape = (trace.pool_out[i - 1] if i else trace.x).shape
         da, dk, db = _conv_backward(da, trace.conv_cols[i], params.conv_kernels[i],
                                     x_shape, i > 0, trace.pool_idx[i], ws, i)

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import nn, ssl
 from .dataset import _CACHE_SHAPE, FeatureCache, SplitManifest
-from .errors import DataError, NonFiniteLoss, NoUsableData
+from .errors import ConfigHashMismatch, DataError, NonFiniteLoss, NoUsableData
 from .rng import substream
 
 log = logging.getLogger(__name__)
@@ -316,6 +316,24 @@ def _write_run(manifest: RunManifest, t0: float, out_dir, tag: str, params=None)
             **manifest.normalizer})
         manifest.checkpoint_path = str(ckpt)
     manifest.save(out / f"{tag}-manifest.json")
+
+
+def load_model(path, cache: FeatureCache):
+    """(params, normalizer) of a checkpoint `_write_run` wrote, if it can score
+    `cache`: production-network tensor shapes, finite parameters, the feature-
+    config hash of `cache` and a valid normalizer; else raises DataError."""
+    params, meta = nn.load_checkpoint(path)
+    shapes = [a.shape for a in params.arrays()]
+    if shapes != [a.shape for a in nn.init_params(np.random.default_rng(0)).arrays()]:
+        raise DataError(f"{path}: tensor shapes {shapes} do not fit the production network")
+    if not params.all_finite():
+        raise DataError(f"{path}: parameters are not all finite")
+    if meta.get("config_hash") != cache.config_hash.hex():
+        raise ConfigHashMismatch(f"{path}: its feature-config hash is missing or not the cache's")
+    try:
+        return params, FeatureNormalizer.from_meta(meta)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _train(cfg: TrainConfig, cache: FeatureCache, split: SplitManifest, out_dir,

@@ -332,6 +332,60 @@ def test_damaged_cache_is_data_error(capsys, tmp_path, small_corpus):
         assert "MalformedHeader" in result[2]
 
 
+def _edited_cache(tmp_path, small_corpus, edit):
+    """small_corpus's cache file after edit(records, trailer) changed its
+    record array or its trailer dict in place."""
+    data = small_corpus["cache_path"].read_bytes()
+    recs = np.frombuffer(data, dataset._RECORD, len(small_corpus["cache"]), 42).copy()
+    trailer = json.loads(data[42 + recs.nbytes:])
+    edit(recs, trailer)
+    path = tmp_path / "edited.lsfc"
+    path.write_bytes(data[:42] + recs.tobytes() + json.dumps(trailer).encode())
+    return path
+
+
+def _duplicate_id(recs, trailer):
+    del trailer["stems"][str(recs["id"][1])]  # so the stems still name every record
+    recs["id"][1] = recs["id"][0]
+
+
+def _swap_ids(recs, trailer):
+    recs["id"][[0, 1]] = recs["id"][[1, 0]]
+
+
+def _class_of_first(cls):
+    def edit(recs, trailer):
+        recs["cls"][0] = cls
+    return edit
+
+
+def _drop_first_stem(recs, trailer):
+    del trailer["stems"][str(recs["id"][0])]
+
+
+def _add_stem(recs, trailer):
+    trailer["stems"][str(recs["id"][-1] + 1)] = "999_1b1_Tc_sc_Synth"
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (_duplicate_id, "strictly increasing"),
+    (_swap_ids, "strictly increasing"),
+    (_class_of_first(nn.N_CLASSES), f"outside -1..{nn.N_CLASSES - 1}"),
+    (_class_of_first(7), f"outside -1..{nn.N_CLASSES - 1}"),
+    (_class_of_first(-2), f"outside -1..{nn.N_CLASSES - 1}"),
+    (_drop_first_stem, "stems do not name exactly the records"),
+    (_add_stem, "stems do not name exactly the records"),
+], ids=["duplicate-id", "swapped-ids", "class-6", "class-7", "class-minus-2", "stem-missing",
+        "stem-extra"])
+def test_split_refuses_cache_breaking_its_format(capsys, tmp_path, small_corpus, edit, reason):
+    result = run_cli(capsys, "split", "--by-patient",
+                     "--cache", str(_edited_cache(tmp_path, small_corpus, edit)),
+                     "--out", str(tmp_path / "m.json"))
+    assert _data_error(*result), result
+    assert "MalformedHeader" in result[2] and reason in result[2]
+    assert not (tmp_path / "m.json").exists()
+
+
 @pytest.mark.parametrize("text", [
     "{not json",
     json.dumps({"train_unlabeled": [], "test": [1], "seed": 0, "unlabeled_fraction": 0.0}),
@@ -363,7 +417,8 @@ def test_evaluate_refuses_checkpoint_it_cannot_score(capsys, tmp_path, small_cor
              "production network"),
             (nan_params, meta, "not all finite"),
             (good, [1, 2], "not a JSON object"),
-            (good, meta, "unreadable normalizer")):
+            (good, meta, "unreadable normalizer"),
+            (good, {"norm_mean": [0.0] * 40, "norm_std": [1.0] * 40}, "feature-config hash")):
         ckpt = tmp_path / "model.lsnn"
         nn.save_checkpoint(ckpt, params, metadata)
         result = run_cli(capsys, "evaluate", "--checkpoint", str(ckpt),

@@ -208,6 +208,18 @@ def test_cache_unknown_recording(small_corpus):
     assert cache.gather([]).shape == (0,) + cache.matrices.shape[1:]
 
 
+def test_cache_ids_strictly_increase():
+    mats = np.zeros((3, 40, 862), np.float32)
+    for ids in ([0, 2, 2], [0, 2, 1]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            FeatureCache(ids, [0, 1, 2], mats, b"\x00" * 32)
+    cache = FeatureCache([0, 2, 5], [0, 1, 2], mats, b"\x00" * 32)
+    assert cache.rows([5, 0, 5, 2]).tolist() == [2, 0, 2, 1]
+    for absent in (-1, 1, 6):
+        with pytest.raises(UnknownPatient):
+            cache.rows([absent])
+
+
 def _mfcc(path, cfg):
     return features.extract_mfcc(audio_io.resample(audio_io.load_wav(path), cfg.sample_rate),
                                  cfg).astype("<f4")

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from lungsound import evaluation
+from lungsound import dataset, evaluation, nn
 from lungsound.evaluation import (ClassificationReport, confusion, confusion_to_csv,
                                   format_report, report)
 from lungsound.errors import DataError, EmptyEvaluation, LengthMismatch, OutOfRangeLabel
@@ -13,6 +13,11 @@ from report_fixtures import BASELINE_CM, BASELINE_EXPECTED, SEMI_CM, SEMI_EXPECT
 
 def fmt2(v):
     return evaluation._fmt2(v)
+
+
+def test_one_class_count():
+    # the report's class names and the network's head outputs are one count
+    assert len(dataset.CLASS_NAMES) == nn.N_CLASSES
 
 
 def test_confusion_perfect_predictions(rng):

@@ -181,15 +181,15 @@ def test_blocked_stage_is_bit_identical(monkeypatch, rng, batch):
         dx, dk, db = nn._conv_backward(dy * (pooled > 0), cols, k, x.shape, True, idx, ws)
         monkeypatch.setattr(nn, "_BLOCK_BYTES", rows * drop_row)
         assert len(nn._blocks(batch, drop_row)[0]) == -(-batch // rows)
-        dropped = nn.dropout(pooled.copy(), 0.3, substream(1, "dropout"), nn.Workspace(batch))
+        dropped = nn.dropout(pooled.copy(), substream(1, "dropout"), nn.Workspace(batch))
         return pooled, idx, cols, inferred[0], dropped, dx, dk, db
 
     want = run(batch)
     assert _same_bytes(run(block), want)
     # the blocked draws are the stream of one full-shape draw, applied as the
-    # float32 mask (0 or 1/0.7) that one multiply would apply
-    full = (substream(1, "dropout").random(want[0].shape) >= 0.3).astype(np.float32)
-    full /= 0.7
+    # float32 mask (0 or 1/(1 - DROPOUT_RATE)) that one multiply would apply
+    full = (substream(1, "dropout").random(want[0].shape) >= nn.DROPOUT_RATE).astype(np.float32)
+    full /= 1 - nn.DROPOUT_RATE
     assert _same_bytes([want[4]], [want[0] * full])
 
 
@@ -317,17 +317,9 @@ def test_softmax_stability():
     assert abs(p.sum() - 1.0) < 1e-9
 
 
-def test_dropout_rate_zero_identity(rng):
-    x = rng.normal(size=(4, 4)).astype(np.float32)
-    before = x.copy()
-    out = nn.dropout(x, 0.0, substream(0, "dropout"), nn.Workspace(len(x)))
-    assert out is x
-    assert np.array_equal(x, before)
-
-
 def test_dropout_zero_fraction():
     x = np.ones(100000, dtype=np.float32)
-    out = nn.dropout(x, 0.2, substream(9, "dropout"), nn.Workspace(len(x)))
+    out = nn.dropout(x, substream(9, "dropout"), nn.Workspace(len(x)))
     assert out is x  # in place
     frac = float((out == 0).mean())
     assert 0.19 <= frac <= 0.21
@@ -346,7 +338,7 @@ def test_backward_mask_order_is_bit_identical(rng):
     mask = (substream(2, "dropout").random(pool.shape) >= 0.2).astype(np.float32)
     mask /= 0.8
     want = (da * mask) * (pool > 0)
-    after = nn.dropout(pool.copy(), 0.2, substream(2, "dropout"), nn.Workspace(len(pool)))
+    after = nn.dropout(pool.copy(), substream(2, "dropout"), nn.Workspace(len(pool)))
     assert after.tobytes() == (pool * mask).tobytes()
     got = (da * (after > 0)) * (np.float32(1) / np.float32(0.8))
     assert got.tobytes() == want.tobytes()  # signed zeros included

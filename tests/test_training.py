@@ -8,7 +8,7 @@ import pytest
 
 from lungsound import dataset, nn, training
 from lungsound.dataset import FeatureCache, SplitManifest
-from lungsound.errors import NonFiniteLoss
+from lungsound.errors import ConfigHashMismatch, DataError, MalformedHeader, NonFiniteLoss
 from lungsound.rng import substream
 from lungsound.training import (FeatureNormalizer, TrainConfig, run_mixmatch_epoch,
                                 run_supervised_epoch, train_baseline, train_semi)
@@ -202,10 +202,37 @@ def test_artifacts_written(tmp_path, small_corpus, small_split):
     loaded, meta = nn.load_checkpoint(manifest.checkpoint_path)
     assert params_equal(loaded, params)
     assert meta["config_hash"] == small_corpus["cache"].config_hash.hex()
+    loaded, norm = training.load_model(manifest.checkpoint_path, small_corpus["cache"])
+    assert params_equal(loaded, params) and norm.to_meta() == manifest.normalizer
     saved = json.loads((tmp_path / "semi-seed6-manifest.json").read_text())
     assert saved["mode"] == "semi"
     assert saved["config"]["ssl"]["temperature"] == 0.5
     assert len(saved["epoch_rows"]) == len(manifest.epoch_rows)
+
+
+def test_load_model_refuses_checkpoint_it_cannot_score(tmp_path, small_corpus):
+    cache = small_corpus["cache"]
+    norm = {"norm_mean": [0.0] * 40, "norm_std": [1.0] * 40}
+    meta = {"config_hash": cache.config_hash.hex(), **norm}
+    good = nn.init_params(substream(0, "init"))
+    inf_params = good.copy()
+    inf_params.conv_kernels[2][0, 0, 0, 0] = np.inf
+    ckpt = tmp_path / "model.lsnn"
+    for params, metadata, error, reason in (
+            (nn.init_params(substream(0, "init"), nn.CnnSpec((8, 16), (2, 3))), meta,
+             DataError, "production network"),
+            (inf_params, meta, DataError, "not all finite"),
+            (good, norm, ConfigHashMismatch, "feature-config hash"),
+            (good, {**meta, "config_hash": "00" * 32}, ConfigHashMismatch, "feature-config hash"),
+            (good, {**meta, "norm_std": [0.0] * 40}, DataError, "normalizer"),
+            (good, {"config_hash": meta["config_hash"]}, DataError, "unreadable normalizer"),
+            (good, [1, 2], MalformedHeader, "not a JSON object")):
+        nn.save_checkpoint(ckpt, params, metadata)
+        with pytest.raises(error, match=reason):
+            training.load_model(ckpt, cache)
+    nn.save_checkpoint(ckpt, good, meta)
+    params, got = training.load_model(ckpt, cache)
+    assert params_equal(params, good) and got.to_meta() == norm
 
 
 def test_train_config_validation():
