@@ -7,6 +7,8 @@ float (format code 3) payloads. Anything compressed is rejected up front.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -26,16 +28,17 @@ class AudioClip:
     sample_rate: int
 
 
-def _chunks(data: bytes):
-    """Yield (chunk id, payload) pairs from a RIFF body, honouring pad bytes."""
+def _chunks(fh, file_size: int):
+    """Yield (chunk id, payload offset, payload size) for each chunk of a RIFF
+    body, reading only the 8-byte headers; pad bytes are honoured and a chunk
+    that runs past the end of the file raises MalformedHeader."""
     pos = 12
-    while pos + 8 <= len(data):
-        cid = data[pos:pos + 4]
-        (size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8:pos + 8 + size]
-        if len(body) < size:
+    while pos + 8 <= file_size:
+        fh.seek(pos)
+        cid, size = struct.unpack("<4sI", fh.read(8))
+        if pos + 8 + size > file_size:
             raise MalformedHeader(f"chunk {cid!r} claims {size} bytes, file truncated")
-        yield cid, body
+        yield cid, pos + 8, size
         pos += 8 + size + (size & 1)
 
 
@@ -49,10 +52,10 @@ def _decode_samples(payload: bytes, fmt: int, bits: int) -> np.ndarray:
         if bits == 16:
             return np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
         if bits == 24:
-            raw = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3).astype(np.int64)
-            vals = raw[:, 0] | (raw[:, 1] << 8) | (raw[:, 2] << 16)
-            vals -= (vals & 0x800000) << 1  # sign extension
-            return vals.astype(np.float64) / float(2 ** 23)
+            # each 3-byte sample fills the top of an int32; the shift sign-extends it
+            wide = np.zeros((len(payload) // 3, 4), dtype=np.uint8)
+            wide[:, 1:] = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
+            return (wide.view("<i4")[:, 0] >> 8).astype(np.float64) / float(2 ** 23)
         if bits == 32:
             return np.frombuffer(payload, dtype="<i4").astype(np.float64) / float(2 ** 31)
         raise UnsupportedEncoding(f"{bits}-bit PCM is not supported")
@@ -64,38 +67,49 @@ def _decode_samples(payload: bytes, fmt: int, bits: int) -> np.ndarray:
     raise UnsupportedEncoding(f"WAV format code {fmt} (compressed?) is not supported")
 
 
-def load_wav(path) -> AudioClip:
+def load_wav(path, seconds: float | None = None) -> AudioClip:
     """Decode a WAV file to a normalized mono AudioClip.
 
     Multi-channel input is averaged to mono; integer samples are scaled to
-    [-1, 1] by the type's maximum magnitude.
+    [-1, 1] by the type's maximum magnitude. With `seconds` given, only the
+    first ceil(seconds * rate) + 2 frames are read and decoded: enough for a
+    linear resampler to produce every output sample before `seconds`
+    unchanged. Every chunk header is still checked against the file size, so
+    a damaged file is refused whatever the window.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise MalformedHeader(f"{path}: not a RIFF/WAVE file")
+        file_size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
+            raise MalformedHeader(f"{path}: not a RIFF/WAVE file")
 
-    fmt_body = None
-    data_body = None
-    for cid, body in _chunks(data):
-        if cid == b"fmt " and fmt_body is None:
-            fmt_body = body
-        elif cid == b"data" and data_body is None:
-            data_body = body
-    if fmt_body is None or len(fmt_body) < 16:
-        raise MalformedHeader(f"{path}: missing or short fmt chunk")
-    if data_body is None:
-        raise MalformedHeader(f"{path}: missing data chunk")
+        fmt_chunk = data_chunk = None  # (offset, size) of the first of each
+        for cid, offset, size in _chunks(fh, file_size):
+            if cid == b"fmt " and fmt_chunk is None:
+                fmt_chunk = offset, size
+            elif cid == b"data" and data_chunk is None:
+                data_chunk = offset, size
+        if fmt_chunk is None or fmt_chunk[1] < 16:
+            raise MalformedHeader(f"{path}: missing or short fmt chunk")
+        if data_chunk is None:
+            raise MalformedHeader(f"{path}: missing data chunk")
 
-    fmt, n_channels, sample_rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt_body, 0)
-    if n_channels < 1:
-        raise MalformedHeader(f"{path}: channel count {n_channels}")
-    if sample_rate <= 0:
-        raise MalformedHeader(f"{path}: sample rate {sample_rate}")
-    if len(data_body) == 0:
-        raise EmptyAudio(f"{path}: zero data frames")
+        fh.seek(fmt_chunk[0])
+        fmt, n_channels, sample_rate, _, _, bits = struct.unpack("<HHIIHH", fh.read(16))
+        if n_channels < 1:
+            raise MalformedHeader(f"{path}: channel count {n_channels}")
+        if sample_rate <= 0:
+            raise MalformedHeader(f"{path}: sample rate {sample_rate}")
+        offset, n_bytes = data_chunk
+        if n_bytes == 0:
+            raise EmptyAudio(f"{path}: zero data frames")
+        if seconds is not None:
+            n_keep = math.ceil(seconds * sample_rate) + 2
+            n_bytes = min(n_bytes, n_keep * n_channels * max(bits // 8, 1))
+        fh.seek(offset)
+        payload = fh.read(n_bytes)
 
-    flat = _decode_samples(data_body, fmt, bits)
+    flat = _decode_samples(payload, fmt, bits)
     n_frames = len(flat) // n_channels
     if n_frames == 0:
         raise EmptyAudio(f"{path}: zero data frames")

@@ -12,9 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import multiprocessing
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -242,12 +242,12 @@ _HEADER = struct.Struct("<4sH32sI")
 _RECORD = np.dtype([("id", "<u4"), ("cls", "i1"), ("mat", "<f4", _CACHE_SHAPE)])
 
 
-def _extract(args):
+def _extract(rec_id, cls, path, cfg):
     """(id, class, MFCC grid) of one entry, or the message of the DataError
-    that stopped it."""
-    rec_id, cls, path, cfg = args
+    that stopped it. Only the clip_seconds window that the grid keeps is
+    decoded and resampled."""
     try:
-        clip = audio_io.resample(audio_io.load_wav(path), cfg.sample_rate)
+        clip = audio_io.resample(audio_io.load_wav(path, cfg.clip_seconds), cfg.sample_rate)
         return rec_id, cls, features.extract_mfcc(clip, cfg).astype("<f4")
     except DataError as exc:
         return f"{type(exc).__name__}: {exc}"
@@ -258,18 +258,21 @@ def build_feature_cache(entries, cfg: features.MfccConfig, out_path, jobs: int =
 
     Writes the binary cache (records sorted by recording id) and returns the
     list of per-file failures as (recording id, path, message). Files that
-    fail to decode are skipped, not fatal.
+    fail to decode are skipped, not fatal. With `jobs` > 1, that many threads
+    extract the entries.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if (cfg.n_coefficients, cfg.target_frames) != _CACHE_SHAPE:
         raise ValueError(f"cache records are fixed at {_CACHE_SHAPE}, "
                          f"config gives ({cfg.n_coefficients}, {cfg.target_frames})")
-    work = [(int(rid), int(cls), path, cfg) for rid, cls, path in entries]
+    work = [(int(rid), int(cls), path) for rid, cls, path in entries]
     results, failures = [], []
-    with (multiprocessing.Pool(jobs) if jobs > 1 else nullcontext()) as pool:
-        outcomes = pool.imap(_extract, work, chunksize=4) if pool else map(_extract, work)
-        for (rid, _, path, _), outcome in zip(work, outcomes):
+    # one job runs on the caller's thread: a worker thread gets a malloc arena
+    # of its own, which keeps the freed extraction buffers resident
+    with ThreadPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
+        outcomes = (pool.map if pool else map)(lambda w: _extract(*w, cfg), work)
+        for (rid, _, path), outcome in zip(work, outcomes):
             if isinstance(outcome, str):
                 log.warning("skipping recording %d (%s): %s", rid, path, outcome)
                 failures.append((rid, path, outcome))
@@ -277,7 +280,7 @@ def build_feature_cache(entries, cfg: features.MfccConfig, out_path, jobs: int =
                 results.append(outcome)
     results.sort(key=lambda r: r[0])
 
-    stems = {rid: Path(path).stem for rid, _, path, _ in work}
+    stems = {rid: Path(path).stem for rid, _, path in work}
     trailer = {"stems": {str(r[0]): stems[r[0]] for r in results},
                "failures": [list(f) for f in failures]}
     with open(out_path, "wb") as fh:
@@ -351,6 +354,8 @@ class FeatureCache:
                     raise ValueError(f"a class id lies outside {UNLABELED}..{N_CLASSES - 1}")
                 if stems.keys() != set(recs["id"].tolist()):
                     raise ValueError("the trailer's stems do not name exactly the records")
+                if not all(type(stem) is str for stem in stems.values()):
+                    raise ValueError("a trailer stem is not a string")
                 digest = hashlib.sha256(head)
                 digest.update(recs)
                 digest.update(tail)

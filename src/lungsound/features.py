@@ -14,6 +14,7 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import AudioClip
 from .errors import DegenerateFilter, SignalTooShort
@@ -89,12 +90,12 @@ def frame_and_window(samples, cfg: MfccConfig) -> np.ndarray:
     x = np.asarray(samples, dtype=np.float64)
     if x.size < 2:
         raise SignalTooShort(f"need at least 2 samples to reflect, got {x.size}")
+    # frame_length - pad after the signal, so an odd frame length still has
+    # len(samples) + 1 window positions
     pad = cfg.frame_length // 2
-    padded = np.pad(x, pad, mode="reflect")
-    n_frames = 1 + x.size // cfg.hop_length
-    starts = np.arange(n_frames) * cfg.hop_length
-    frames = padded[starts[:, None] + np.arange(cfg.frame_length)[None, :]]
-    return frames * hamming_window(cfg.frame_length)
+    padded = np.pad(x, (pad, cfg.frame_length - pad), mode="reflect")
+    frames = sliding_window_view(padded, cfg.frame_length)[::cfg.hop_length]
+    return frames * hamming_window(cfg.frame_length)  # the only copy of the frames
 
 
 def mel_filterbank(cfg: MfccConfig) -> np.ndarray:

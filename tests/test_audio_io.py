@@ -21,6 +21,18 @@ def make_wav(payload: bytes, fmt=1, channels=1, rate=44100, bits=16,
     return magic + struct.pack("<I", 4 + len(chunks)) + wave + chunks
 
 
+def encode(frames: np.ndarray, fmt=1, bits=16) -> bytes:
+    """Interleaved frames (n, channels) in [-1, 1] as a data-chunk payload."""
+    if fmt == 3:
+        return frames.astype("<f4").tobytes()
+    if bits == 8:
+        return (np.round(frames * 127) + 128).astype(np.uint8).tobytes()
+    q = np.round(frames * (2 ** (bits - 1) - 1)).astype("<i4")
+    if bits == 24:
+        return q.view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+    return q.astype(f"<i{bits // 8}").tobytes()
+
+
 def write(tmp_path, data: bytes):
     p = tmp_path / "clip.wav"
     p.write_bytes(data)
@@ -168,3 +180,39 @@ def test_resample_round_trip_rms():
         n = min(len(back.samples), len(clip.samples))
         rms = np.sqrt(np.mean((back.samples[:n] - clip.samples[:n]) ** 2))
         assert rms < 1e-3
+
+
+WINDOW_S = 20.0
+ENCODINGS = {"pcm8": (1, 8), "pcm16": (1, 16), "pcm24": (1, 24), "pcm32": (1, 32),
+             "float32": (3, 32)}
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("encoding", sorted(ENCODINGS))
+@pytest.mark.parametrize("rate", [4000, 7919, 11025, 44100, 48000])
+def test_window_decode_is_a_prefix_of_the_whole_file(tmp_path, rng, rate, encoding, channels):
+    fmt, bits = ENCODINGS[encoding]
+    window = int(WINDOW_S) * rate + 2  # the frames a 20 s window decodes
+    # below and exactly at 20 s, and one frame past the window
+    for n in (window - 9, window - 2, window + 1):
+        frames = rng.uniform(-1, 1, (n, channels))
+        path = write(tmp_path, make_wav(encode(frames, fmt, bits), fmt, channels, rate, bits))
+        whole, head = audio_io.load_wav(path), audio_io.load_wav(path, WINDOW_S)
+        assert head.sample_rate == whole.sample_rate == rate
+        assert head.samples.tobytes() == whole.samples[:window].tobytes()
+        # every sample of the 441,000 the 20 s MFCC grid reads resamples the same
+        whole, head = audio_io.resample(whole, 22050), audio_io.resample(head, 22050)
+        assert head.samples[:441000].tobytes() == whole.samples[:441000].tobytes()
+
+
+def test_window_decode_still_refuses_truncated_chunks(tmp_path):
+    rate = 4000
+    good = make_wav(encode(np.zeros((25 * rate, 1))), rate=rate)
+    # the data chunk loses its tail, far past the 20 s the window reads
+    with pytest.raises(MalformedHeader, match="truncated"):
+        audio_io.load_wav(write(tmp_path, good[:-rate]), WINDOW_S)
+    # a chunk after the data claims more bytes than the file holds
+    after = good + b"LIST" + struct.pack("<I", 64) + b"\x00" * 10
+    with pytest.raises(MalformedHeader, match="truncated"):
+        audio_io.load_wav(write(tmp_path, after), WINDOW_S)
+    assert len(audio_io.load_wav(write(tmp_path, good), WINDOW_S).samples) == 20 * rate + 2

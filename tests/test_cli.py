@@ -367,6 +367,10 @@ def _add_stem(recs, trailer):
     trailer["stems"][str(recs["id"][-1] + 1)] = "999_1b1_Tc_sc_Synth"
 
 
+def _number_stem(recs, trailer):
+    trailer["stems"][str(recs["id"][0])] = 5  # split --by-patient parses every stem
+
+
 @pytest.mark.parametrize("edit, reason", [
     (_duplicate_id, "strictly increasing"),
     (_swap_ids, "strictly increasing"),
@@ -375,8 +379,9 @@ def _add_stem(recs, trailer):
     (_class_of_first(-2), f"outside -1..{nn.N_CLASSES - 1}"),
     (_drop_first_stem, "stems do not name exactly the records"),
     (_add_stem, "stems do not name exactly the records"),
+    (_number_stem, "stem is not a string"),
 ], ids=["duplicate-id", "swapped-ids", "class-6", "class-7", "class-minus-2", "stem-missing",
-        "stem-extra"])
+        "stem-extra", "stem-not-string"])
 def test_split_refuses_cache_breaking_its_format(capsys, tmp_path, small_corpus, edit, reason):
     result = run_cli(capsys, "split", "--by-patient",
                      "--cache", str(_edited_cache(tmp_path, small_corpus, edit)),

@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from lungsound.dataset import (FeatureCache, SplitManifest, build_feature_cache,
                                load_diagnoses, make_splits, parse_filename)
 from lungsound.errors import (ConfigHashMismatch, MalformedCsv, MalformedHeader,
                               MalformedName, NoUsableData, UnknownPatient)
+from front_end_oracle import mfcc_grid
+from test_audio_io import encode, make_wav
 
 # class counts mirroring the reference corpus
 REFERENCE_COUNTS = {0: 16, 1: 13, 2: 793, 3: 35, 4: 37, 5: 23}
@@ -256,6 +259,28 @@ def test_cache_bytes_match_documented_layout(tmp_path, small_corpus):
     assert cache.matrices.dtype == np.float32 and cache.matrices.flags.writeable
 
 
+def test_cache_bytes_match_whole_file_front_end(tmp_path):
+    """Recordings longer than the 20 s grid, at odd rates, widths and channel
+    counts: decoding only the window changes no byte of the cache."""
+    cfg = features.MfccConfig()
+    rng = np.random.default_rng(11)
+    entries = []
+    for i, (rate, fmt, bits, channels, seconds) in enumerate([
+            (7919, 1, 24, 2, 23.0), (11025, 1, 8, 1, 21.0), (44100, 3, 32, 2, 20.5),
+            (48000, 1, 16, 1, 22.0), (4000, 1, 32, 2, 25.0)]):
+        t = np.arange(int(seconds * rate))[:, None] / rate
+        frames = 0.5 * np.sin(2 * np.pi * 180.0 * (i + 1) * t) \
+            + rng.uniform(-0.4, 0.4, (len(t), channels))
+        path = tmp_path / f"{200 + i}_1b1_Tc_sc_Synth.wav"
+        path.write_bytes(make_wav(encode(frames, fmt, bits), fmt, channels, rate, bits))
+        entries.append((i, i % 6, str(path)))
+    out = tmp_path / "cache.lsfc"
+    assert build_feature_cache(entries, cfg, out) == []
+    assert out.read_bytes() == _cache_bytes(
+        cfg, [(rid, cls, mfcc_grid(path, cfg)) for rid, cls, path in entries],
+        [(rid, Path(path).stem) for rid, _, path in entries], [])
+
+
 def test_cache_with_every_extraction_failed(tmp_path, small_corpus):
     cfg = small_corpus["cfg"]
     bad = tmp_path / "999_1b1_Tc_sc_Synth.wav"
@@ -314,7 +339,4 @@ def test_parallel_extraction_matches_serial(tmp_path, small_corpus):
     cfg = small_corpus["cfg"]
     build_feature_cache(entries, cfg, tmp_path / "serial.lsfc", jobs=1)
     build_feature_cache(entries, cfg, tmp_path / "parallel.lsfc", jobs=2)
-    a = FeatureCache.load(tmp_path / "serial.lsfc")
-    b = FeatureCache.load(tmp_path / "parallel.lsfc")
-    assert np.array_equal(a.matrices, b.matrices)
-    assert np.array_equal(a.ids, b.ids)
+    assert (tmp_path / "serial.lsfc").read_bytes() == (tmp_path / "parallel.lsfc").read_bytes()

@@ -37,6 +37,12 @@ def test_frame_count_20s_clip():
     assert frames.shape == (862, 2048)
 
 
+@pytest.mark.parametrize("frame_length", [2047, 2048])
+def test_frame_count_when_hop_divides_length(frame_length):
+    cfg = MfccConfig(frame_length=frame_length)
+    assert frame_and_window(np.ones(2 * cfg.hop_length), cfg).shape == (3, frame_length)
+
+
 def test_frames_of_ones_equal_window():
     cfg = MfccConfig()
     n = cfg.hop_length * 4
