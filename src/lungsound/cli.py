@@ -18,7 +18,6 @@ import sys
 from pathlib import Path
 
 from . import dataset, evaluation, features, nn, training
-from . import ssl as ssl_strategies
 from .errors import DataError, NonFiniteLoss, NoUsableData
 
 EXIT_OK = 0
@@ -69,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learning-rate", type=float, default=train.learning_rate)
     p.add_argument("--patience", type=int, default=train.early_stop_patience)
     p.add_argument("--validation-fraction", type=float, default=train.validation_fraction)
-    p.add_argument("--unlabeled-loss-weight", type=float, default=train.ssl.unlabeled_loss_weight)
+    p.add_argument("--unlabeled-loss-weight", type=float, default=train.unlabeled_loss_weight)
 
     p = sub.add_parser("evaluate", help="score a checkpoint on the test split")
     p.add_argument("--checkpoint", required=True)
@@ -122,9 +121,9 @@ def _cmd_split(args) -> int:
 def _cmd_train(args) -> int:
     cache = dataset.FeatureCache.load(args.cache)
     split = dataset.SplitManifest.load(args.manifest)
-    ssl_cfg = ssl_strategies.SslConfig(unlabeled_loss_weight=args.unlabeled_loss_weight)
     cfg = training.TrainConfig(epochs=args.epochs, refit_epochs=args.refit_epochs,
-                               batch_size=args.batch_size, mode=args.mode, ssl=ssl_cfg,
+                               batch_size=args.batch_size, mode=args.mode,
+                               unlabeled_loss_weight=args.unlabeled_loss_weight,
                                learning_rate=args.learning_rate, seed=args.seed,
                                early_stop_patience=args.patience,
                                validation_fraction=args.validation_fraction)

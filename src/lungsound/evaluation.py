@@ -53,24 +53,32 @@ class ClassificationReport:
         for label, avg in (("macro avg", self.macro_avg), ("weighted avg", self.weighted_avg)):
             d[label] = {"precision": float(avg[0]), "recall": float(avg[1]),
                         "f1-score": float(avg[2]), "support": int(self.total)}
-        return json.dumps(d, indent=2)
+        return json.dumps(d, indent=2, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "ClassificationReport":
-        """Inverse of to_json; a missing or non-numeric entry raises DataError."""
+        """Inverse of to_json. Raises DataError for a missing entry, a metric
+        that is not a finite number in [0, 1] or a support that is not a
+        non-negative integer."""
+        labels = CLASS_NAMES + ("macro avg", "weighted avg")
         try:
             d = json.loads(text)
-            rows = [[d[label][k] for k in _METRIC_KEYS]
-                    for label in CLASS_NAMES + ("macro avg", "weighted avg")]
-            if not all(type(v) in (int, float) for v in [d["accuracy"], *sum(rows, [])]):
-                raise TypeError("a metric is not a number")
+            rows = [[d[label][k] for k in _METRIC_KEYS] for label in labels]
+            accuracy = d["accuracy"]
         except (ValueError, KeyError, TypeError) as exc:
             raise DataError(f"not a classification report ({type(exc).__name__}: {exc})") \
                 from None
+        names = ["accuracy"] + [f"{label} {k}" for label in labels for k in _METRIC_KEYS]
+        for name, v in zip(names, [accuracy, *sum(rows, [])]):
+            count = name.endswith("support")
+            if not (type(v) is int and v >= 0 if count  # NaN fails the range test below
+                    else type(v) in (int, float) and 0.0 <= v <= 1.0):
+                want = "a non-negative integer" if count else "a number in [0, 1]"
+                raise DataError(f"not a classification report: {name} is {v!r}, not {want}")
         precision, recall, f1, support = zip(*rows[:N_CLASSES])
         macro, weighted = rows[N_CLASSES:]
         return cls(precision=np.array(precision), recall=np.array(recall), f1=np.array(f1),
-                   support=np.array(support, dtype=np.int64), accuracy=float(d["accuracy"]),
+                   support=np.array(support, dtype=np.int64), accuracy=float(accuracy),
                    macro_avg=tuple(macro[:3]), weighted_avg=tuple(weighted[:3]),
                    total=int(macro[3]))
 

@@ -3,10 +3,11 @@
 Layout is channels-last (batch, height, width, channels). The classifier is a
 stack of valid 2x2 convolutions, each followed by ReLU, 2x2/stride-2 max
 pooling and (in training) inverted dropout, ending in global average pooling,
-a dense head of N_CLASSES outputs and softmax. CnnSpec parameterizes the
-geometry so the same code runs both the production network and shrunken
-clones for finite-difference gradient checks. The dropout rate and Adam's
-betas and epsilon are module constants; only the learning rate is passed in.
+a dense head of N_CLASSES outputs and softmax. CnnSpec gives the stage
+widths, and the input height and width come from the batch, so the same code
+runs both the production network and shrunken clones for finite-difference
+gradient checks. The dropout rate and Adam's betas and epsilon are module
+constants; only the learning rate is passed in.
 
 Each conv -> ReLU -> pool stage is evaluated by pool phase (polyphase): the
 conv is computed separately at the four slots (di, dj) of the 2x2 pool
@@ -105,9 +106,8 @@ PROB_FLOOR = 1e-12  # clamp inside the cross-entropy log
 
 @dataclass(frozen=True)
 class CnnSpec:
-    """Architecture description; defaults give the production network."""
+    """Conv stage output widths; the defaults give the production network."""
 
-    input_shape: tuple = (40, 862)
     channels: tuple = (16, 32, 64, 128)
 
 
@@ -295,7 +295,7 @@ def _phase_patches(x: np.ndarray, out: np.ndarray) -> None:
         out[...] = win
 
 
-def _conv_forward(x, kernel, bias, keep_trace, ws, stage=0):
+def _conv_forward(x, kernel, bias, keep_trace, ws, stage):
     """Fused valid 2x2 conv -> ReLU -> 2x2/stride-2 max pool of a (B, H, W, C) batch.
 
     The conv is evaluated at the four pool phases, and pooling is the
@@ -359,7 +359,7 @@ def _conv_forward(x, kernel, bias, keep_trace, ws, stage=0):
     return out, idx, cols.reshape(4 * b * hp * wp, 4 * c_in)
 
 
-def _conv_backward(dy, cols, kernel, x_shape, need_dx, idx, ws, stage=0):
+def _conv_backward(dy, cols, kernel, x_shape, need_dx, idx, ws, stage):
     """Backward of the fused stage; returns (dx, dkernel, dbias).
 
     dy is the gradient at the pooled map with the ReLU mask already applied;
@@ -648,8 +648,7 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState, lr: flo
 
 
 def weighted_gradient_step(params: ModelParams, opt_state: AdamState, terms,
-                           rng: np.random.Generator, lr: float,
-                           ws: Workspace | None = None) -> list:
+                           rng: np.random.Generator, lr: float, ws: Workspace) -> list:
     """One Adam step on a weighted sum of loss terms; params and opt_state
     update in place.
 
@@ -657,8 +656,9 @@ def weighted_gradient_step(params: ModelParams, opt_state: AdamState, terms,
     terms are skipped outright so they cost nothing and leave the arithmetic
     of the remaining terms untouched. The terms' training forwards draw their
     dropout masks from `rng` in term order, and their forwards and backwards
-    run in `ws`, or each in its own workspace when none is given. Returns
-    one loss per term (0.0 for skipped ones).
+    run in `ws`. Returns one loss per term (0.0 for skipped ones). Raises
+    NonFiniteLoss on a non-finite loss or gradient, or when the update leaves
+    a parameter non-finite, so such parameters never outlive the step.
     """
     total_grads = None
     losses = []
@@ -668,7 +668,6 @@ def weighted_gradient_step(params: ModelParams, opt_state: AdamState, terms,
             continue
         _, trace = forward_batch(params, xs, training=True, rng=rng, ws=ws)
         loss, grads = loss_and_backward(params, trace, targets, loss_kind)
-        del trace  # a per-forward workspace goes with it, before the next forward
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"{loss_kind} loss is {loss}")
         losses.append(loss)
@@ -683,6 +682,8 @@ def weighted_gradient_step(params: ModelParams, opt_state: AdamState, terms,
         if not total_grads.all_finite():
             raise NonFiniteLoss("non-finite gradient")
         adam_step(params, total_grads, opt_state, lr)
+        if not params.all_finite():
+            raise NonFiniteLoss("non-finite parameters after the Adam step")
     return losses
 
 

@@ -14,44 +14,31 @@ it: all targets are built from inference-mode forwards and held constant.
 Each strategy only defines one batch's loss terms, as (weight, xs, targets,
 loss_kind) tuples or the arrays they are made of; `training._run_pass`
 supplies the batches and takes the gradient step on them. Every target
-forward runs through the run's nn.Workspace, passed as `ws`. The benchmark
-tracer wraps `mixmatch`, `augment`, `mixup` and the two co steps by name,
-and counts the inference forwards made inside them as target forwards.
+forward runs through the run's nn.Workspace, passed as `ws`.
+
+The strategies run at one setting, the module constants below. `mixmatch`
+and `training` read them when they run, so a test can neutralize them.
+The benchmark tracer wraps `mixmatch`, `augment`, `mixup` and the two co
+steps by name, and counts the inference forwards made inside them as target
+forwards.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
 from .errors import DegenerateInput
 
-MIXUP_ALPHA = 0.75     # mixup draws lambda from Beta(MIXUP_ALPHA, MIXUP_ALPHA)
-RAMP_FRACTION = 0.25   # the unlabeled loss weight ramps up over this fraction of epochs
-
-
-@dataclass(frozen=True)
-class SslConfig:
-    temperature: float = 0.5          # sharpening temperature
-    n_augmentations: int = 2          # augmented copies per unlabeled item
-    unlabeled_loss_weight: float = 1.0
-    refurbish_weight: float = 0.7     # weight kept on the true label
-    refurbish_fraction: float = 0.3   # labeled fraction whose targets get blended
-    refinement_weight: float = 0.5
-    augment_noise_scale: float = 0.05
-    augment_max_mask_frames: int = 40
-    fixed_lambda: float | None = None  # overrides the Beta draw when set
-
-    def __post_init__(self):
-        if self.temperature <= 0 or self.n_augmentations < 1:
-            raise ValueError("need temperature > 0 and n_augmentations >= 1")
-        for name in ("unlabeled_loss_weight", "refurbish_weight",
-                     "refurbish_fraction", "refinement_weight"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+MIXUP_ALPHA = 0.75             # mixup draws lambda from Beta(MIXUP_ALPHA, MIXUP_ALPHA)
+RAMP_FRACTION = 0.25           # the unlabeled loss weight ramps up over this fraction of epochs
+TEMPERATURE = 0.5              # sharpening temperature of mixmatch's guessed labels
+N_AUGMENTATIONS = 2            # augmented copies per unlabeled item in mixmatch
+AUGMENT_NOISE_SCALE = 0.05     # augment's noise sigma, as a fraction of the matrix std
+AUGMENT_MAX_MASK_FRAMES = 40   # augment's longest time-mask span
+REFINEMENT_WEIGHT = 0.5        # co-refinement weight on the unlabeled term
+REFURBISH_WEIGHT = 0.7         # co-refurbishing weight kept on the true label
+REFURBISH_FRACTION = 0.3       # labeled fraction whose targets co-refurbishing blends
 
 
 def augment(x: np.ndarray, rng: np.random.Generator, noise_scale: float,
@@ -99,14 +86,14 @@ def guess_labels(params: nn.ModelParams, copies: np.ndarray, k: int,
     return np.stack([sharpen(p.mean(axis=0), temperature) for p in probs])
 
 
-def mixup(x1, y1, x2, y2, rng: np.random.Generator, fixed_lambda: float | None = None):
+def mixup(x1, y1, x2, y2, rng: np.random.Generator):
     """Convex combination with lam' = max(lam, 1 - lam), lam ~ Beta(MIXUP_ALPHA,
-    MIXUP_ALPHA) or fixed_lambda.
+    MIXUP_ALPHA).
 
-    The result is always at least half-weighted toward (x1, y1); a forced
+    The result is always at least half-weighted toward (x1, y1); a drawn
     lam' of exactly 1 returns copies of the first pair.
     """
-    lam = float(rng.beta(MIXUP_ALPHA, MIXUP_ALPHA) if fixed_lambda is None else fixed_lambda)
+    lam = float(rng.beta(MIXUP_ALPHA, MIXUP_ALPHA))
     lam = max(lam, 1.0 - lam)
     if lam == 1.0:
         return np.array(x1), np.array(y1)
@@ -115,34 +102,34 @@ def mixup(x1, y1, x2, y2, rng: np.random.Generator, fixed_lambda: float | None =
     return (lam * x1 + (1.0 - lam) * x2).astype(x1.dtype), lam * y1 + (1.0 - lam) * y2
 
 
-def mixmatch(labeled_x, labeled_y, unlabeled_x, params: nn.ModelParams, cfg: SslConfig,
+def mixmatch(labeled_x, labeled_y, unlabeled_x, params: nn.ModelParams,
              rng_augment: np.random.Generator, rng_mixup: np.random.Generator,
              ws: nn.Workspace | None = None):
     """Build the two mixed training batches from a labeled and an unlabeled batch.
 
     Labeled items are augmented once and keep their targets; each unlabeled
-    item contributes n_augmentations copies sharing one guessed label. The
-    union is mixup-paired against a shuffled copy of itself. Returns
-    ((x_inputs, x_targets), (u_inputs, u_targets)): the mixed items of
-    labeled and of unlabeled origin, as stacked arrays.
+    item contributes N_AUGMENTATIONS copies sharing one label guessed at
+    TEMPERATURE. The union is mixup-paired against a shuffled copy of itself.
+    The module constants are read at call time. Returns ((x_inputs,
+    x_targets), (u_inputs, u_targets)): the mixed items of labeled and of
+    unlabeled origin, as stacked arrays.
     """
     if len(labeled_x) == 0:
         raise ValueError("mixmatch needs a non-empty labeled batch")
-    k, n_lab = cfg.n_augmentations, len(labeled_x)
-    noise, mask = cfg.augment_noise_scale, cfg.augment_max_mask_frames
+    k, n_lab = N_AUGMENTATIONS, len(labeled_x)
+    noise, mask = AUGMENT_NOISE_SCALE, AUGMENT_MAX_MASK_FRAMES
     all_x = np.stack([augment(x, rng_augment, noise, mask) for x in labeled_x]
                      + [augment(u, rng_augment, noise, mask)
                         for u in unlabeled_x for _ in range(k)])
     all_y = np.asarray(labeled_y, dtype=np.float64)
     if len(unlabeled_x):
-        guesses = guess_labels(params, all_x[n_lab:], k, cfg.temperature, ws)
+        guesses = guess_labels(params, all_x[n_lab:], k, TEMPERATURE, ws)
         all_y = np.concatenate([all_y, np.repeat(guesses, k, axis=0)])
 
     perm = rng_mixup.permutation(len(all_x))
     mixed_x, mixed_y = np.empty_like(all_x), np.empty_like(all_y)
     for i, j in enumerate(perm):
-        mixed_x[i], mixed_y[i] = mixup(all_x[i], all_y[i], all_x[j], all_y[j], rng_mixup,
-                                       cfg.fixed_lambda)
+        mixed_x[i], mixed_y[i] = mixup(all_x[i], all_y[i], all_x[j], all_y[j], rng_mixup)
     return (mixed_x[:n_lab], mixed_y[:n_lab]), (mixed_x[n_lab:], mixed_y[n_lab:])
 
 

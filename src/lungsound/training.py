@@ -19,6 +19,8 @@ never perturb each other.
 
 One nn.Workspace, sized for the run's largest forward, serves every forward
 and backward of a `_train` call, validation and target forwards included.
+The SSL passes read the `ssl` constants as `ssl.NAME` when they run; the
+unlabeled loss weight is the one SSL setting in TrainConfig.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ class TrainConfig:
     refit_epochs: int = 60            # cap for the final supervised fine-tune (semi mode)
     batch_size: int = 16
     mode: str = "baseline"            # "baseline" or "semi"
-    ssl: ssl.SslConfig = field(default_factory=ssl.SslConfig)
+    unlabeled_loss_weight: float = 1.0  # mixmatch's unlabeled term, before the ramp
     learning_rate: float = 1e-3
     seed: int = 0
     early_stop_patience: int = 10
@@ -67,6 +69,9 @@ class TrainConfig:
             raise ValueError("early_stop_patience must be >= 1")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0.0 <= self.unlabeled_loss_weight <= 1.0:
+            raise ValueError(f"unlabeled_loss_weight must be in [0, 1], "
+                             f"got {self.unlabeled_loss_weight}")
         if not 0.0 <= self.validation_fraction < 0.5:
             raise ValueError("validation_fraction must be in [0, 0.5)")
         if self.mode not in ("baseline", "semi"):
@@ -93,7 +98,7 @@ class RunManifest:
     normalizer: dict | None = None
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        return json.dumps(asdict(self), indent=2, allow_nan=False)
 
     def save(self, path) -> None:
         Path(path).write_text(self.to_json())
@@ -161,7 +166,7 @@ def predict_batch(params: nn.ModelParams, xs: np.ndarray,
     return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
 
 
-def _accuracy(params, xs, ys, ws=None) -> float:
+def _accuracy(params, xs, ys, ws) -> float:
     return float((predict_batch(params, xs, ws=ws) == np.asarray(ys)).mean())
 
 
@@ -193,11 +198,11 @@ def _stratified_validation(ids, classes, fraction, seed):
 def _ramp_weight(cfg: TrainConfig, epoch: int) -> float:
     """Unlabeled-loss weight, ramped linearly over the first RAMP_FRACTION of epochs."""
     ramp = max(1, int(round(ssl.RAMP_FRACTION * cfg.epochs)))
-    return cfg.ssl.unlabeled_loss_weight * min(1.0, (epoch + 1) / ramp)
+    return cfg.unlabeled_loss_weight * min(1.0, (epoch + 1) / ramp)
 
 
 def _run_pass(params, opt_state, xs_lab, ys_onehot, xs_unlab, cfg: TrainConfig, epoch: int,
-              pass_id: int, terms, ws=None):
+              pass_id: int, terms, ws):
     """The batch loop of every pass: one gradient step per batch on the loss
     terms `terms(b, x, y, u)` returns. Returns the size-weighted mean losses of
     the first (labeled) and second (unlabeled, 0.0 when absent) terms.
@@ -223,21 +228,20 @@ def _run_pass(params, opt_state, xs_lab, ys_onehot, xs_unlab, cfg: TrainConfig, 
     return totals[0] / n, totals[1] / n
 
 
-def run_supervised_epoch(params, opt_state, xs, ys_onehot, cfg: TrainConfig, epoch: int,
-                         ws=None):
+def run_supervised_epoch(params, opt_state, xs, ys_onehot, cfg: TrainConfig, epoch: int, ws):
     """One pass of cross-entropy steps over shuffled batches; returns mean loss."""
     return _run_pass(params, opt_state, xs, ys_onehot, xs[:0], cfg, epoch, PASS_MAIN,
                      lambda b, x, y, u: [(1.0, x, y, "cross_entropy")], ws)[0]
 
 
 def run_mixmatch_epoch(params, opt_state, xs_lab, ys_onehot, xs_unlab,
-                       cfg: TrainConfig, epoch: int, ws=None):
+                       cfg: TrainConfig, epoch: int, ws):
     """One mixmatch pass; returns mean (supervised, unlabeled) loss components."""
     lu_eff = _ramp_weight(cfg, epoch)
 
     def terms(b, x, y, u):
         (x_in, x_tgt), (u_in, u_tgt) = ssl.mixmatch(
-            x, y, u, params, cfg.ssl, substream(cfg.seed, "augment", epoch, b),
+            x, y, u, params, substream(cfg.seed, "augment", epoch, b),
             substream(cfg.seed, "mixup", epoch, b), ws)
         return [(1.0, x_in, x_tgt, "cross_entropy"), (lu_eff, u_in, u_tgt, "squared_error")]
     return _run_pass(params, opt_state, xs_lab, ys_onehot, xs_unlab, cfg, epoch, PASS_MAIN,
@@ -245,14 +249,14 @@ def run_mixmatch_epoch(params, opt_state, xs_lab, ys_onehot, xs_unlab,
 
 
 def _run_co_pass(params, opt_state, xs_lab, ys_onehot, xs_unlab, cfg: TrainConfig,
-                 epoch: int, pass_id: int, ws=None):
+                 epoch: int, pass_id: int, ws):
     """One co-refinement or co-refurbishing pass, by pass id; returns the mean
     labeled loss."""
     def terms(b, x, y, u):
         if pass_id == PASS_CO_REFINEMENT:
-            return ssl.co_refinement_step(params, x, y, u, cfg.ssl.refinement_weight, ws)
-        return ssl.co_refurbishing_step(params, x, y, u, cfg.ssl.refurbish_weight,
-                                        cfg.ssl.refurbish_fraction,
+            return ssl.co_refinement_step(params, x, y, u, ssl.REFINEMENT_WEIGHT, ws)
+        return ssl.co_refurbishing_step(params, x, y, u, ssl.REFURBISH_WEIGHT,
+                                        ssl.REFURBISH_FRACTION,
                                         substream(cfg.seed, "refurbish", epoch, b), ws)
     return _run_pass(params, opt_state, xs_lab, ys_onehot, xs_unlab, cfg, epoch, pass_id,
                      terms, ws)[0]
@@ -351,7 +355,7 @@ def _train(cfg: TrainConfig, cache: FeatureCache, split: SplitManifest, out_dir,
     xs_val, ys_val = xs_lab[val], ys_lab[val]
     # the largest forward: a mixmatch term of k copies per unlabeled row, a
     # training batch, or a validation chunk
-    copies = cfg.ssl.n_augmentations if ssl_epochs and len(xs_unlab) else 1
+    copies = ssl.N_AUGMENTATIONS if ssl_epochs and len(xs_unlab) else 1
     ws = nn.Workspace(max(min(cfg.batch_size, len(xs_fit)) * copies,
                           min(len(xs_val), PREDICT_CHUNK)))
 

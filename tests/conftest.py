@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # for reference_mfcc
 
 from lungsound import dataset, features, synthetic
+from nn_oracle import neutralize  # noqa: F401  (the fixture, for every test module)
 
 
 def cached_corpus(root, **corpus):

@@ -6,20 +6,22 @@ stage must agree with: a loop-style convolution, the im2col convolution the
 unfused network ran, a loop-style max pool, ReLU and their backward passes.
 It also holds helpers only tests call: the activation shapes and parameter
 count a CnnSpec implies, the loss without gradients and the inference-mode
-loss of mixmatch's two mixed batches, the soft-label predicate, the SSL
-config that degenerates to supervision, and the finite-difference gradient
-check with its kink-margin probe.
+loss of mixmatch's two mixed batches, the soft-label predicate, the
+`neutralize` fixture under which the SSL passes degenerate to supervision,
+and the finite-difference gradient check with its kink-margin probe.
 """
 
 import numpy as np
+import pytest
 
 from lungsound import nn, ssl
 from lungsound.errors import ShapeMismatch
 
 
-def layer_shapes(spec):
-    """Activation shapes of a CnnSpec from input through pooling stages to the head."""
-    h, w = spec.input_shape
+def layer_shapes(spec, input_shape):
+    """Activation shapes of a CnnSpec on (height, width) inputs, from input
+    through pooling stages to the head."""
+    h, w = input_shape
     shapes = [(h, w, 1)]
     for c_out in spec.channels:
         if h < 2 or w < 2:
@@ -155,12 +157,33 @@ def loss_value(probs, targets, loss_kind):
     return nn._loss_and_dp(probs, np.asarray(targets, dtype=probs.dtype), loss_kind)[0]
 
 
-def neutralized():
-    """An SslConfig with every knob set so each strategy degenerates to plain
-    supervision."""
-    return ssl.SslConfig(temperature=1.0, n_augmentations=1, unlabeled_loss_weight=0.0,
-                         refurbish_weight=1.0, refurbish_fraction=1.0, refinement_weight=0.0,
-                         augment_noise_scale=0.0, augment_max_mask_frames=0, fixed_lambda=1.0)
+class FixedBeta:
+    """Stand-in generator for ssl.mixup whose every Beta draw is `lam`."""
+
+    def __init__(self, lam):
+        self.lam = lam
+
+    def beta(self, a, b):
+        return self.lam
+
+
+NEUTRAL_CONSTANTS = {"TEMPERATURE": 1.0, "N_AUGMENTATIONS": 1, "AUGMENT_NOISE_SCALE": 0.0,
+                     "AUGMENT_MAX_MASK_FRAMES": 0, "REFINEMENT_WEIGHT": 0.0,
+                     "REFURBISH_WEIGHT": 1.0, "REFURBISH_FRACTION": 1.0}
+
+
+@pytest.fixture
+def neutralize(monkeypatch):
+    """Set the ssl constants so that each strategy degenerates to plain
+    supervision once the unlabeled loss weight is 0: no sharpening, one
+    identity augmentation, no co-refinement or refurbished targets, and a
+    mixup whose generator draws lambda = 1, so every pair mixes to its first
+    item."""
+    for name, value in NEUTRAL_CONSTANTS.items():
+        monkeypatch.setattr(ssl, name, value)
+    mixup = ssl.mixup
+    monkeypatch.setattr(ssl, "mixup",
+                        lambda x1, y1, x2, y2, rng: mixup(x1, y1, x2, y2, FixedBeta(1.0)))
 
 
 def is_soft_label(p, tol=1e-6):
@@ -245,8 +268,9 @@ def finite_difference_error(params, xs, targets, loss_kind, eps, floor=1e-6):
     return max_rel, n_checked, grads
 
 
-def gradient_check(spec, seed=0, eps=1e-3, loss_kind="cross_entropy", batch=2):
-    """Compare backprop gradients against central finite differences.
+def gradient_check(spec, input_shape, seed=0, eps=1e-3, loss_kind="cross_entropy", batch=2):
+    """Compare backprop gradients against central finite differences on
+    (height, width) inputs.
 
     Runs in double precision with dropout off. The probe point (init + input
     draw) is re-sampled deterministically until the forward pass clears the
@@ -257,7 +281,7 @@ def gradient_check(spec, seed=0, eps=1e-3, loss_kind="cross_entropy", batch=2):
     for attempt in range(256):
         rng = np.random.default_rng(np.random.SeedSequence((seed, attempt)))
         params = nn.init_params(rng, spec, dtype=np.float64)
-        xs = rng.normal(0.0, 0.5, size=(batch,) + spec.input_shape)
+        xs = rng.normal(0.0, 0.5, size=(batch,) + tuple(input_shape))
         targets = rng.random((batch, nn.N_CLASSES)) + 0.1
         targets /= targets.sum(axis=1, keepdims=True)
         if clear_probe(params, xs, eps):

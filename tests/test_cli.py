@@ -102,6 +102,8 @@ def test_full_pipeline(capsys, tmp_path, small_corpus):
     assert run_manifest["seed"] == 0
     assert run_manifest["feature_config_hash"]
     assert run_manifest["config"]["epochs"] == 1
+    assert run_manifest["config"]["unlabeled_loss_weight"] == 1.0
+    assert "ssl" not in run_manifest["config"]
 
 
 def test_train_semi_with_drop(capsys, tmp_path, small_corpus):
@@ -156,10 +158,29 @@ def test_train_non_finite_features_is_numeric_error(capsys, tmp_path, small_corp
     assert not (tmp_path / "run" / "baseline-seed0.lsnn").exists()
 
 
+def test_train_step_to_non_finite_parameters_is_numeric_error(capsys, tmp_path, small_corpus,
+                                                              small_split):
+    # finite features, loss and gradient; the update overflows float32
+    manifest = tmp_path / "split.json"
+    small_split.save(manifest)
+    code, out, err = run_cli(capsys, "train", "--cache", str(small_corpus["cache_path"]),
+                             "--manifest", str(manifest), "--mode", "baseline",
+                             "--out-dir", str(tmp_path / "run"), "--epochs", "1",
+                             "--batch-size", "64", "--validation-fraction", "0",
+                             "--learning-rate", "1e39")
+    assert code == 3 and out == "", (code, out, err)
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "epoch 0, batch 0" in err and "parameters" in err
+    run = json.loads((tmp_path / "run" / "baseline-seed0-manifest.json").read_text())
+    assert run["aborted"]["epoch"] == 0 and "parameters" in run["aborted"]["error"]
+    assert not (tmp_path / "run" / "baseline-seed0.lsnn").exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--refit-epochs", "-3"), ("--patience", "0"),
                                          ("--patience", "-1"), ("--learning-rate", "nan"),
                                          ("--learning-rate", "inf"), ("--learning-rate", "0"),
-                                         ("--learning-rate", "-1")])
+                                         ("--learning-rate", "-1"),
+                                         ("--unlabeled-loss-weight", "1.5")])
 def test_train_bad_config_is_usage_error(capsys, tmp_path, small_corpus, small_split,
                                          flag, value):
     manifest = tmp_path / "split.json"
@@ -225,6 +246,28 @@ def test_compare_report_missing_class_is_data_error(capsys, tmp_path):
     result = run_cli(capsys, "compare", "--a", str(a), "--b", str(b))
     assert _data_error(*result), result
     assert "Pneumonia" in result[2]
+
+
+@pytest.mark.parametrize("damage, reason", [
+    (lambda d: d.update(accuracy=float("nan")), "accuracy"),
+    (lambda d: d["COPD"].update(support=-3.7), "COPD support"),
+    (lambda d: d["COPD"].update(support=-3), "COPD support"),
+    (lambda d: d["URTI"].update(support=2.5), "URTI support"),
+    (lambda d: d["Healthy"].update(precision=1.5), "Healthy precision"),
+    (lambda d: d["macro avg"].update(recall=float("inf")), "macro avg recall"),
+    (lambda d: d["weighted avg"].update({"f1-score": -0.1}), "weighted avg f1-score"),
+], ids=["nan-accuracy", "fractional-negative-support", "negative-support",
+        "fractional-support", "precision-above-one", "infinite-recall", "negative-f1"])
+def test_compare_refuses_report_it_cannot_compare(capsys, tmp_path, damage, reason):
+    a = tmp_path / "baseline.json"
+    b = tmp_path / "semi.json"
+    a.write_text(evaluation.report(BASELINE_CM).to_json())
+    damaged = json.loads(evaluation.report(SEMI_CM).to_json())
+    damage(damaged)
+    b.write_text(json.dumps(damaged))
+    result = run_cli(capsys, "compare", "--a", str(a), "--b", str(b))
+    assert _data_error(*result), result
+    assert reason in result[2]
 
 
 def test_extract_drops_partial_trailing_sample(capsys, tmp_path, small_corpus):
@@ -418,7 +461,7 @@ def test_evaluate_refuses_checkpoint_it_cannot_score(capsys, tmp_path, small_cor
     nan_params = good.copy()
     nan_params.dense_b[0] = np.nan
     for params, metadata, reason in (
-            (nn.init_params(substream(0, "init"), nn.CnnSpec((8, 16), (2, 3))), meta,
+            (nn.init_params(substream(0, "init"), nn.CnnSpec((2, 3))), meta,
              "production network"),
             (nan_params, meta, "not all finite"),
             (good, [1, 2], "not a JSON object"),

@@ -163,6 +163,13 @@ def test_report_json_with_missing_or_ill_typed_keys_is_data_error(damage):
         ClassificationReport.from_json(json.dumps(d))
 
 
+def test_report_json_refuses_non_finite_metrics():
+    rep = report(SEMI_CM)
+    rep.accuracy = float("nan")
+    with pytest.raises(ValueError):
+        rep.to_json()
+
+
 def test_report_text_not_json_is_data_error():
     with pytest.raises(DataError):
         ClassificationReport.from_json("[1, 2")

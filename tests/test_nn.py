@@ -10,7 +10,7 @@ from lungsound.rng import substream
 
 import nn_oracle as oracle
 
-SMALL = nn.CnnSpec(input_shape=(8, 16), channels=(2, 3))
+SMALL = nn.CnnSpec(channels=(2, 3))
 
 
 def test_conv2d_full_overlap_sums_input():
@@ -102,14 +102,14 @@ def _stage_case(rng, shape, c_out=5):
 @pytest.mark.parametrize("shape", STAGE_SHAPES)
 def test_fused_stage_forward_bit_identical(rng, shape):
     x, k, b = _stage_case(rng, shape)
-    pooled, idx, _ = nn._conv_forward(x, k, b, True, nn.Workspace(len(x)))
+    pooled, idx, _ = nn._conv_forward(x, k, b, True, nn.Workspace(len(x)), 0)
     want, want_idx, z = oracle.stage_forward(x, k, b)
     assert pooled.dtype == np.float32
     assert np.array_equal(pooled, want)
     positive = want > 0
     assert 0 < positive.mean() < 1
     assert np.array_equal(idx[positive], want_idx[positive])
-    assert np.array_equal(nn._conv_forward(x, k, b, False, nn.Workspace(len(x)))[0], want)
+    assert np.array_equal(nn._conv_forward(x, k, b, False, nn.Workspace(len(x)), 0)[0], want)
     # the unfused pool that oracle.kink_margin uses agrees with the oracle as well
     assert np.array_equal(nn._maxpool_core(oracle.relu(z)), want)
 
@@ -119,15 +119,15 @@ def test_fused_stage_backward_matches_oracle(rng, shape):
     x, k, b = _stage_case(rng, shape)
     x, k, b = x.astype(np.float64), k.astype(np.float64), b.astype(np.float64)
     ws = nn.Workspace(len(x))
-    pooled, idx, cols = nn._conv_forward(x, k, b, True, ws)
+    pooled, idx, cols = nn._conv_forward(x, k, b, True, ws, 0)
     _, want_idx, z = oracle.stage_forward(x, k, b)
     dy = rng.normal(size=pooled.shape)
-    dx, dk, db = nn._conv_backward(dy * (pooled > 0), cols, k, x.shape, True, idx, ws)
+    dx, dk, db = nn._conv_backward(dy * (pooled > 0), cols, k, x.shape, True, idx, ws, 0)
     want_dx, want_dk, want_db = oracle.stage_backward(dy, x, k, z, want_idx)
     assert np.allclose(dx, want_dx, rtol=1e-12, atol=1e-12)
     assert np.allclose(dk, want_dk, rtol=1e-12, atol=1e-12)
     assert np.allclose(db, want_db, rtol=1e-12, atol=1e-12)
-    no_dx, dk2, db2 = nn._conv_backward(dy * (pooled > 0), cols, k, x.shape, False, idx, ws)
+    no_dx, dk2, db2 = nn._conv_backward(dy * (pooled > 0), cols, k, x.shape, False, idx, ws, 0)
     assert no_dx is None
     assert np.array_equal(dk2, dk) and np.array_equal(db2, db)
 
@@ -137,9 +137,9 @@ def test_fused_stage_too_small_raises(rng):
     b = np.zeros(3, dtype=np.float32)
     for shape in [(1, 2, 5, 1), (1, 5, 2, 1)]:
         with pytest.raises(ShapeMismatch):
-            nn._conv_forward(np.zeros(shape, np.float32), k, b, True, nn.Workspace(1))
+            nn._conv_forward(np.zeros(shape, np.float32), k, b, True, nn.Workspace(1), 0)
     with pytest.raises(ShapeMismatch):
-        nn._conv_forward(np.zeros((1, 5, 5, 2), np.float32), k, b, True, nn.Workspace(1))
+        nn._conv_forward(np.zeros((1, 5, 5, 2), np.float32), k, b, True, nn.Workspace(1), 0)
     # the second stage sees a 2x7 map: the conv would leave a single row
     params = nn.init_params(substream(0, "init"), SMALL)
     with pytest.raises(ShapeMismatch):
@@ -176,9 +176,9 @@ def test_blocked_stage_is_bit_identical(monkeypatch, rng, batch):
         monkeypatch.setattr(nn, "_BLOCK_BYTES", rows * stage_row)
         assert len(nn._blocks(batch, stage_row)[0]) == -(-batch // rows)
         ws = nn.Workspace(batch)
-        pooled, idx, cols = nn._conv_forward(x, k, b, True, ws)
-        inferred = nn._conv_forward(x, k, b, False, nn.Workspace(batch))
-        dx, dk, db = nn._conv_backward(dy * (pooled > 0), cols, k, x.shape, True, idx, ws)
+        pooled, idx, cols = nn._conv_forward(x, k, b, True, ws, 0)
+        inferred = nn._conv_forward(x, k, b, False, nn.Workspace(batch), 0)
+        dx, dk, db = nn._conv_backward(dy * (pooled > 0), cols, k, x.shape, True, idx, ws, 0)
         monkeypatch.setattr(nn, "_BLOCK_BYTES", rows * drop_row)
         assert len(nn._blocks(batch, drop_row)[0]) == -(-batch // rows)
         dropped = nn.dropout(pooled.copy(), substream(1, "dropout"), nn.Workspace(batch))
@@ -194,7 +194,7 @@ def test_blocked_stage_is_bit_identical(monkeypatch, rng, batch):
 
 
 def test_blocked_network_step_is_bit_identical(monkeypatch, rng):
-    spec = nn.CnnSpec(input_shape=(12, 20), channels=(3, 5))
+    spec = nn.CnnSpec(channels=(3, 5))
     params = nn.init_params(substream(2, "init"), spec)
     xs = rng.normal(size=(11, 12, 20)).astype(np.float32)
     ys = np.eye(6, dtype=np.float32)[rng.integers(0, 6, 11)]
@@ -346,7 +346,7 @@ def test_backward_mask_order_is_bit_identical(rng):
 
 
 def test_dropout_gradients_match_unfused_reference(rng):
-    spec = nn.CnnSpec(input_shape=(12, 20), channels=(3, 5))
+    spec = nn.CnnSpec(channels=(3, 5))
     params = nn.init_params(substream(2, "init"), spec, dtype=np.float64)
     for bias in params.conv_biases:
         bias[:] = rng.normal(0.0, 0.05, size=bias.shape)
@@ -381,7 +381,7 @@ def _step_schedule(monkeypatch, ws, schedule):
     # stage 0 holds 4 * 11 * 19 * 3 floats of phase conv output per example:
     # 3 examples per block there; three stages, so both dx buffers are used
     monkeypatch.setattr(nn, "_BLOCK_BYTES", 3 * 10032)
-    spec = nn.CnnSpec(input_shape=(24, 40), channels=(3, 4, 5))
+    spec = nn.CnnSpec(channels=(3, 4, 5))
     params = nn.init_params(substream(2, "init"), spec)
     state = nn.AdamState.for_params(params)
     data = np.random.default_rng(7)
@@ -451,7 +451,7 @@ def test_forward_shape_chain(rng):
     params = nn.init_params(substream(2, "init"), spec)
     _, trace = nn.forward_batch(params, rng.normal(size=(1, 40, 862)).astype(np.float32),
                                 training=False, keep_trace=True)
-    shapes = oracle.layer_shapes(spec)
+    shapes = oracle.layer_shapes(spec, (40, 862))
     pool_shapes = shapes[2::2][:4]
     assert [t.shape[1:] for t in trace.pool_out] == pool_shapes
     assert trace.dense_in.shape == (1, 128)
@@ -513,13 +513,14 @@ def test_trace_reused_by_later_forward_is_stale(rng):
 
 
 def test_gradient_check_cross_entropy():
-    max_rel, n = oracle.gradient_check(SMALL, seed=0, batch=1)
+    max_rel, n = oracle.gradient_check(SMALL, (8, 16), seed=0, batch=1)
     assert n == oracle.param_count(SMALL)
     assert max_rel < 1e-4
 
 
 def test_gradient_check_squared_error():
-    max_rel, _ = oracle.gradient_check(SMALL, seed=0, batch=1, loss_kind="squared_error")
+    max_rel, _ = oracle.gradient_check(SMALL, (8, 16), seed=0, batch=1,
+                                       loss_kind="squared_error")
     assert max_rel < 1e-4
 
 
@@ -558,8 +559,7 @@ def test_adam_converges_on_quadratic():
 
 def test_adam_shape_mismatch():
     params = nn.init_params(substream(5, "init"), SMALL)
-    grads = nn.init_params(substream(5, "init"), nn.CnnSpec(input_shape=(8, 16),
-                                                            channels=(3, 5)))
+    grads = nn.init_params(substream(5, "init"), nn.CnnSpec(channels=(3, 5)))
     with pytest.raises(ShapeMismatch):
         nn.adam_step(params, grads, nn.AdamState.for_params(params), 1e-3)
 
@@ -622,10 +622,11 @@ def test_training_step_determinism(rng):
     def run():
         params = nn.init_params(substream(3, "init"), SMALL)
         state = nn.AdamState.for_params(params)
+        ws = nn.Workspace(len(xs))
         for step in range(10):
             drng = substream(3, "dropout", 0, 0, step)
             nn.weighted_gradient_step(params, state, [(1.0, xs, ys, "cross_entropy")], drng,
-                                      1e-3)
+                                      1e-3, ws)
         return params
 
     a, b = run(), run()
@@ -640,4 +641,15 @@ def test_non_finite_loss_raises(rng):
     with pytest.raises(NonFiniteLoss):
         nn.weighted_gradient_step(params, nn.AdamState.for_params(params),
                                   [(1.0, xs, ys, "cross_entropy")],
-                                  substream(3, "dropout", 0, 0, 0), 1e-3)
+                                  substream(3, "dropout", 0, 0, 0), 1e-3, nn.Workspace(2))
+
+
+def test_step_to_non_finite_parameters_raises(rng):
+    # a finite loss and gradient, but a learning rate that overflows float32
+    params = nn.init_params(substream(3, "init"), SMALL)
+    xs = rng.normal(size=(2, 8, 16)).astype(np.float32)
+    ys = np.eye(6, dtype=np.float32)[[0, 1]]
+    with pytest.raises(NonFiniteLoss, match="parameters"):
+        nn.weighted_gradient_step(params, nn.AdamState.for_params(params),
+                                  [(1.0, xs, ys, "cross_entropy")],
+                                  substream(3, "dropout", 0, 0, 0), 1e39, nn.Workspace(2))

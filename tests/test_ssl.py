@@ -7,8 +7,7 @@ from lungsound.rng import substream
 
 import nn_oracle as oracle
 
-TINY = nn.CnnSpec(input_shape=(8, 16), channels=(2, 3))
-CFG = ssl.SslConfig()
+TINY = nn.CnnSpec(channels=(2, 3))  # on 8x16 inputs
 LR = 1e-3
 
 
@@ -39,9 +38,10 @@ def assert_step_is_supervised(terms_of, xs, ys, dropout):
     exactly as a plain cross-entropy step on (xs, ys) does."""
     p1, p2 = tiny_params(dtype=np.float32), tiny_params(dtype=np.float32)
     nn.weighted_gradient_step(p1, nn.AdamState.for_params(p1), terms_of(p1), substream(*dropout),
-                              LR)
+                              LR, nn.Workspace(len(xs)))
     nn.weighted_gradient_step(p2, nn.AdamState.for_params(p2),
-                              [(1.0, xs, ys, "cross_entropy")], substream(*dropout), LR)
+                              [(1.0, xs, ys, "cross_entropy")], substream(*dropout), LR,
+                              nn.Workspace(len(xs)))
     assert all(np.array_equal(a, b) for a, b in zip(p1.arrays(), p2.arrays()))
 
 
@@ -55,10 +55,10 @@ def test_augment_degenerate_is_identity(rng):
 
 def test_augment_preserves_shape_and_differs(rng):
     x = rng.normal(size=(40, 862)).astype(np.float32)
-    a = ssl.augment(x, substream(0, "augment", 0), CFG.augment_noise_scale,
-                    CFG.augment_max_mask_frames)
-    b = ssl.augment(x, substream(0, "augment", 1), CFG.augment_noise_scale,
-                    CFG.augment_max_mask_frames)
+    a = ssl.augment(x, substream(0, "augment", 0), ssl.AUGMENT_NOISE_SCALE,
+                    ssl.AUGMENT_MAX_MASK_FRAMES)
+    b = ssl.augment(x, substream(0, "augment", 1), ssl.AUGMENT_NOISE_SCALE,
+                    ssl.AUGMENT_MAX_MASK_FRAMES)
     assert a.shape == x.shape == b.shape
     assert a.dtype == x.dtype
     assert not np.array_equal(a, b)
@@ -124,8 +124,8 @@ def test_guess_label_is_soft_label_and_sharper(rng):
     params = tiny_params()
     u = rng.normal(size=(8, 16)).astype(np.float32)
     arng = substream(1, "augment")
-    copies = np.stack([ssl.augment(u, arng, CFG.augment_noise_scale,
-                                   CFG.augment_max_mask_frames) for _ in range(2)])
+    copies = np.stack([ssl.augment(u, arng, ssl.AUGMENT_NOISE_SCALE,
+                                   ssl.AUGMENT_MAX_MASK_FRAMES) for _ in range(2)])
     mean_pred, _ = nn.forward_batch(params, copies)
     mean_pred = mean_pred.mean(axis=0)
     guess = ssl.guess_labels(params, copies, k=2, temperature=0.5)
@@ -139,9 +139,9 @@ def test_guess_label_is_soft_label_and_sharper(rng):
 def test_mixup_forced_endpoints(rng):
     x1, x2 = rng.normal(size=(2, 4, 5))
     y1, y2 = random_soft_labels(rng, 2)
-    mx, my = ssl.mixup(x1, y1, x2, y2, substream(0, "mixup"), fixed_lambda=1.0)
+    mx, my = ssl.mixup(x1, y1, x2, y2, oracle.FixedBeta(1.0))
     assert np.array_equal(mx, x1) and np.array_equal(my, y1)
-    mx, my = ssl.mixup(x1, y1, x2, y2, substream(0, "mixup"), fixed_lambda=0.5)
+    mx, my = ssl.mixup(x1, y1, x2, y2, oracle.FixedBeta(0.5))
     assert np.allclose(mx, (x1 + x2) / 2)
     assert np.allclose(my, (y1 + y2) / 2)
 
@@ -162,25 +162,23 @@ def test_mixup_lambda_distribution(rng):
 
 def test_mixmatch_counts_and_targets(rng):
     params = tiny_params(dtype=np.float32)
-    cfg = ssl.SslConfig()
     bl, bu = 5, 5
     xs, ys, us = batches(rng, bl, bu)
-    (x_in, x_tgt), (u_in, u_tgt) = ssl.mixmatch(xs, ys, us, params, cfg,
+    (x_in, x_tgt), (u_in, u_tgt) = ssl.mixmatch(xs, ys, us, params,
                                                 substream(0, "augment"), substream(0, "mixup"))
     assert x_in.shape == (bl, 8, 16) and x_tgt.shape == (bl, 6)
-    assert u_in.shape == (cfg.n_augmentations * bu, 8, 16)
-    assert u_tgt.shape == (cfg.n_augmentations * bu, 6)
+    assert u_in.shape == (ssl.N_AUGMENTATIONS * bu, 8, 16)
+    assert u_tgt.shape == (ssl.N_AUGMENTATIONS * bu, 6)
     for target in list(x_tgt) + list(u_tgt):
         assert oracle.is_soft_label(target)
 
 
-def test_mixmatch_degenerates_to_labeled_batch(rng):
+def test_mixmatch_degenerates_to_labeled_batch(rng, neutralize):
     params = tiny_params(dtype=np.float32)
-    cfg = oracle.neutralized()
     xs = rng.normal(size=(4, 8, 16)).astype(np.float32)
     ys = np.eye(6, dtype=np.float32)[[0, 2, 4, 5]]
     us = rng.normal(size=(4, 8, 16)).astype(np.float32)
-    (x_in, x_tgt), _ = ssl.mixmatch(xs, ys, us, params, cfg,
+    (x_in, x_tgt), _ = ssl.mixmatch(xs, ys, us, params,
                                     substream(0, "augment"), substream(0, "mixup"))
     for i in range(4):
         assert np.array_equal(x_in[i], xs[i])
@@ -189,11 +187,10 @@ def test_mixmatch_degenerates_to_labeled_batch(rng):
 
 def test_mixmatch_loss_components(rng):
     params = tiny_params(dtype=np.float32)
-    cfg = ssl.SslConfig()
     xs = rng.normal(size=(4, 8, 16)).astype(np.float32)
     ys = np.eye(6, dtype=np.float32)[[1, 2, 3, 4]]
     us = rng.normal(size=(4, 8, 16)).astype(np.float32)
-    x_batch, u_batch = ssl.mixmatch(xs, ys, us, params, cfg,
+    x_batch, u_batch = ssl.mixmatch(xs, ys, us, params,
                                     substream(1, "augment"), substream(1, "mixup"))
     empty = (u_batch[0][:0], u_batch[1][:0])
     total_no_u, sup, unsup = oracle.mixmatch_loss(params, x_batch, empty, 1.0)
@@ -219,7 +216,8 @@ def test_co_refinement_losses_finite(rng):
     xs, ys, us = batches(rng, 6, 6)
     terms = ssl.co_refinement_step(params, xs, ys, us, 0.5)
     lab, unlab = nn.weighted_gradient_step(params, state, terms,
-                                           substream(1, "dropout", 0, 1, 0), LR)
+                                           substream(1, "dropout", 0, 1, 0), LR,
+                                           nn.Workspace(len(xs)))
     assert np.isfinite(lab) and np.isfinite(unlab)
     assert lab >= 0 and unlab >= 0
 
@@ -275,15 +273,7 @@ def test_co_refurbishing_blends_subset(rng):
     terms = ssl.co_refurbishing_step(params, xs, ys, us, weight=0.7, fraction=0.3,
                                      rng=substream(4, "refurbish", 0, 0))
     lab, unlab = nn.weighted_gradient_step(params, state, terms,
-                                           substream(4, "dropout", 0, 2, 0), LR)
+                                           substream(4, "dropout", 0, 2, 0), LR,
+                                           nn.Workspace(len(xs)))
     assert np.isfinite(lab) and np.isfinite(unlab) and unlab > 0
 
-
-def test_ssl_config_validation():
-    with pytest.raises(ValueError):
-        ssl.SslConfig(temperature=0.0)
-    with pytest.raises(ValueError):
-        ssl.SslConfig(refurbish_weight=1.5)
-    neutral = oracle.neutralized()
-    assert neutral.unlabeled_loss_weight == 0.0
-    assert neutral.fixed_lambda == 1.0

@@ -25,7 +25,7 @@ def _load_tracing():
 
 def test_tracer_hooks_one_training_step(rng, monkeypatch):
     tracing = _load_tracing()
-    spec = nn.CnnSpec(input_shape=(8, 16), channels=(2, 3))
+    spec = nn.CnnSpec(channels=(2, 3))
     params = nn.init_params(substream(0, "init"), spec)
     xs = rng.normal(size=(4, 8, 16)).astype(np.float32)
     ys = np.eye(6, dtype=np.float32)[[0, 1, 2, 3]]
@@ -36,7 +36,7 @@ def test_tracer_hooks_one_training_step(rng, monkeypatch):
     try:
         nn.weighted_gradient_step(params, nn.AdamState.for_params(params),
                                   [(1.0, xs, ys, "cross_entropy")],
-                                  substream(0, "dropout", 0, 0, 0), 1e-3)
+                                  substream(0, "dropout", 0, 0, 0), 1e-3, nn.Workspace(len(xs)))
         nn.forward_batch(params, xs)
     finally:
         tracer.uninstall()
@@ -61,7 +61,7 @@ def test_tracer_hooks_training_passes(rng):
     n = 18  # three recordings per class: one test, one labeled, one unlabeled
     cache = dataset.FeatureCache(
         ids=np.arange(n), classes=np.arange(n) % 6, config_hash=b"\x00" * 32,
-        matrices=rng.normal(size=(n,) + nn.CnnSpec().input_shape).astype(np.float32))
+        matrices=rng.normal(size=(n, 40, 862)).astype(np.float32))
     split = dataset.make_splits({i: i % 6 for i in range(n)}, seed=0, unlabeled_fraction=0.5)
     cfg = training.TrainConfig(epochs=1, refit_epochs=1, batch_size=8, mode="semi",
                                validation_fraction=0.0)

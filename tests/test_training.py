@@ -13,12 +13,11 @@ from lungsound.rng import substream
 from lungsound.training import (FeatureNormalizer, TrainConfig, run_mixmatch_epoch,
                                 run_supervised_epoch, train_baseline, train_semi)
 
-import nn_oracle as oracle
-
 
 def neutral_config(epochs, **kw):
-    """All SSL knobs set so a semi schedule degenerates to supervision."""
-    return TrainConfig(epochs=epochs, mode="semi", ssl=oracle.neutralized(), **kw)
+    """A semi config without unlabeled loss: under the `neutralize` fixture its
+    schedule degenerates to supervision."""
+    return TrainConfig(epochs=epochs, mode="semi", unlabeled_loss_weight=0.0, **kw)
 
 
 def params_equal(a, b):
@@ -42,9 +41,10 @@ def test_overfit_memorization_set(small_corpus):
     cfg = TrainConfig(epochs=200, batch_size=10, seed=1, validation_fraction=0.0)
     params = nn.init_params(substream(cfg.seed, "init"))
     state = nn.AdamState.for_params(params)
+    ws = nn.Workspace(cfg.batch_size)
     losses = []
     for e in range(cfg.epochs):
-        losses.append(run_supervised_epoch(params, state, mats, onehot, cfg, e))
+        losses.append(run_supervised_epoch(params, state, mats, onehot, cfg, e, ws))
         if losses[-1] < 0.05:
             break
     assert losses[0] >= losses[1] >= losses[2]
@@ -95,7 +95,7 @@ def test_entry_point_refuses_the_other_mode(tmp_path, rng):
     assert not any(tmp_path.iterdir())
 
 
-def test_degenerate_epoch_equals_supervised(small_corpus, small_split):
+def test_degenerate_epoch_equals_supervised(small_corpus, small_split, neutralize):
     cache = small_corpus["cache"]
     xs = cache.gather(small_split.train_labeled)
     ys = cache.classes[cache.rows(small_split.train_labeled)]
@@ -105,16 +105,16 @@ def test_degenerate_epoch_equals_supervised(small_corpus, small_split):
 
     p_semi = nn.init_params(substream(cfg.seed, "init"))
     s_semi = nn.AdamState.for_params(p_semi)
-    run_mixmatch_epoch(p_semi, s_semi, xs, onehot, xu, cfg, epoch=0)
+    run_mixmatch_epoch(p_semi, s_semi, xs, onehot, xu, cfg, 0, nn.Workspace(cfg.batch_size))
 
     p_sup = nn.init_params(substream(cfg.seed, "init"))
     s_sup = nn.AdamState.for_params(p_sup)
-    run_supervised_epoch(p_sup, s_sup, xs, onehot, cfg, epoch=0)
+    run_supervised_epoch(p_sup, s_sup, xs, onehot, cfg, 0, nn.Workspace(cfg.batch_size))
 
     assert params_equal(p_semi, p_sup)
 
 
-def test_full_run_degeneracy(small_corpus, small_split):
+def test_full_run_degeneracy(small_corpus, small_split, neutralize):
     cache = small_corpus["cache"]
     semi_cfg = neutral_config(epochs=3, refit_epochs=0, batch_size=8, seed=13,
                               validation_fraction=0.0)
@@ -136,12 +136,12 @@ def test_early_stop_restores_best(small_corpus, small_split):
     # restored parameters really are the best-epoch ones
     lab_ids, xs_lab, ys_lab, _, _ = training._prepare(small_corpus["cache"], small_split)
     _, val = training._stratified_validation(lab_ids, ys_lab, 0.2, cfg.seed)
-    assert training._accuracy(params, xs_lab[val], ys_lab[val]) == pytest.approx(best)
+    assert training._accuracy(params, xs_lab[val], ys_lab[val],
+                              nn.Workspace(len(val))) == pytest.approx(best)
 
 
 def test_early_stopper_unit():
-    params = nn.init_params(substream(0, "init"), nn.CnnSpec(input_shape=(8, 16),
-                                                             channels=(2, 3)))
+    params = nn.init_params(substream(0, "init"), nn.CnnSpec(channels=(2, 3)))
     stopper = training._EarlyStopper(patience=2)
     assert not stopper.update(0, 0.5, params)
     snapshot = params.copy()
@@ -206,7 +206,7 @@ def test_artifacts_written(tmp_path, small_corpus, small_split):
     assert params_equal(loaded, params) and norm.to_meta() == manifest.normalizer
     saved = json.loads((tmp_path / "semi-seed6-manifest.json").read_text())
     assert saved["mode"] == "semi"
-    assert saved["config"]["ssl"]["temperature"] == 0.5
+    assert saved["config"]["unlabeled_loss_weight"] == 1.0 and "ssl" not in saved["config"]
     assert len(saved["epoch_rows"]) == len(manifest.epoch_rows)
 
 
@@ -219,7 +219,7 @@ def test_load_model_refuses_checkpoint_it_cannot_score(tmp_path, small_corpus):
     inf_params.conv_kernels[2][0, 0, 0, 0] = np.inf
     ckpt = tmp_path / "model.lsnn"
     for params, metadata, error, reason in (
-            (nn.init_params(substream(0, "init"), nn.CnnSpec((8, 16), (2, 3))), meta,
+            (nn.init_params(substream(0, "init"), nn.CnnSpec((2, 3))), meta,
              DataError, "production network"),
             (inf_params, meta, DataError, "not all finite"),
             (good, norm, ConfigHashMismatch, "feature-config hash"),
@@ -244,6 +244,14 @@ def test_train_config_validation():
         with pytest.raises(ValueError):
             TrainConfig(**bad)
     TrainConfig(epochs=0, refit_epochs=0, early_stop_patience=1)
+
+
+def test_unlabeled_loss_weight_validation():
+    for bad in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="unlabeled_loss_weight"):
+            TrainConfig(mode="semi", unlabeled_loss_weight=bad)
+    for good in (0.0, 0.3, 1.0):
+        assert TrainConfig(mode="semi", unlabeled_loss_weight=good).unlabeled_loss_weight == good
 
 
 def test_evaluate_split(small_corpus, small_split):
