@@ -23,7 +23,7 @@ import numpy as np
 
 from . import audio_io, features
 from .errors import (ConfigHashMismatch, DataError, MalformedCsv, MalformedHeader,
-                     MalformedName, NoUsableData, UnknownPatient)
+                     MalformedName, NoUsableData, SplitCacheMismatch, UnknownPatient)
 from .nn import N_CLASSES
 from .rng import substream
 
@@ -130,6 +130,20 @@ class SplitManifest:
         lab, unlab, test = map(set, (self.train_labeled, self.train_unlabeled, self.test))
         if lab & unlab or lab & test or unlab & test:
             raise DataError("split manifest has overlapping subsets")
+
+    def check_cache(self, cache: "FeatureCache") -> None:
+        """Refuse a split made from another cache: SplitCacheMismatch when an
+        id it lists has a stem here that differs from the cache's stem for it.
+        Ids without a stem on either side are not checked."""
+        ids = [*self.train_labeled, *self.train_unlabeled, *self.test]
+        bad = [(r, self.stems[r], cache.stems[r]) for r in ids
+               if r in self.stems and r in cache.stems and self.stems[r] != cache.stems[r]]
+        if bad:
+            rid, mine, theirs = bad[0]
+            raise SplitCacheMismatch(
+                f"the split was made from another cache: {len(bad)} of its {len(ids)} ids "
+                f"name other recordings here (id {rid} is {mine!r} in the split, "
+                f"{theirs!r} in the cache)")
 
     def to_json(self) -> str:
         return json.dumps({

@@ -74,6 +74,10 @@ class ConfigHashMismatch(DataError):
     pass
 
 
+class SplitCacheMismatch(DataError):
+    pass
+
+
 # -- evaluation ----------------------------------------------------------
 
 class LengthMismatch(DataError):

@@ -151,23 +151,39 @@ def pad_or_truncate(mat: np.ndarray, target: int) -> np.ndarray:
 
 
 def extract_mfcc(clip: AudioClip, cfg: MfccConfig) -> np.ndarray:
-    """Run the full chain on one clip; returns a (n_coefficients, target_frames) grid.
+    """Run the full chain on one clip at cfg.sample_rate; returns a
+    (n_coefficients, target_frames) grid.
 
     The waveform is zero-padded or truncated to clip_seconds before framing so
     short recordings map to constant silence columns rather than artificial
-    discontinuities.
+    discontinuities. Frames that read only that padding are not transformed:
+    their power rows are exact zeros. The mel and DCT products still run over
+    every frame, since BLAS rounds a row by its place in the product.
     """
+    if clip.sample_rate != cfg.sample_rate:
+        raise ValueError(f"clip is at {clip.sample_rate} Hz but the front end "
+                         f"runs at {cfg.sample_rate} Hz; resample it first")
     x = np.asarray(clip.samples, dtype=np.float64)
-    n_target = int(round(cfg.clip_seconds * clip.sample_rate))
-    if x.size >= n_target:
-        x = x[:n_target]
+    n_target = int(round(cfg.clip_seconds * cfg.sample_rate))
+    n = min(x.size, n_target)
+    n_frames = 1 + n_target // cfg.hop_length
+    half = cfg.frame_length // 2
+    tail = cfg.frame_length - half
+    if n >= n_target - 1 - tail:
+        # the reflected right edge can read signal: every frame is live
+        live, m = n_frames, n_target
     else:
-        x = np.pad(x, (0, n_target - x.size))
+        # the pre-emphasized signal is zero after index n, and frame f starts
+        # at f * hop - half; the first m samples hold every live frame whole
+        # and the left reflection
+        live = (half + n) // cfg.hop_length + 1
+        m = min(max((live - 1) * cfg.hop_length + tail, half + 1), n_target)
+    x = np.pad(x[:n], (0, m - n))
 
-    y = pre_emphasize(x, cfg.pre_emphasis)
-    frames = frame_and_window(y, cfg)
+    frames = frame_and_window(pre_emphasize(x, cfg.pre_emphasis), cfg)[:live]
     spec = np.fft.rfft(frames, n=cfg.n_fft, axis=1)
-    power = spec.real ** 2 + spec.imag ** 2
+    power = np.zeros((n_frames, cfg.n_fft // 2 + 1))
+    np.add(spec.real ** 2, spec.imag ** 2, out=power[:live])
     fb, dct = mfcc_matrices(cfg)
     mel_energy = power @ fb.T
     log_energy = np.log(np.maximum(mel_energy, cfg.log_floor))

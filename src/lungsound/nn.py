@@ -635,15 +635,18 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState, lr: flo
     t = state.step
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
-    for p, g, m, v in zip(params.arrays(), grads.arrays(),
-                          state.m.arrays(), state.v.arrays()):
-        if p.shape != g.shape:
-            raise ShapeMismatch(f"adam: param {p.shape} vs grad {g.shape}")
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    # a step that overflows float32 is refused by weighted_gradient_step's
+    # finiteness check, so numpy need not warn about it too
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, g, m, v in zip(params.arrays(), grads.arrays(),
+                              state.m.arrays(), state.v.arrays()):
+            if p.shape != g.shape:
+                raise ShapeMismatch(f"adam: param {p.shape} vs grad {g.shape}")
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return params, state
 
 

@@ -292,6 +292,7 @@ def _prepare(cache: FeatureCache, split: SplitManifest):
     and semi runs see bit-identical inputs.
     """
     split.validate()
+    split.check_cache(cache)
     lab_ids = np.asarray(split.train_labeled, dtype=np.int64)
     if len(lab_ids) == 0:
         raise NoUsableData("split has no labeled training recordings")
@@ -439,6 +440,7 @@ def evaluate_split(params: nn.ModelParams, cache: FeatureCache, split: SplitMani
     standardized by `norm`, the normalizer the model was trained with."""
     if not split.test:
         raise NoUsableData("split has no test recordings")
+    split.check_cache(cache)
     xs = norm.apply(cache.gather(split.test))
     ys = cache.classes[cache.rows(split.test)]
     return ys, predict_batch(params, xs)

@@ -3,12 +3,16 @@ import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lungsound import cli, dataset, evaluation, features, nn
 from lungsound.rng import substream
+from conftest import cached_corpus
 from report_fixtures import BASELINE_CM, SEMI_CM
 from test_audio_io import make_wav
 
@@ -174,6 +178,24 @@ def test_train_step_to_non_finite_parameters_is_numeric_error(capsys, tmp_path, 
     run = json.loads((tmp_path / "run" / "baseline-seed0-manifest.json").read_text())
     assert run["aborted"]["epoch"] == 0 and "parameters" in run["aborted"]["error"]
     assert not (tmp_path / "run" / "baseline-seed0.lsnn").exists()
+
+
+def test_train_numeric_error_prints_one_stderr_line(tmp_path, small_corpus, small_split):
+    """Run as its own process, so numpy warnings reach stderr as a user sees them."""
+    manifest = tmp_path / "split.json"
+    small_split.save(manifest)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lungsound.cli", "train",
+         "--cache", str(small_corpus["cache_path"]), "--manifest", str(manifest),
+         "--mode", "baseline", "--out-dir", str(tmp_path / "run"), "--epochs", "1",
+         "--batch-size", "64", "--validation-fraction", "0", "--learning-rate", "1e39"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 3 and proc.stdout == "", (proc.returncode, proc.stderr)
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert "parameters" in proc.stderr and "Warning" not in proc.stderr
 
 
 @pytest.mark.parametrize("flag, value", [("--refit-epochs", "-3"), ("--patience", "0"),
@@ -475,6 +497,40 @@ def test_evaluate_refuses_checkpoint_it_cannot_score(capsys, tmp_path, small_cor
         assert _data_error(*result), result
         assert reason in result[2]
         assert not (tmp_path / "r.txt").exists()
+
+
+def test_train_and_evaluate_refuse_split_of_another_cache(capsys, tmp_path, small_corpus):
+    # a split made from a smaller corpus: its ids name other recordings in small_corpus
+    other = cached_corpus(tmp_path / "other", recordings_per_class=4, seed=2, duration_s=1.0)
+    manifest = tmp_path / "split.json"
+    assert run_cli(capsys, "split", "--cache", str(other["cache_path"]),
+                   "--out", str(manifest))[0] == 0
+    cache = str(small_corpus["cache_path"])
+    result = run_cli(capsys, "train", "--cache", cache, "--manifest", str(manifest),
+                     "--mode", "baseline", "--out-dir", str(tmp_path / "run"), "--epochs", "1")
+    assert _data_error(*result), result
+    assert "SplitCacheMismatch" in result[2] and "another cache" in result[2]
+    assert not (tmp_path / "run").exists()
+
+    ckpt = tmp_path / "model.lsnn"
+    nn.save_checkpoint(ckpt, nn.init_params(substream(0, "init")),
+                       {"config_hash": small_corpus["cache"].config_hash.hex(),
+                        "norm_mean": [0.0] * 40, "norm_std": [1.0] * 40})
+    evaluate = ("evaluate", "--checkpoint", str(ckpt), "--cache", cache,
+                "--report", str(tmp_path / "r.txt"))
+    result = run_cli(capsys, *evaluate, "--manifest", str(manifest))
+    assert _data_error(*result), result
+    assert "SplitCacheMismatch" in result[2]
+    assert not (tmp_path / "r.txt").exists()
+
+    # the cache's own split, and a split that records no stems, still score
+    own = tmp_path / "own.json"
+    assert run_cli(capsys, "split", "--cache", cache, "--out", str(own))[0] == 0
+    assert run_cli(capsys, *evaluate, "--manifest", str(own))[0] == 0
+    bare = json.loads(manifest.read_text())
+    del bare["stems"]
+    manifest.write_text(json.dumps(bare))
+    assert run_cli(capsys, *evaluate, "--manifest", str(manifest))[0] == 0
 
 
 @pytest.mark.parametrize("mean, std", [

@@ -259,18 +259,34 @@ def test_cache_bytes_match_documented_layout(tmp_path, small_corpus):
     assert cache.matrices.dtype == np.float32 and cache.matrices.flags.writeable
 
 
+# the shortest kept length (in 22050 Hz samples) at which the reflected right
+# edge of the 20 s window can read signal, so that every frame is transformed
+_EDGE = 441000 - 1 - 1024
+
+
 def test_cache_bytes_match_whole_file_front_end(tmp_path):
     """Recordings longer than the 20 s grid, at odd rates, widths and channel
-    counts: decoding only the window changes no byte of the cache."""
+    counts: decoding only the window changes no byte of the cache. Recordings
+    shorter than it, framed only as far as their signal reaches, match the
+    chain run over every frame of the padded window."""
     cfg = features.MfccConfig()
     rng = np.random.default_rng(11)
     entries = []
-    for i, (rate, fmt, bits, channels, seconds) in enumerate([
-            (7919, 1, 24, 2, 23.0), (11025, 1, 8, 1, 21.0), (44100, 3, 32, 2, 20.5),
-            (48000, 1, 16, 1, 22.0), (4000, 1, 32, 2, 25.0)]):
-        t = np.arange(int(seconds * rate))[:, None] / rate
+    # (rate, format, bits, channels, frames, frames before digital silence)
+    for i, (rate, fmt, bits, channels, n, n_signal) in enumerate([
+            (7919, 1, 24, 2, 23 * 7919, None), (11025, 1, 8, 1, 21 * 11025, None),
+            (44100, 3, 32, 2, 20 * 44100 + 22050, None), (48000, 1, 16, 1, 22 * 48000, None),
+            (4000, 1, 32, 2, 25 * 4000, None),
+            (22050, 1, 16, 1, 300, None), (8000, 1, 16, 2, 8000, None),
+            (16000, 3, 32, 1, 4 * 16000, None), (44100, 1, 24, 2, 9 * 44100, None),
+            (22050, 1, 16, 1, _EDGE - 1, None), (22050, 1, 16, 1, _EDGE, None),
+            (22050, 1, 16, 1, _EDGE + 1, None),
+            (22050, 1, 16, 1, 6 * 22050, 2 * 22050), (22050, 1, 16, 1, 3 * 22050, 0)]):
+        t = np.arange(n)[:, None] / rate
         frames = 0.5 * np.sin(2 * np.pi * 180.0 * (i + 1) * t) \
             + rng.uniform(-0.4, 0.4, (len(t), channels))
+        if n_signal is not None:
+            frames[n_signal:] = 0.0
         path = tmp_path / f"{200 + i}_1b1_Tc_sc_Synth.wav"
         path.write_bytes(make_wav(encode(frames, fmt, bits), fmt, channels, rate, bits))
         entries.append((i, i % 6, str(path)))

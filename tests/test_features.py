@@ -180,6 +180,19 @@ def test_amplitude_monotonicity(rng):
     assert np.allclose(loud[1:], base[1:], atol=1e-6)  # higher rows capture shape, not gain
 
 
+def _whole_window_chain(samples, cfg):
+    """The chain written out over every frame of the zero-padded window, with
+    matrices built afresh."""
+    n_target = int(round(cfg.clip_seconds * cfg.sample_rate))
+    x = np.pad(samples[:n_target], (0, max(0, n_target - len(samples))))
+    frames = frame_and_window(pre_emphasize(x, cfg.pre_emphasis), cfg)
+    spec = np.fft.rfft(frames, n=cfg.n_fft, axis=1)
+    mel = (spec.real ** 2 + spec.imag ** 2) @ mel_filterbank(cfg).T
+    coeffs = dct_matrix(cfg.n_coefficients, cfg.n_mel_filters) \
+        @ np.log(np.maximum(mel, cfg.log_floor)).T
+    return pad_or_truncate(coeffs, cfg.target_frames)
+
+
 def test_mfcc_matrices_built_once_and_read_only(monkeypatch, rng):
     cfg = MfccConfig(clip_seconds=1.0, target_frames=44, pre_emphasis=0.95)  # not yet cached
     built = []
@@ -189,15 +202,36 @@ def test_mfcc_matrices_built_once_and_read_only(monkeypatch, rng):
     outs = [extract_mfcc(clip, cfg) for clip in clips]
     assert built == [cfg]
     for clip, out in zip(clips, outs):
-        # the chain with matrices built afresh for this clip
-        frames = frame_and_window(pre_emphasize(clip.samples, cfg.pre_emphasis), cfg)
-        spec = np.fft.rfft(frames, n=cfg.n_fft, axis=1)
-        mel = (spec.real ** 2 + spec.imag ** 2) @ mel_filterbank(cfg).T
-        coeffs = dct_matrix(40, 128) @ np.log(np.maximum(mel, cfg.log_floor)).T
-        assert np.array_equal(out, pad_or_truncate(coeffs, cfg.target_frames))
+        assert np.array_equal(out, _whole_window_chain(clip.samples, cfg))
     for arr in features.mfcc_matrices(cfg):
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("frame_length, hop_length", [(2047, 512), (1500, 490), (2048, 2048)],
+                         ids=["odd-frame", "hop-not-dividing-frame", "hop-equal-to-frame"])
+def test_short_clip_equals_whole_window_chain(rng, frame_length, hop_length):
+    """Clips shorter than the window are framed only as far as their signal
+    reaches; the grid still equals the chain over every frame, bit for bit.
+
+    The lengths sit on both sides of the one where the reflected right edge
+    reads signal (490 divides the 2 s window, so its last frame reaches the
+    reflection's far end), around the left reflection's reach, and where the
+    last live frame ends one sample short of the samples framed."""
+    cfg = MfccConfig(clip_seconds=2.0, target_frames=92, frame_length=frame_length,
+                     hop_length=hop_length)
+    half = frame_length // 2
+    edge = 44100 - 1 - (frame_length - half)
+    for n in (2, 300, half - 2, half - 1, half, half + 1, hop_length + 1,
+              6 * hop_length - 1 - half, 22050, edge - 1, edge, edge + 1, 44100, 50000):
+        samples = rng.uniform(-0.5, 0.5, n)
+        assert np.array_equal(extract_mfcc(AudioClip(samples, 22050), cfg),
+                              _whole_window_chain(samples, cfg)), n
+
+
+def test_extract_refuses_clip_at_another_rate():
+    with pytest.raises(ValueError, match="44100 Hz.*22050 Hz"):
+        extract_mfcc(AudioClip(np.zeros(44100), 44100), FAST)
 
 
 def test_config_validation():
