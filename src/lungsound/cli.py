@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--mode", choices=("baseline", "semi"), required=True)
-    p.add_argument("--drop", choices=("co_refinement", "co_refurbishing", "both"))
+    p.add_argument("--drop", choices=sorted(training.VALID_DROPS))
     p.add_argument("--seed", type=int, default=train.seed)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--epochs", type=int, default=train.epochs)
@@ -119,17 +119,17 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cache = dataset.FeatureCache.load(args.cache)
-    split = dataset.SplitManifest.load(args.manifest)
     cfg = training.TrainConfig(epochs=args.epochs, refit_epochs=args.refit_epochs,
                                batch_size=args.batch_size, mode=args.mode,
                                unlabeled_loss_weight=args.unlabeled_loss_weight,
                                learning_rate=args.learning_rate, seed=args.seed,
                                early_stop_patience=args.patience,
                                validation_fraction=args.validation_fraction)
+    if args.mode == "baseline" and args.drop:
+        raise ValueError("--drop only applies to semi mode")
+    cache = dataset.FeatureCache.load(args.cache)
+    split = dataset.SplitManifest.load(args.manifest)
     if args.mode == "baseline":
-        if args.drop:
-            raise DataError("--drop only applies to semi mode")
         _, manifest = training.train_baseline(cfg, cache, split, out_dir=args.out_dir)
     else:
         _, manifest = training.train_semi(cfg, cache, split, out_dir=args.out_dir,

@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import struct
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -127,9 +128,11 @@ class SplitManifest:
     stems: dict = field(default_factory=dict)  # recording id -> stem, for audit
 
     def validate(self) -> None:
-        lab, unlab, test = map(set, (self.train_labeled, self.train_unlabeled, self.test))
-        if lab & unlab or lab & test or unlab & test:
-            raise DataError("split manifest has overlapping subsets")
+        """DataError unless every id appears once across the three lists."""
+        ids = [*self.train_labeled, *self.train_unlabeled, *self.test]
+        if len(set(ids)) != len(ids):
+            repeated = next(r for r, n in Counter(ids).items() if n > 1)
+            raise DataError(f"split manifest lists recording id {repeated} more than once")
 
     def check_cache(self, cache: "FeatureCache") -> None:
         """Refuse a split made from another cache: SplitCacheMismatch when an

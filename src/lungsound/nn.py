@@ -53,8 +53,9 @@ map and argmax slots; two dx buffers (stage i-1 writes one while it reads
 stage i's); the phase-stacked conv gradient; and two scratch blocks for
 arrays that die with their call, the conv stages' with one slice per
 worker. A forward overwrites the previous trace's buffers, so
-loss_and_backward refuses (StaleTrace) a trace whose workspace has run a
-forward since.
+loss_and_backward(trace, target, loss_kind), which differentiates with
+respect to the parameters the trace holds, refuses (StaleTrace) a trace
+whose workspace has run a forward since.
 
 The blocks of a stage forward, and the mask and dx blocks of its backward,
 run with one worker per usable CPU (usable_cpus: the process's CPU affinity
@@ -595,15 +596,13 @@ def backward_from_dp(trace: ForwardTrace, dp: np.ndarray) -> ModelParams:
     return grads
 
 
-def loss_and_backward(params: ModelParams, trace: ForwardTrace, target: np.ndarray,
-                      loss_kind: str = "cross_entropy"):
-    """Loss plus gradients for a trace produced by forward_batch().
+def loss_and_backward(trace: ForwardTrace, target: np.ndarray, loss_kind: str):
+    """Loss plus gradients, with respect to the parameters the trace holds,
+    for a trace produced by forward_batch().
 
-    Raises StaleTrace when the trace was built from different parameters, or
-    when a later forward through its workspace reused its buffers.
+    Raises StaleTrace when the trace was not kept, or when a later forward
+    through its workspace reused its buffers.
     """
-    if trace.params is not params:
-        raise StaleTrace("trace was produced by a different parameter set")
     if trace.probs is None:
         raise StaleTrace("trace was not kept (forward ran with keep_trace=False)")
     if trace.stamp != trace.workspace.forwards:
@@ -670,7 +669,7 @@ def weighted_gradient_step(params: ModelParams, opt_state: AdamState, terms,
             losses.append(0.0)
             continue
         _, trace = forward_batch(params, xs, training=True, rng=rng, ws=ws)
-        loss, grads = loss_and_backward(params, trace, targets, loss_kind)
+        loss, grads = loss_and_backward(trace, targets, loss_kind)
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"{loss_kind} loss is {loss}")
         losses.append(loss)

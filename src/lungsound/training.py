@@ -19,8 +19,10 @@ never perturb each other.
 
 One nn.Workspace, sized for the run's largest forward, serves every forward
 and backward of a `_train` call, validation and target forwards included.
-The SSL passes read the `ssl` constants as `ssl.NAME` when they run; the
-unlabeled loss weight is the one SSL setting in TrainConfig.
+The SSL passes hand the `ssl` strategies only data, streams and `ws` (and
+mixmatch the ramped unlabeled weight); the strategies read the `ssl`
+constants themselves. The unlabeled loss weight is the one SSL setting in
+TrainConfig.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from __future__ import annotations
 import json
 import logging
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -170,15 +171,6 @@ def _accuracy(params, xs, ys, ws) -> float:
     return float((predict_batch(params, xs, ws=ws) == np.asarray(ys)).mean())
 
 
-@contextmanager
-def _numeric_context(epoch: int, batch: int):
-    """Attach the offending epoch/batch to numerical failures."""
-    try:
-        yield
-    except NonFiniteLoss as exc:
-        raise NonFiniteLoss(f"epoch {epoch}, batch {batch}: {exc}") from None
-
-
 def _stratified_validation(ids, classes, fraction, seed):
     """Split rows into (fit, val) row positions keeping per-class proportions,
     each in ascending-id order (all rows, in their given order, fit when
@@ -218,10 +210,12 @@ def _run_pass(params, opt_state, xs_lab, ys_onehot, xs_unlab, cfg: TrainConfig, 
     for b, start in enumerate(range(0, len(order), cfg.batch_size)):
         batch = order[start:start + cfg.batch_size]
         u = xs_unlab[u_order[start:start + len(batch)]] if len(xs_unlab) else xs_unlab
-        with _numeric_context(epoch, b):
+        try:
             losses = nn.weighted_gradient_step(
                 params, opt_state, terms(b, xs_lab[batch], ys_onehot[batch], u),
                 substream(cfg.seed, "dropout", epoch, pass_id, b), cfg.learning_rate, ws)
+        except NonFiniteLoss as exc:
+            raise NonFiniteLoss(f"epoch {epoch}, batch {b}: {exc}") from None
         for i, loss in enumerate(losses):
             totals[i] += loss * len(batch)
     n = max(len(order), 1)
@@ -240,10 +234,8 @@ def run_mixmatch_epoch(params, opt_state, xs_lab, ys_onehot, xs_unlab,
     lu_eff = _ramp_weight(cfg, epoch)
 
     def terms(b, x, y, u):
-        (x_in, x_tgt), (u_in, u_tgt) = ssl.mixmatch(
-            x, y, u, params, substream(cfg.seed, "augment", epoch, b),
-            substream(cfg.seed, "mixup", epoch, b), ws)
-        return [(1.0, x_in, x_tgt, "cross_entropy"), (lu_eff, u_in, u_tgt, "squared_error")]
+        return ssl.mixmatch(params, x, y, u, lu_eff, substream(cfg.seed, "augment", epoch, b),
+                            substream(cfg.seed, "mixup", epoch, b), ws)
     return _run_pass(params, opt_state, xs_lab, ys_onehot, xs_unlab, cfg, epoch, PASS_MAIN,
                      terms, ws)
 
@@ -254,9 +246,8 @@ def _run_co_pass(params, opt_state, xs_lab, ys_onehot, xs_unlab, cfg: TrainConfi
     labeled loss."""
     def terms(b, x, y, u):
         if pass_id == PASS_CO_REFINEMENT:
-            return ssl.co_refinement_step(params, x, y, u, ssl.REFINEMENT_WEIGHT, ws)
-        return ssl.co_refurbishing_step(params, x, y, u, ssl.REFURBISH_WEIGHT,
-                                        ssl.REFURBISH_FRACTION,
+            return ssl.co_refinement_step(params, x, y, u, ws)
+        return ssl.co_refurbishing_step(params, x, y, u,
                                         substream(cfg.seed, "refurbish", epoch, b), ws)
     return _run_pass(params, opt_state, xs_lab, ys_onehot, xs_unlab, cfg, epoch, pass_id,
                      terms, ws)[0]

@@ -248,7 +248,7 @@ def finite_difference_error(params, xs, targets, loss_kind, eps, floor=1e-6):
         probs, trace = nn.forward_batch(params, xs, training=False, keep_trace=True)
         return loss_value(probs, targets, loss_kind), trace
 
-    _, grads = nn.loss_and_backward(params, loss_at()[1], targets, loss_kind)
+    _, grads = nn.loss_and_backward(loss_at()[1], targets, loss_kind)
     max_rel = 0.0
     n_checked = 0
     for p_arr, g_arr in zip(params.arrays(), grads.arrays()):

@@ -3,9 +3,11 @@
 Criteria 1-7 run on synthetic data and are part of the default suite. The
 corpus-scale run (criterion 8) takes hours and only activates when the
 LUNGSOUND_ICBHI_DIR environment variable points at a real corpus directory
-(audio_and_txt_files/ plus patient_diagnosis.csv).
+(audio_and_txt_files/ plus patient_diagnosis.csv); its code path also runs,
+with a one-epoch schedule, on a tiny generated corpus in that layout.
 """
 
+import dataclasses
 import functools
 import os
 import time
@@ -14,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lungsound import dataset, evaluation, features, nn, training
+from lungsound import dataset, evaluation, features, nn, synthetic, training
 from lungsound.features import MfccConfig, extract_mfcc
 from lungsound.audio_io import AudioClip
 from lungsound.rng import substream
@@ -204,11 +206,12 @@ def test_c7_synthetic_end_to_end(tone_corpus):
 ICBHI_DIR = os.environ.get("LUNGSOUND_ICBHI_DIR")
 
 
-@pytest.mark.skipif(not ICBHI_DIR, reason="set LUNGSOUND_ICBHI_DIR to run the "
-                                          "corpus-scale reproduction (hours)")
-@criterion(8, "corpus-scale reproduction: semi vs baseline and single-module ablations")
-def test_c8_corpus_scale_reproduction(tmp_path):
-    root = Path(ICBHI_DIR)
+def corpus_scale_accuracies(root, work_dir, seeds, baseline_cfg, semi_cfg):
+    """Test accuracies per arm (baseline, semi and the two single-module
+    ablations), one per seed, on the ICBHI-layout corpus under `root`:
+    audio_and_txt_files/ (or `root` itself) plus patient_diagnosis.csv. Each
+    arm runs its TrainConfig at each seed; the cache is written to work_dir."""
+    root = Path(root)
     audio_dir = root / "audio_and_txt_files"
     csv_path = root / "patient_diagnosis.csv"
     if not audio_dir.is_dir():
@@ -218,7 +221,7 @@ def test_c8_corpus_scale_reproduction(tmp_path):
     diagnoses = dataset.load_diagnoses(csv_path)
     entries = [(i, diagnoses[m.patient_id], m.path) for i, m in enumerate(metas)
                if diagnoses.get(m.patient_id) is not None]
-    cache_path = tmp_path / "icbhi.lsfc"
+    cache_path = Path(work_dir) / "icbhi.lsfc"
     dataset.build_feature_cache(entries, cfg, cache_path, jobs=os.cpu_count() or 1)
     cache = dataset.FeatureCache.load(cache_path, expected_config=cfg)
     labels = {int(r): int(c) for r, c in zip(cache.ids, cache.classes)}
@@ -231,16 +234,27 @@ def test_c8_corpus_scale_reproduction(tmp_path):
         return float((y == p).mean())
 
     results = {"baseline": [], "semi": [], "drop_refinement": [], "drop_refurbishing": []}
-    for seed in (0, 1, 2):
-        bcfg = TrainConfig(epochs=60, batch_size=16, seed=seed, validation_fraction=0.1)
+    for seed in seeds:
+        bcfg = dataclasses.replace(baseline_cfg, seed=seed)
         results["baseline"].append(accuracy(train_baseline(bcfg, cache, split)))
-        scfg = TrainConfig(epochs=10, refit_epochs=60, batch_size=16, mode="semi",
-                           seed=seed, validation_fraction=0.1)
+        scfg = dataclasses.replace(semi_cfg, seed=seed)
         results["semi"].append(accuracy(train_semi(scfg, cache, split)))
         results["drop_refinement"].append(
             accuracy(train_semi(scfg, cache, split, drop="co_refinement")))
         results["drop_refurbishing"].append(
             accuracy(train_semi(scfg, cache, split, drop="co_refurbishing")))
+    return results
+
+
+@pytest.mark.skipif(not ICBHI_DIR, reason="set LUNGSOUND_ICBHI_DIR to run the "
+                                          "corpus-scale reproduction (hours)")
+@criterion(8, "corpus-scale reproduction: semi vs baseline and single-module ablations")
+def test_c8_corpus_scale_reproduction(tmp_path):
+    results = corpus_scale_accuracies(
+        ICBHI_DIR, tmp_path, (0, 1, 2),
+        TrainConfig(epochs=60, batch_size=16, validation_fraction=0.1),
+        TrainConfig(epochs=10, refit_epochs=60, batch_size=16, mode="semi",
+                    validation_fraction=0.1))
 
     means = {k: float(np.mean(v)) for k, v in results.items()}
     targets = {"baseline": 0.891, "semi": 0.929,
@@ -255,3 +269,25 @@ def test_c8_corpus_scale_reproduction(tmp_path):
     assert means["semi"] >= means["baseline"] - 0.01
     assert means["semi"] >= means["drop_refinement"] - 0.01
     assert means["semi"] >= means["drop_refurbishing"] - 0.01
+
+
+def test_c8_code_path_on_tiny_icbhi_layout(tmp_path):
+    """c8's corpus-to-accuracy path, offline: a generated corpus in ICBHI
+    layout (WAVs and one annotation .txt in audio_and_txt_files/, plus
+    patient_diagnosis.csv), one seed and one-epoch schedules. Only that
+    every arm finishes and scores is checked."""
+    root = tmp_path / "icbhi"
+    audio_dir, csv_path = synthetic.generate_corpus(root, recordings_per_class=4, seed=11,
+                                                    duration_s=1.0)
+    audio_dir = audio_dir.rename(root / "audio_and_txt_files")
+    csv_path.rename(root / "patient_diagnosis.csv")
+    first = min(audio_dir.glob("*.wav"))
+    first.with_suffix(".txt").write_text("0.036\t0.579\t0\t0\n0.579\t2.450\t0\t1\n")
+
+    results = corpus_scale_accuracies(
+        root, tmp_path, (0,),
+        TrainConfig(epochs=1, batch_size=16, validation_fraction=0.1),
+        TrainConfig(epochs=1, refit_epochs=1, batch_size=16, mode="semi",
+                    validation_fraction=0.1))
+    assert set(results) == {"baseline", "semi", "drop_refinement", "drop_refurbishing"}
+    assert all(len(accs) == 1 and 0.0 <= accs[0] <= 1.0 for accs in results.values())

@@ -135,8 +135,13 @@ def test_drop_with_baseline_rejected(capsys, tmp_path, small_corpus):
                            "--manifest", str(manifest), "--mode", "baseline",
                            "--drop", "both", "--seed", "0",
                            "--out-dir", str(tmp_path / "run"), "--epochs", "1")
-    assert code == 2
+    assert code == 1
     assert "drop" in err
+    # a usage error is reported before any data is read
+    code, _, err = run_cli(capsys, "train", "--cache", str(tmp_path / "missing.lsfc"),
+                           "--manifest", str(manifest), "--mode", "baseline",
+                           "--drop", "both", "--out-dir", str(tmp_path / "run"))
+    assert code == 1 and "drop" in err
 
 
 def test_train_non_finite_features_is_numeric_error(capsys, tmp_path, small_corpus,
@@ -464,6 +469,10 @@ def test_split_refuses_cache_breaking_its_format(capsys, tmp_path, small_corpus,
     json.dumps({"train_labeled": [0, 2 ** 70], "train_unlabeled": [], "test": [1], "seed": 0,
                 "unlabeled_fraction": 0.0}),
     b"{\xff}",
+    json.dumps({"train_labeled": [0, 2], "train_unlabeled": [3], "test": [1, 1], "seed": 0,
+                "unlabeled_fraction": 0.0}),
+    json.dumps({"train_labeled": [0, 2], "train_unlabeled": [3], "test": [4, 2], "seed": 0,
+                "unlabeled_fraction": 0.0}),
 ])
 def test_malformed_split_manifest_is_data_error(capsys, tmp_path, small_corpus, text):
     manifest = tmp_path / "split.json"

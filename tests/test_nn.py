@@ -201,7 +201,7 @@ def test_blocked_network_step_is_bit_identical(monkeypatch, rng):
 
     def step():
         _, trace = nn.forward_batch(params, xs, training=True, rng=substream(3, "dropout"))
-        _, grads = nn.loss_and_backward(params, trace, ys)
+        _, grads = nn.loss_and_backward(trace, ys, "cross_entropy")
         return [*trace.conv_cols, *trace.pool_out, *trace.pool_idx, *trace.drop_masks,
                 trace.probs, *grads.arrays()]
 
@@ -228,7 +228,7 @@ def _steps_on_workers(monkeypatch, workers):
         ys = np.eye(6, dtype=np.float32)[data.integers(0, 6, rows)]
         probs, trace = nn.forward_batch(params, xs, training=True,
                                         rng=substream(3, "dropout", i), ws=ws)
-        _, grads = nn.loss_and_backward(params, trace, ys)
+        _, grads = nn.loss_and_backward(trace, ys, "cross_entropy")
         nn.adam_step(params, grads, state, 1e-3)
         out += [probs, *grads.arrays(), *params.arrays()]
     xs = data.normal(size=(32, 40, 862)).astype(np.float32)
@@ -353,7 +353,7 @@ def test_dropout_gradients_match_unfused_reference(rng):
     xs = rng.normal(size=(3, 12, 20))
     ys = np.eye(6)[[0, 3, 5]]
     _, trace = nn.forward_batch(params, xs, training=True, rng=substream(3, "dropout"))
-    _, grads = nn.loss_and_backward(params, trace, ys)
+    _, grads = nn.loss_and_backward(trace, ys, "cross_entropy")
     # unfused stages, a full-shape mask per stage from the same stream, and a
     # backward that applies the mask before the ReLU
     draws = substream(3, "dropout")
@@ -395,7 +395,7 @@ def _step_schedule(monkeypatch, ws, schedule):
             ys = np.eye(6, dtype=np.float32)[data.integers(0, 6, rows)]
             probs, trace = nn.forward_batch(params, xs, training=True,
                                             rng=substream(3, "dropout", i), ws=ws)
-            _, grads = nn.loss_and_backward(params, trace, ys)
+            _, grads = nn.loss_and_backward(trace, ys, "cross_entropy")
             nn.adam_step(params, grads, state, 1e-3)
             results.append([a.tobytes() for a in [probs, *grads.arrays(), *params.arrays()]])
         if ws is not None:
@@ -476,15 +476,11 @@ def test_loss_values():
 
 def test_stale_trace_detected(rng):
     params = nn.init_params(substream(4, "init"), SMALL)
-    other = params.copy()
     x = rng.normal(size=(1, 8, 16)).astype(np.float32)
-    _, trace = nn.forward_batch(params, x, training=False, keep_trace=True)
     target = np.full((1, 6), 1 / 6)
+    _, trace = nn.forward_batch(params, x, training=False, keep_trace=False)
     with pytest.raises(StaleTrace):
-        nn.loss_and_backward(other, trace, target)
-    _, trace2 = nn.forward_batch(params, x, training=False, keep_trace=False)
-    with pytest.raises(StaleTrace):
-        nn.loss_and_backward(params, trace2, target)
+        nn.loss_and_backward(trace, target, "cross_entropy")
 
 
 def test_targets_must_match_probs_shape(rng):
@@ -493,7 +489,7 @@ def test_targets_must_match_probs_shape(rng):
     _, trace = nn.forward_batch(params, x, keep_trace=True)
     for target in (np.full(6, 1 / 6), np.full((2, 6), 1 / 6)):  # a lone row is not promoted
         with pytest.raises(ShapeMismatch):
-            nn.loss_and_backward(params, trace, target)
+            nn.loss_and_backward(trace, target, "cross_entropy")
 
 
 def test_trace_reused_by_later_forward_is_stale(rng):
@@ -505,11 +501,11 @@ def test_trace_reused_by_later_forward_is_stale(rng):
     _, second = nn.forward_batch(params, x[::-1], training=True, rng=substream(5, "dropout"),
                                  ws=ws)
     with pytest.raises(StaleTrace):
-        nn.loss_and_backward(params, first, target)
-    nn.loss_and_backward(params, second, target)  # the latest trace is intact
+        nn.loss_and_backward(first, target, "cross_entropy")
+    nn.loss_and_backward(second, target, "cross_entropy")  # the latest trace is intact
     nn.forward_batch(params, x, keep_trace=False, ws=ws)  # an inference forward reuses too
     with pytest.raises(StaleTrace):
-        nn.loss_and_backward(params, second, target)
+        nn.loss_and_backward(second, target, "cross_entropy")
 
 
 def test_gradient_check_cross_entropy():

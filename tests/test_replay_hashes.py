@@ -4,9 +4,10 @@ Each mode trains on the `small_corpus` geometry in a fresh interpreter pinned
 to one OpenBLAS thread, and hashes the trained parameters together with the
 manifest's `epoch_rows` and `schedule`. The expected digests were recorded on
 the numpy/BLAS build named below. Bit-for-bit replay is only claimed within
-one build and thread count (see the README), so another build skips. The
-`semi` mode is also replayed in a process that may run on one CPU, where the
-conv stages' block pool runs inline; its digest must not change.
+one build and thread count (see the README), so another build skips that
+comparison. On every build, `semi` is also trained in a process that may run
+on one CPU, where the conv stages' block pool runs inline, and in one that
+may run on all usable CPUs; the two digests must be equal.
 """
 
 import json
@@ -95,15 +96,17 @@ def test_replay_hashes_match_recorded_build(tmp_path, small_corpus, small_split)
 
 
 def test_semi_replays_on_one_cpu(tmp_path, small_corpus, small_split):
-    """The conv stages' block pool sizes itself to the usable CPUs; a process
-    that may run on one CPU runs every block inline and trains the same bits."""
-    _skip_other_build()
+    """The conv stages' block pool sizes itself to the usable CPUs, but not
+    the blocks: a process that may run on one CPU runs every block inline
+    and trains the same bits as one that runs them on every usable CPU. The
+    two digests are compared with each other, so this runs on any build."""
     if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2:
         pytest.skip("needs sched_setaffinity and at least two usable CPUs")
     cpu = min(os.sched_getaffinity(0))
     split_path = tmp_path / "split.json"
     small_split.save(split_path)
-    cpus, hashes = replay_hashes(small_corpus["cache_path"], split_path, "semi",
-                                 preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
-    assert cpus == 1
-    assert hashes == {"semi": EXPECTED["semi"]}
+    pinned = replay_hashes(small_corpus["cache_path"], split_path, "semi",
+                           preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+    unpinned = replay_hashes(small_corpus["cache_path"], split_path, "semi")
+    assert pinned[0] == 1 and unpinned[0] >= 2
+    assert pinned[1] == unpinned[1]

@@ -47,88 +47,98 @@ def assert_step_is_supervised(terms_of, xs, ys, dropout):
 
 # -- augmentation ----------------------------------------------------------
 
-def test_augment_degenerate_is_identity(rng):
+def test_augment_degenerate_is_identity(rng, monkeypatch):
+    monkeypatch.setattr(ssl, "AUGMENT_NOISE_SCALE", 0.0)
+    monkeypatch.setattr(ssl, "AUGMENT_MAX_MASK_FRAMES", 0)
     x = rng.normal(size=(40, 100)).astype(np.float32)
-    out = ssl.augment(x, substream(0, "augment"), noise_scale=0.0, max_mask_frames=0)
+    out = ssl.augment(x, substream(0, "augment"))
     assert out is x
 
 
 def test_augment_preserves_shape_and_differs(rng):
     x = rng.normal(size=(40, 862)).astype(np.float32)
-    a = ssl.augment(x, substream(0, "augment", 0), ssl.AUGMENT_NOISE_SCALE,
-                    ssl.AUGMENT_MAX_MASK_FRAMES)
-    b = ssl.augment(x, substream(0, "augment", 1), ssl.AUGMENT_NOISE_SCALE,
-                    ssl.AUGMENT_MAX_MASK_FRAMES)
+    a = ssl.augment(x, substream(0, "augment", 0))
+    b = ssl.augment(x, substream(0, "augment", 1))
     assert a.shape == x.shape == b.shape
     assert a.dtype == x.dtype
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, x)
 
 
-def test_augment_mask_width_bounded(rng):
+def test_augment_mask_width_bounded(rng, monkeypatch):
+    monkeypatch.setattr(ssl, "AUGMENT_NOISE_SCALE", 0.0)
+    monkeypatch.setattr(ssl, "AUGMENT_MAX_MASK_FRAMES", 40)
     x = rng.normal(size=(40, 50)).astype(np.float32)
-    out = ssl.augment(x, substream(1, "augment"), noise_scale=0.0, max_mask_frames=40)
+    out = ssl.augment(x, substream(1, "augment"))
     masked_cols = np.flatnonzero(np.all(out == out[0, :], axis=0) & np.isclose(out[0, :], x.mean()))
     assert 1 <= len(masked_cols) <= 40
 
 
 # -- sharpening ------------------------------------------------------------
 
-def test_sharpen_identity_at_one(rng):
+def sharpened_at(monkeypatch, p, temperature):
+    monkeypatch.setattr(ssl, "TEMPERATURE", temperature)
+    return ssl.sharpen(p)
+
+
+def test_sharpen_identity_at_one(rng, monkeypatch):
+    monkeypatch.setattr(ssl, "TEMPERATURE", 1.0)
     p = random_soft_labels(rng, 1)[0]
-    assert np.array_equal(ssl.sharpen(p, 1.0), p)
+    assert np.array_equal(ssl.sharpen(p), p)
 
 
-def test_sharpen_one_hot_fixed_point():
+def test_sharpen_one_hot_fixed_point(monkeypatch):
     p = np.eye(6)[3]
     for t in (0.25, 0.5, 2.0):
-        assert np.allclose(ssl.sharpen(p, t), p)
+        assert np.allclose(sharpened_at(monkeypatch, p, t), p)
 
 
-def test_sharpen_known_value():
+def test_sharpen_known_value(monkeypatch):
+    monkeypatch.setattr(ssl, "TEMPERATURE", 0.5)
     p = np.array([0.6, 0.4, 0.0, 0.0, 0.0, 0.0])
-    out = ssl.sharpen(p, 0.5)
+    out = ssl.sharpen(p)
     # squares renormalized: 0.36 / 0.52 and 0.16 / 0.52
     assert np.allclose(out[:2], [0.36 / 0.52, 0.16 / 0.52])
     assert np.allclose(out[2:], 0.0)
     assert abs(out[0] - 0.6923) < 1e-4
 
 
-def test_sharpen_entropy_direction(rng):
+def test_sharpen_entropy_direction(rng, monkeypatch):
     for p in random_soft_labels(rng, 50):
         h = entropy(p)
-        assert entropy(ssl.sharpen(p, 0.5)) < h
-        assert entropy(ssl.sharpen(p, 2.0)) > h
+        assert entropy(sharpened_at(monkeypatch, p, 0.5)) < h
+        assert entropy(sharpened_at(monkeypatch, p, 2.0)) > h
     uniform = np.full(6, 1 / 6)
-    assert abs(entropy(ssl.sharpen(uniform, 0.5)) - entropy(uniform)) < 1e-12
+    assert abs(entropy(sharpened_at(monkeypatch, uniform, 0.5)) - entropy(uniform)) < 1e-12
 
 
 def test_sharpen_rejects_degenerate():
     with pytest.raises(DegenerateInput):
-        ssl.sharpen(np.zeros(6), 0.5)
-    with pytest.raises(ValueError):
-        ssl.sharpen(np.full(6, 1 / 6), 0.0)
+        ssl.sharpen(np.zeros(6))
 
 
 # -- label guessing ----------------------------------------------------------
 
-def test_guess_label_degenerates_to_forward(rng):
+def test_guess_label_degenerates_to_forward(rng, monkeypatch):
+    monkeypatch.setattr(ssl, "N_AUGMENTATIONS", 1)
+    monkeypatch.setattr(ssl, "TEMPERATURE", 1.0)
     params = tiny_params()
     u = rng.normal(size=(3, 8, 16)).astype(np.float32)
-    guess = ssl.guess_labels(params, u, k=1, temperature=1.0)
+    guess = ssl.guess_labels(params, u, nn.Workspace(len(u)))
     direct, _ = nn.forward_batch(params, u)
     assert np.allclose(guess, direct, atol=1e-12)
 
 
-def test_guess_label_is_soft_label_and_sharper(rng):
+def test_guess_label_is_soft_label_and_sharper(rng, monkeypatch):
+    monkeypatch.setattr(ssl, "N_AUGMENTATIONS", 2)
+    monkeypatch.setattr(ssl, "TEMPERATURE", 0.5)
     params = tiny_params()
     u = rng.normal(size=(8, 16)).astype(np.float32)
     arng = substream(1, "augment")
-    copies = np.stack([ssl.augment(u, arng, ssl.AUGMENT_NOISE_SCALE,
-                                   ssl.AUGMENT_MAX_MASK_FRAMES) for _ in range(2)])
+    copies = np.stack([ssl.augment(u, arng) for _ in range(2)])
     mean_pred, _ = nn.forward_batch(params, copies)
     mean_pred = mean_pred.mean(axis=0)
-    guess = ssl.guess_labels(params, copies, k=2, temperature=0.5)
+    guess = ssl.guess_labels(params, copies, nn.Workspace(len(copies)))
     assert guess.shape == (1, 6)
     assert oracle.is_soft_label(guess[0])
     assert entropy(guess[0]) <= entropy(mean_pred) + 1e-12
@@ -164,8 +174,11 @@ def test_mixmatch_counts_and_targets(rng):
     params = tiny_params(dtype=np.float32)
     bl, bu = 5, 5
     xs, ys, us = batches(rng, bl, bu)
-    (x_in, x_tgt), (u_in, u_tgt) = ssl.mixmatch(xs, ys, us, params,
-                                                substream(0, "augment"), substream(0, "mixup"))
+    terms = ssl.mixmatch(params, xs, ys, us, 0.7, substream(0, "augment"),
+                         substream(0, "mixup"), nn.Workspace(ssl.N_AUGMENTATIONS * bu))
+    assert [(w, kind) for w, _, _, kind in terms] == [(1.0, "cross_entropy"),
+                                                      (0.7, "squared_error")]
+    (_, x_in, x_tgt, _), (_, u_in, u_tgt, _) = terms
     assert x_in.shape == (bl, 8, 16) and x_tgt.shape == (bl, 6)
     assert u_in.shape == (ssl.N_AUGMENTATIONS * bu, 8, 16)
     assert u_tgt.shape == (ssl.N_AUGMENTATIONS * bu, 6)
@@ -178,8 +191,8 @@ def test_mixmatch_degenerates_to_labeled_batch(rng, neutralize):
     xs = rng.normal(size=(4, 8, 16)).astype(np.float32)
     ys = np.eye(6, dtype=np.float32)[[0, 2, 4, 5]]
     us = rng.normal(size=(4, 8, 16)).astype(np.float32)
-    (x_in, x_tgt), _ = ssl.mixmatch(xs, ys, us, params,
-                                    substream(0, "augment"), substream(0, "mixup"))
+    (_, x_in, x_tgt, _), _ = ssl.mixmatch(params, xs, ys, us, 0.0, substream(0, "augment"),
+                                          substream(0, "mixup"), nn.Workspace(len(us)))
     for i in range(4):
         assert np.array_equal(x_in[i], xs[i])
         assert np.array_equal(x_tgt[i], ys[i].astype(np.float64))
@@ -190,8 +203,9 @@ def test_mixmatch_loss_components(rng):
     xs = rng.normal(size=(4, 8, 16)).astype(np.float32)
     ys = np.eye(6, dtype=np.float32)[[1, 2, 3, 4]]
     us = rng.normal(size=(4, 8, 16)).astype(np.float32)
-    x_batch, u_batch = ssl.mixmatch(xs, ys, us, params,
-                                    substream(1, "augment"), substream(1, "mixup"))
+    x_batch, u_batch = [(x_in, targets) for _, x_in, targets, _ in ssl.mixmatch(
+        params, xs, ys, us, 1.0, substream(1, "augment"), substream(1, "mixup"),
+        nn.Workspace(ssl.N_AUGMENTATIONS * len(us)))]
     empty = (u_batch[0][:0], u_batch[1][:0])
     total_no_u, sup, unsup = oracle.mixmatch_loss(params, x_batch, empty, 1.0)
     assert unsup == 0.0 and total_no_u == sup
@@ -204,17 +218,20 @@ def test_mixmatch_loss_components(rng):
 
 # -- co-refinement -----------------------------------------------------------
 
-def test_co_refinement_zero_weight_is_supervised(rng):
+def test_co_refinement_zero_weight_is_supervised(rng, monkeypatch):
+    monkeypatch.setattr(ssl, "REFINEMENT_WEIGHT", 0.0)
     xs, ys, us = batches(rng, 6, 6)
-    assert_step_is_supervised(lambda p: ssl.co_refinement_step(p, xs, ys, us, 0.0), xs, ys,
-                              (0, "dropout", 0, 1, 0))
+    assert_step_is_supervised(
+        lambda p: ssl.co_refinement_step(p, xs, ys, us, nn.Workspace(len(us))), xs, ys,
+        (0, "dropout", 0, 1, 0))
 
 
-def test_co_refinement_losses_finite(rng):
+def test_co_refinement_losses_finite(rng, monkeypatch):
+    monkeypatch.setattr(ssl, "REFINEMENT_WEIGHT", 0.5)
     params = tiny_params(dtype=np.float32)
     state = nn.AdamState.for_params(params)
     xs, ys, us = batches(rng, 6, 6)
-    terms = ssl.co_refinement_step(params, xs, ys, us, 0.5)
+    terms = ssl.co_refinement_step(params, xs, ys, us, nn.Workspace(len(us)))
     lab, unlab = nn.weighted_gradient_step(params, state, terms,
                                            substream(1, "dropout", 0, 1, 0), LR,
                                            nn.Workspace(len(xs)))
@@ -243,35 +260,40 @@ def test_self_distillation_gradient_matches_finite_difference(rng):
 
 # -- co-refurbishing ---------------------------------------------------------
 
-def test_refurbish_targets_known_value():
+def test_refurbish_targets_known_value(monkeypatch):
+    monkeypatch.setattr(ssl, "REFURBISH_WEIGHT", 0.7)
     y = np.eye(6)[2]
     uniform = np.full(6, 1 / 6)
-    out = ssl.refurbish_targets(y, uniform, 0.7)
+    out = ssl.refurbish_targets(y, uniform)
     assert np.allclose(out, [0.05, 0.05, 0.75, 0.05, 0.05, 0.05])
 
 
-def test_refurbish_targets_are_soft_labels(rng):
+def test_refurbish_targets_are_soft_labels(rng, monkeypatch):
     for _ in range(20):
         y = np.eye(6)[rng.integers(0, 6)]
         p = random_soft_labels(rng, 1)[0]
-        w = float(rng.random())
-        assert oracle.is_soft_label(ssl.refurbish_targets(y, p, w))
+        monkeypatch.setattr(ssl, "REFURBISH_WEIGHT", float(rng.random()))
+        assert oracle.is_soft_label(ssl.refurbish_targets(y, p))
 
 
-def test_co_refurbishing_neutral_is_supervised(rng):
+def test_co_refurbishing_neutral_is_supervised(rng, monkeypatch):
+    monkeypatch.setattr(ssl, "REFURBISH_WEIGHT", 1.0)
+    monkeypatch.setattr(ssl, "REFURBISH_FRACTION", 1.0)
     xs, ys, us = batches(rng, 6, 6)
     assert_step_is_supervised(
-        lambda p: ssl.co_refurbishing_step(p, xs, ys, us, weight=1.0, fraction=1.0,
-                                           rng=substream(0, "refurbish", 0, 0)),
+        lambda p: ssl.co_refurbishing_step(p, xs, ys, us, substream(0, "refurbish", 0, 0),
+                                           nn.Workspace(len(xs))),
         xs, ys, (0, "dropout", 0, 2, 0))
 
 
-def test_co_refurbishing_blends_subset(rng):
+def test_co_refurbishing_blends_subset(rng, monkeypatch):
+    monkeypatch.setattr(ssl, "REFURBISH_WEIGHT", 0.7)
+    monkeypatch.setattr(ssl, "REFURBISH_FRACTION", 0.3)
     params = tiny_params(dtype=np.float32)
     state = nn.AdamState.for_params(params)
     xs, ys, us = batches(rng, 8, 4)
-    terms = ssl.co_refurbishing_step(params, xs, ys, us, weight=0.7, fraction=0.3,
-                                     rng=substream(4, "refurbish", 0, 0))
+    terms = ssl.co_refurbishing_step(params, xs, ys, us, substream(4, "refurbish", 0, 0),
+                                     nn.Workspace(len(xs)))
     lab, unlab = nn.weighted_gradient_step(params, state, terms,
                                            substream(4, "dropout", 0, 2, 0), LR,
                                            nn.Workspace(len(xs)))
