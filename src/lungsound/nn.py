@@ -19,69 +19,80 @@ pool bit for bit. The one difference is the tie rule: the first-occurrence
 argmax that routes the gradient is taken before the bias is added, so it can
 differ from the unfused order only where adding the bias rounds two unequal
 values to a tie. The backward keeps the phase structure: the conv gradient of
-phase p is the pooled gradient masked by (argmax == p), and the kernel
-gradient is one GEMM over all phases.
+phase p is the pooled gradient masked by (argmax == p).
 
-The stage forward, its dx backward and the dropout draw run over blocks of
+A stage forward, its backward and the dropout draw run over blocks of
 examples sized by one byte budget, _BLOCK_BYTES (about 2 MB of phase conv
-output, or of float64 dropout draws, per block). A block's temporaries stay
-in cache and are reused across blocks; the pooled map, argmax slots, patch
-matrix and dx are written straight into full-size outputs, and dropout
-scales the pooled map in place. The one full-batch temporary left is the
-phase-stacked conv gradient that the kernel-gradient GEMM reads. Blocking
-changes no result bit:
+output, or of its gradient, or of the dropout keep mask, per block). A block's
+temporaries (its phase patches, phase conv output or masked phase gradient,
+and dx row products) live in per-worker scratch that stays in cache and is
+reused across blocks; the pooled map, argmax slots and dx are written
+straight into full-size outputs, and dropout scales the pooled map in place.
+No patch matrix is kept: the backward rebuilds each block's patches from the
+stage input the trace already holds (the network input, or the previous
+stage's pooled map after dropout). Each example's kernel gradient is one GEMM
+over its four phases, into a (B, 4 * c_in, c_out) partial that the caller
+sums in example order. Blocking changes no result bit:
 - every elementwise step, and the max over phases, sees the same operands;
 - a GEMM row depends only on that row and the kernel, provided the BLAS
   rounds a row the same whatever the row count (and column count, for the
   dx products split by kernel row). That holds on the build recorded in
   tests/test_replay_hashes.py, which checks it through the trained
   parameters; a build where it fails breaks replay, not correctness;
-- the kernel gradient stays one GEMM over the whole phase-stacked matrix,
-  so its summation order is unchanged;
+- each example's kernel-gradient GEMM has the same operands in any block,
+  and the partials are summed in example order;
 - dx gets its contributions in the same order, phase by phase from zero;
-- successive rng.random draws along axis 0 continue one stream, so the
-  blocked dropout mask equals the mask of one full-shape draw.
+- every dropout block but the last draws an even number of uint16 values
+  (numpy draws two per 32-bit word and drops a half-used word at the end of
+  a call), so the blocked draws continue one stream and the blocked mask
+  equals the mask of one full-shape draw.
+
+The dense head is a per-row product summed in input order, not a GEMM, so a
+row's probabilities do not depend on how many rows share its forward.
 
 Every forward and backward runs in a Workspace. A training run
 (training._train) passes one to all its forwards and backwards, and
 training.predict_batch one to all its chunks; forward_batch builds one for
 its batch when given none. It holds one flat buffer per role, sized on first
 use for its `rows` (its largest batch), so later forwards reuse pages
-instead of taking freshly zeroed ones. The roles are each stage's patch
-matrix (inference forwards put each worker's block patches there), pooled
-map and argmax slots; two dx buffers (stage i-1 writes one while it reads
-stage i's); the phase-stacked conv gradient; and two scratch blocks for
-arrays that die with their call, the conv stages' with one slice per
-worker. A forward overwrites the previous trace's buffers, so
+instead of taking freshly zeroed ones. The roles sized for the whole batch
+are each stage's pooled map and argmax slots, two dx buffers (stage i-1
+writes one while it reads stage i's) and the per-example kernel-gradient
+partials. The phase patches, the conv scratch (phase conv output or masked
+phase gradient) and the dx row products hold one block for each worker, and
+the dropout keep mask one block; backward_from_dp also takes the scratch for
+the batch's ReLU mask. A forward overwrites the previous trace's buffers, so
 loss_and_backward(trace, target, loss_kind), which differentiates with
 respect to the parameters the trace holds, refuses (StaleTrace) a trace
 whose workspace has run a forward since.
 
-The blocks of a stage forward, and the mask and dx blocks of its backward,
-run with one worker per usable CPU (usable_cpus: the process's CPU affinity
-set). The caller's thread is worker 0; each worker takes the next unclaimed
-block and writes only that block's slices of the outputs and its own slice
-of the scratch (and, in inference, of the patch buffer). A call with one
-block, or a process with one usable CPU, runs inline. The first call that
-needs more workers builds the workspace's pool of usable_cpus() - 1 threads,
-whose threads end when the workspace is collected; a forked child builds its
-own, as the parent's threads did not come along. No result bit depends on
-the worker count: a block's arithmetic is the same on any worker, and the
-work whose order matters stays on the caller's thread (the dropout draws,
-the dkernel GEMM, db, the head, softmax and Adam); db and the dkernel GEMM
-run there while the pool masks and builds dx. Every worker calls the BLAS,
-so BLAS threads times workers can oversubscribe the CPUs: pin
-OPENBLAS_NUM_THREADS=1, as replay needs anyway. Workers call numpy and
-_phase_patches only, never a function the benchmark's tracer wraps by name,
-because its span stack is not thread-safe.
+The blocks of a stage forward and of its backward run with one worker per
+usable CPU (usable_cpus: the process's CPU affinity set). The caller's
+thread is worker 0; each worker takes the next unclaimed block and writes
+only that block's slices of the outputs and its own slice of the scratch. A
+call with one block, or a process with one usable CPU, runs inline. The
+first call that needs more workers builds the workspace's pool of
+usable_cpus() - 1 threads, whose threads end when the workspace is
+collected; a forked child builds its own, as the parent's threads did not
+come along. No result bit depends on the worker count: a block's arithmetic
+is the same on any worker, and the work whose order matters stays on the
+caller's thread (the dropout draws, db, the sum of the kernel-gradient
+partials, the head, softmax and Adam); db runs there while the pool works.
+Every worker calls the BLAS, so BLAS threads times workers can oversubscribe
+the CPUs: pin OPENBLAS_NUM_THREADS=1, as replay needs anyway. Workers call
+numpy and _phase_patches only, never a function the benchmark's tracer wraps
+by name, because its span stack is not thread-safe.
 
-Dropout scales the pooled map in place and keeps no mask, so in training
-pool_out > 0 exactly where an entry was kept and is positive (a positive
-float times 1/(1-rate) >= 1 stays positive). The backward masks by that, then
-multiplies by s = float32(1) / float32(1 - rate). Against the dropout factor
-(0 or s) followed by the ReLU mask r (0 or 1), that is (d*1)*s vs (d*s)*1
-where kept and positive, (d*0)*s vs (d*s)*0 where kept at zero, (d*0)*s vs
-(d*0)*r where dropped: the same float each time, a zero carrying d's sign.
+Dropout draws one uint16 per entry and keeps the entries whose draw is at
+least round(DROPOUT_RATE * 2**16) = 13107, so the realised rate is
+13107/65536; survivors are scaled by s = 65536/52429, the inverse of the
+realised keep probability. It scales the pooled map in place and keeps no
+mask, so in training pool_out > 0 exactly where an entry was kept and is
+positive (a positive float times s > 1 stays positive). The backward masks
+by that, then multiplies by s. Against the dropout factor (0 or s) followed
+by the ReLU mask r (0 or 1), that is (d*1)*s vs (d*s)*1 where kept and
+positive, (d*0)*s vs (d*s)*0 where kept at zero, (d*0)*s vs (d*0)*r where
+dropped: the same float each time, a zero carrying d's sign.
 """
 
 from __future__ import annotations
@@ -271,14 +282,15 @@ def _empty(ws, role, shape, dtype, n, row_bytes=None, per_worker=False):
     return ws.buffers[role][:nbytes].view(dtype).reshape(shape)
 
 
-def _phase_patches(x: np.ndarray, out: np.ndarray) -> None:
+def _phase_patches(x: np.ndarray, out: np.ndarray, by_example: bool = False) -> None:
     """Write the 2x2 patches of a (B, H, W, C) batch, grouped by pool phase,
-    into out of shape (4, B, Hp, Wp, 2, 2, C).
+    into out of shape (4, B, Hp, Wp, 2, 2, C), or (B, 4, Hp, Wp, 2, 2, C)
+    when by_example.
 
-    out[2*di + dj, :, i, j] is, for i < Hp = (H-1)//2 and j < Wp = (W-1)//2,
-    the patch whose conv output sits at (2i + di, 2j + dj): slot (di, dj) of
-    pool window (i, j). The odd trailing conv row and column that pooling
-    drops get no patch.
+    out[2*di + dj, :, i, j] (out[:, 2*di + dj, i, j] by example) is, for
+    i < Hp = (H-1)//2 and j < Wp = (W-1)//2, the patch whose conv output sits
+    at (2i + di, 2j + dj): slot (di, dj) of pool window (i, j). The odd
+    trailing conv row and column that pooling drops get no patch.
     """
     b, h, w, c = x.shape
     hp, wp = (h - 1) // 2, (w - 1) // 2
@@ -286,6 +298,8 @@ def _phase_patches(x: np.ndarray, out: np.ndarray) -> None:
     win = np.lib.stride_tricks.as_strided(
         x, shape=(2, 2, b, hp, wp, 2, 2, c),
         strides=(s1, s2, s0, 2 * s1, 2 * s2, s1, s2, s3), writeable=False)
+    if by_example:
+        win = win.transpose(2, 0, 1, 3, 4, 5, 6, 7)
     out = out.reshape(win.shape, copy=False)
     if c == 1:
         # a whole-patch copy would move one element per inner loop here;
@@ -303,12 +317,11 @@ def _conv_forward(x, kernel, bias, keep_trace, ws, stage):
     elementwise max of the four phase maps. Bias and ReLU are applied once, on
     the pooled map; rounding is monotone, so max(fl(a+b), fl(c+b)) ==
     fl(max(a, c) + b) and the result equals conv+bias -> ReLU -> pool exactly.
-    The batch runs in blocks of examples on ws's block pool, and the arrays
-    come from ws under this stage's roles (see the module docstring).
-    Returns (pooled, idx, cols). idx is the within-window argmax slot (row-major,
-    first occurrence on ties, taken before the bias is added) and cols the
-    (4 * B * Hp * Wp, 4C) phase patch matrix, phase-major; both are None
-    unless keep_trace.
+    The batch runs in blocks of examples on ws's block pool, each block's
+    phase patches in its worker's scratch, and the arrays come from ws (see
+    the module docstring). Returns (pooled, idx); idx is the within-window
+    argmax slot (row-major, first occurrence on ties, taken before the bias
+    is added), None unless keep_trace.
     """
     b, h, w, c_in = x.shape
     c_out = kernel.shape[3]
@@ -322,18 +335,15 @@ def _conv_forward(x, kernel, bias, keep_trace, ws, stage):
     out = _empty(ws, f"pooled{stage}", (b, hp, wp, c_out), dtype, b)
     z = _empty(ws, "scratch", (workers, 4, step * hp * wp, c_out), dtype, workers * step,
                row_bytes, per_worker=True)
+    patches = _empty(ws, "patches", (workers, 4, step, hp, wp, 2, 2, c_in), x.dtype,
+                     workers * step, row_bytes, per_worker=True)
     bias_row = np.tile(bias, wp)  # one pooled row: long inner loops for the add
-    if keep_trace:
-        cols = _empty(ws, f"cols{stage}", (4, b, hp, wp, 2, 2, c_in), x.dtype, b)
-        idx = _empty(ws, f"idx{stage}", out.shape, np.int8, b)
-    else:  # each worker's block patches, in the patch matrix's buffer
-        cols = _empty(ws, f"cols{stage}", (workers, 4, step, hp, wp, 2, 2, c_in), x.dtype,
-                      workers * step, row_bytes, per_worker=True)
+    idx = _empty(ws, f"idx{stage}", out.shape, np.int8, b) if keep_trace else None
 
     def block(w, s):
         n = s.stop - s.start
         rows = n * hp * wp
-        pc = cols[:, s] if keep_trace else cols[w, :, :n]
+        pc = patches[w, :, :n]
         _phase_patches(x[s], pc)
         for phase in range(4):
             np.matmul(pc[phase].reshape(rows, 4 * c_in), k2, out=z[w, phase, :rows])
@@ -355,62 +365,62 @@ def _conv_forward(x, kernel, bias, keep_trace, ws, stage):
             idx[s] = left + lower * (right + 2 - left)
 
     _run_blocks(ws, blocks, workers, block)
-    if not keep_trace:
-        return out, None, None
-    return out, idx, cols.reshape(4 * b * hp * wp, 4 * c_in)
+    return out, idx
 
 
-def _conv_backward(dy, cols, kernel, x_shape, need_dx, idx, ws, stage):
+def _conv_backward(dy, x, kernel, x_shape, need_dx, idx, ws, stage):
     """Backward of the fused stage; returns (dx, dkernel, dbias).
 
     dy is the gradient at the pooled map with the ReLU mask already applied;
-    cols and idx come from _conv_forward. Each pooled gradient flows to the
-    conv output its window selected, so the phase-stacked conv gradient is
-    dy * (idx == phase). dkernel is one GEMM over all phases and examples.
-    dx is built block by block: the 2x2 taps of one phase cover disjoint
-    pixels, so each phase adds one product per kernel row ki, in phase order.
-    The mask and dx blocks run on ws's block pool, db and dkernel on the
-    caller's thread. The arrays come from ws.
+    x is the stage's input and x_shape its shape (the benchmark's tracer
+    reads it by position), and idx comes from _conv_forward. Each pooled gradient flows to the conv output its window
+    selected, so the conv gradient of phase p is dy * (idx == p). The blocks
+    run on ws's block pool. Each worker rebuilds its block's phase patches
+    from x and masks the block's phase gradients into its own scratch, both
+    example-major, so that each example's kernel gradient is one GEMM over
+    its four phases, into a partial that the caller sums in example order.
+    dx: the 2x2 taps of one phase cover disjoint pixels, so each phase adds
+    one product per kernel row ki, in phase order. db runs on the caller's
+    thread while the pool works. The arrays come from ws.
     """
     b, _, _, c_in = x_shape
     c_out = kernel.shape[3]
     hp, wp = dy.shape[1:3]
     row_bytes = 4 * hp * wp * c_out * dy.dtype.itemsize
     blocks, step, workers = _blocks(b, row_bytes)
-    dz = _empty(ws, "dz", (4,) + dy.shape, dy.dtype, b)
+    patches = _empty(ws, "patches", (workers, step, 4 * hp * wp, 4 * c_in), x.dtype,
+                     workers * step, row_bytes, per_worker=True)
+    dz = _empty(ws, "scratch", (workers, step, 4, hp * wp, c_out), dy.dtype, workers * step,
+                row_bytes, per_worker=True)
+    partials = _empty(ws, "dkernel", (b, 4 * c_in, c_out), dy.dtype, b)
     if need_dx:
         # two buffers: the stage below reads this dx while it writes its own
         dx = _empty(ws, f"dx{stage % 2}", x_shape, dy.dtype, b)
         k_rows = [kernel[ki].reshape(2 * c_in, c_out).T for ki in range(2)]
-        row_grad = _empty(ws, "scratch", (workers, step * hp * wp, 2 * c_in), dy.dtype,
+        row_grad = _empty(ws, "dx_rows", (workers, step, hp * wp, 2 * c_in), dy.dtype,
                           workers * step, row_bytes, per_worker=True)
 
-    def masks(w, s):
-        for phase in range(4):
-            np.multiply(dy[s], idx[s] == phase, out=dz[phase, s])
-
-    def dx_block(w, s):
+    def block(w, s):
         n = s.stop - s.start
-        rows = n * hp * wp
+        pc, dzb = patches[w, :n], dz[w, :n]
+        _phase_patches(x[s], pc, by_example=True)
+        flat_dy, flat_idx = dy[s].reshape(n, hp * wp, c_out), idx[s].reshape(n, hp * wp, c_out)
+        for phase in range(4):
+            np.multiply(flat_dy, flat_idx == phase, out=dzb[:, phase])
+        np.matmul(pc.transpose(0, 2, 1), dzb.reshape(n, 4 * hp * wp, c_out), out=partials[s])
+        if not need_dx:
+            return
         dx[s] = 0
         for phase, (di, dj) in enumerate(_POOL_OFFSETS):
             for ki in range(2):
                 # row 2i + di + ki of dx, columns (2j + dj + kj, c) of all windows j
-                g = np.matmul(dz[phase, s].reshape(rows, c_out), k_rows[ki],
-                              out=row_grad[w, :rows])
+                g = np.matmul(dzb[:, phase], k_rows[ki], out=row_grad[w, :n])
                 r = di + ki
                 dx[s, r:r + 2 * hp:2, dj:dj + 2 * wp, :] += g.reshape(n, hp, 2 * wp, c_in)
 
-    def kernel_grad():
-        return (cols.T @ dz.reshape(-1, c_out)).reshape(2, 2, c_in, c_out)
-
-    # the caller sums db while the pool masks, and runs the dkernel GEMM,
-    # which reads every mask, while the pool builds dx
-    db = _run_blocks(ws, blocks, workers, masks, lambda: dy.reshape(-1, c_out).sum(axis=0))
-    if not need_dx:
-        return None, kernel_grad(), db
-    dk = _run_blocks(ws, blocks, workers, dx_block, kernel_grad)
-    return dx, dk, db
+    db = _run_blocks(ws, blocks, workers, block, lambda: dy.reshape(-1, c_out).sum(axis=0))
+    dkernel = partials.sum(axis=0).reshape(2, 2, c_in, c_out)
+    return (dx if need_dx else None), dkernel, db
 
 
 def _maxpool_core(x: np.ndarray) -> np.ndarray:
@@ -446,9 +456,14 @@ def global_avg_pool(x: np.ndarray) -> np.ndarray:
 
 
 def dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b for (B, C) rows, as a per-row product summed in input order.
+
+    A GEMM rounds a row by the row count; this gives a row the same bits
+    whatever rows share the call.
+    """
     if x.shape[-1] != w.shape[0]:
         raise ShapeMismatch(f"dense: input {x.shape} vs weight {w.shape}")
-    return x @ w + b
+    return (x[..., :, None] * w).sum(axis=-2) + b
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -463,30 +478,41 @@ def _softmax_backward(p, dp):
     return p * (dp - (dp * p).sum(axis=-1, keepdims=True))
 
 
+def _drop_threshold() -> int:
+    """Dropout drops an entry whose uint16 draw is below this:
+    round(DROPOUT_RATE * 2**16), so the realised rate is threshold / 65536."""
+    return round(DROPOUT_RATE * 65536)
+
+
 def _keep_scale(dtype):
-    """The survivor scale of inverted dropout, 1 / (1 - DROPOUT_RATE), in dtype."""
-    return dtype.type(1) / dtype.type(1.0 - DROPOUT_RATE)
+    """The survivor scale of inverted dropout, 65536 / (65536 - threshold),
+    the inverse of the realised keep probability, in dtype."""
+    return dtype.type(65536) / dtype.type(65536 - _drop_threshold())
 
 
 def dropout(x: np.ndarray, rng: np.random.Generator, ws: Workspace) -> np.ndarray:
-    """Inverted dropout in place: zero each entry of x with probability
-    DROPOUT_RATE, scale survivors by 1/(1-DROPOUT_RATE); returns x.
+    """Inverted dropout in place: zero each entry of x whose uint16 draw is
+    below _drop_threshold(), scale survivors by _keep_scale; returns x.
 
-    The draws run block by block (their scratch from ws); successive draws
-    along axis 0 continue one stream, so x ends as
-    x * ((one full-shape draw >= DROPOUT_RATE) / (1 - DROPOUT_RATE)), rounded
-    once.
+    The draws run block by block (the keep mask's scratch from ws). numpy
+    draws two uint16 values per 32-bit word and drops a half-used word at
+    the end of a call, so every block but the last holds an even number of
+    entries; successive draws then continue one stream, and x ends as
+    x * ((one full-shape draw >= threshold) * scale), rounded once.
     """
-    row_bytes = 8 * x[:1].size
-    blocks, step, _ = _blocks(len(x), row_bytes)
-    draws = _empty(ws, "scratch", (step,) + x.shape[1:], np.float64, step, row_bytes)
-    keep = _empty(ws, "keep", draws.shape, x.dtype, step, row_bytes)
-    scale = _keep_scale(x.dtype)
-    for s in blocks:
-        n = s.stop - s.start
-        np.greater_equal(rng.random(out=draws[:n]), DROPOUT_RATE, out=keep[:n], casting="unsafe")
+    row = x[:1].size
+    row_bytes = x.itemsize * row
+    step = _block_rows(len(x), row_bytes)
+    if row % 2 and step % 2 and step < len(x):
+        step += 1
+    keep = _empty(ws, "keep", (step,) + x.shape[1:], x.dtype, step, row_bytes)
+    threshold, scale = _drop_threshold(), _keep_scale(x.dtype)
+    for start in range(0, len(x), step):
+        n = min(step, len(x) - start)
+        draws = rng.integers(0, 65536, size=(n,) + x.shape[1:], dtype=np.uint16)
+        np.greater_equal(draws, threshold, out=keep[:n], casting="unsafe")
         keep[:n] *= scale
-        x[s] *= keep[:n]
+        x[start:start + n] *= keep[:n]
     return x
 
 
@@ -495,14 +521,14 @@ def dropout(x: np.ndarray, rng: np.random.Generator, ws: Workspace) -> np.ndarra
 @dataclass
 class ForwardTrace:
     """Intermediate activations retained for the backward pass, which reads
-    each stage's input shape off x and pool_out."""
+    each stage's input off x and pool_out."""
 
     params: ModelParams
     training: bool                      # dropout at DROPOUT_RATE ran after each stage
     x: np.ndarray                       # (B, H, W, 1)
     workspace: Workspace                # the stage arrays below are views of its buffers
     stamp: int                          # workspace.forwards once this forward began
-    conv_cols: list = field(default_factory=list)
+    conv_cols: list = field(default_factory=list)   # empty: the backward rebuilds patches
     pool_out: list = field(default_factory=list)     # pooled maps, after dropout in training
     pool_idx: list = field(default_factory=list)
     drop_masks: list = field(default_factory=list)   # empty: dropout keeps no mask
@@ -533,11 +559,10 @@ def forward_batch(params: ModelParams, xs: np.ndarray, training: bool = False,
     trace = ForwardTrace(params=params, training=training, x=a, workspace=ws,
                          stamp=ws.forwards)
     for k, (kernel, bias) in enumerate(zip(params.conv_kernels, params.conv_biases)):
-        a, idx, cols = _conv_forward(a, kernel, bias, keep_trace, ws, k)
+        a, idx = _conv_forward(a, kernel, bias, keep_trace, ws, k)
         if training:
             dropout(a, rng, ws)
         if keep_trace:
-            trace.conv_cols.append(cols)
             trace.pool_out.append(a)
             trace.pool_idx.append(idx)
     gap = global_avg_pool(a)
@@ -588,9 +613,9 @@ def backward_from_dp(trace: ForwardTrace, dp: np.ndarray) -> ModelParams:
         np.multiply(da, kept, out=da)
         if trace.training:
             da *= _keep_scale(da.dtype)
-        x_shape = (trace.pool_out[i - 1] if i else trace.x).shape
-        da, dk, db = _conv_backward(da, trace.conv_cols[i], params.conv_kernels[i],
-                                    x_shape, i > 0, trace.pool_idx[i], ws, i)
+        x_in = trace.pool_out[i - 1] if i else trace.x
+        da, dk, db = _conv_backward(da, x_in, params.conv_kernels[i], x_in.shape, i > 0,
+                                    trace.pool_idx[i], ws, i)
         grads.conv_kernels[i][:] = dk
         grads.conv_biases[i][:] = db
     return grads

@@ -6,9 +6,10 @@ stage must agree with: a loop-style convolution, the im2col convolution the
 unfused network ran, a loop-style max pool, ReLU and their backward passes.
 It also holds helpers only tests call: the activation shapes and parameter
 count a CnnSpec implies, the loss without gradients and the inference-mode
-loss of mixmatch's two mixed batches, the soft-label predicate, the
-`neutralize` fixture under which the SSL passes degenerate to supervision,
-and the finite-difference gradient check with its kink-margin probe.
+loss of mixmatch's two mixed batches, the dropout factor of one full-shape
+draw, the soft-label predicate, the `neutralize` fixture under which the SSL
+passes degenerate to supervision, and the finite-difference gradient check
+with its kink-margin probe.
 """
 
 import numpy as np
@@ -142,6 +143,15 @@ def stage_backward(dy, x, kernel, z, idx):
     """Backward of stage_forward from dL/d(pooled); returns (dx, dkernel, dbias)."""
     dr = nn.maxpool2d_backward(dy, idx, z.shape)
     return conv2d_backward(relu_backward(dr, z), x, kernel)
+
+
+def dropout_mask(rng, shape, dtype=np.float32):
+    """The factor nn.dropout applies, from one full-shape uint16 draw: 0
+    where the draw is below round(DROPOUT_RATE * 2**16), else the inverse
+    of the realised keep probability."""
+    threshold = round(nn.DROPOUT_RATE * 65536)
+    keep = rng.integers(0, 65536, size=shape, dtype=np.uint16) >= threshold
+    return keep.astype(dtype) * (dtype(65536) / dtype(65536 - threshold))
 
 
 def forward_probs(params, xs):

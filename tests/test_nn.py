@@ -102,7 +102,7 @@ def _stage_case(rng, shape, c_out=5):
 @pytest.mark.parametrize("shape", STAGE_SHAPES)
 def test_fused_stage_forward_bit_identical(rng, shape):
     x, k, b = _stage_case(rng, shape)
-    pooled, idx, _ = nn._conv_forward(x, k, b, True, nn.Workspace(len(x)), 0)
+    pooled, idx = nn._conv_forward(x, k, b, True, nn.Workspace(len(x)), 0)
     want, want_idx, z = oracle.stage_forward(x, k, b)
     assert pooled.dtype == np.float32
     assert np.array_equal(pooled, want)
@@ -119,15 +119,15 @@ def test_fused_stage_backward_matches_oracle(rng, shape):
     x, k, b = _stage_case(rng, shape)
     x, k, b = x.astype(np.float64), k.astype(np.float64), b.astype(np.float64)
     ws = nn.Workspace(len(x))
-    pooled, idx, cols = nn._conv_forward(x, k, b, True, ws, 0)
+    pooled, idx = nn._conv_forward(x, k, b, True, ws, 0)
     _, want_idx, z = oracle.stage_forward(x, k, b)
     dy = rng.normal(size=pooled.shape)
-    dx, dk, db = nn._conv_backward(dy * (pooled > 0), cols, k, x.shape, True, idx, ws, 0)
+    dx, dk, db = nn._conv_backward(dy * (pooled > 0), x, k, x.shape, True, idx, ws, 0)
     want_dx, want_dk, want_db = oracle.stage_backward(dy, x, k, z, want_idx)
     assert np.allclose(dx, want_dx, rtol=1e-12, atol=1e-12)
     assert np.allclose(dk, want_dk, rtol=1e-12, atol=1e-12)
     assert np.allclose(db, want_db, rtol=1e-12, atol=1e-12)
-    no_dx, dk2, db2 = nn._conv_backward(dy * (pooled > 0), cols, k, x.shape, False, idx, ws, 0)
+    no_dx, dk2, db2 = nn._conv_backward(dy * (pooled > 0), x, k, x.shape, False, idx, ws, 0)
     assert no_dx is None
     assert np.array_equal(dk2, dk) and np.array_equal(db2, db)
 
@@ -169,28 +169,39 @@ def test_blocked_stage_is_bit_identical(monkeypatch, rng, batch):
     b = rng.normal(0.0, 0.5, size=8).astype(np.float32)
     dy = rng.normal(size=(batch, 4, 5, 8)).astype(np.float32)
     # per example: the phase conv output (and its gradient) is 4*4*5*8
-    # floats, the dropout draws are 4*5*8 doubles
-    stage_row, drop_row = 4 * 4 * 5 * 8 * 4, 4 * 5 * 8 * 8
+    # floats, the dropout keep mask 4*5*8 floats
+    stage_row, drop_row = 4 * 4 * 5 * 8 * 4, 4 * 5 * 8 * 4
 
     def run(rows):
         monkeypatch.setattr(nn, "_BLOCK_BYTES", rows * stage_row)
         assert len(nn._blocks(batch, stage_row)[0]) == -(-batch // rows)
         ws = nn.Workspace(batch)
-        pooled, idx, cols = nn._conv_forward(x, k, b, True, ws, 0)
+        pooled, idx = nn._conv_forward(x, k, b, True, ws, 0)
         inferred = nn._conv_forward(x, k, b, False, nn.Workspace(batch), 0)
-        dx, dk, db = nn._conv_backward(dy * (pooled > 0), cols, k, x.shape, True, idx, ws, 0)
+        dx, dk, db = nn._conv_backward(dy * (pooled > 0), x, k, x.shape, True, idx, ws, 0)
         monkeypatch.setattr(nn, "_BLOCK_BYTES", rows * drop_row)
         assert len(nn._blocks(batch, drop_row)[0]) == -(-batch // rows)
         dropped = nn.dropout(pooled.copy(), substream(1, "dropout"), nn.Workspace(batch))
-        return pooled, idx, cols, inferred[0], dropped, dx, dk, db
+        return pooled, idx, inferred[0], dropped, dx, dk, db
 
     want = run(batch)
     assert _same_bytes(run(block), want)
     # the blocked draws are the stream of one full-shape draw, applied as the
-    # float32 mask (0 or 1/(1 - DROPOUT_RATE)) that one multiply would apply
-    full = (substream(1, "dropout").random(want[0].shape) >= nn.DROPOUT_RATE).astype(np.float32)
-    full /= 1 - nn.DROPOUT_RATE
-    assert _same_bytes([want[4]], [want[0] * full])
+    # float32 factor (0 or the survivor scale) that one multiply would apply
+    full = oracle.dropout_mask(substream(1, "dropout"), want[0].shape)
+    assert _same_bytes([want[3]], [want[0] * full])
+
+
+# entries per example: odd (15, 1, 27) and even (10)
+@pytest.mark.parametrize("shape", [(7, 3, 5), (6, 1), (5, 3, 3, 3), (9, 2, 5)])
+def test_blocked_dropout_is_one_full_draw(monkeypatch, rng, shape):
+    x = rng.normal(size=shape).astype(np.float32)
+    want = x * oracle.dropout_mask(substream(5, "dropout"), shape)
+    row_bytes = x[:1].nbytes
+    for rows in range(1, len(x) + 1):
+        monkeypatch.setattr(nn, "_BLOCK_BYTES", rows * row_bytes)
+        got = nn.dropout(x.copy(), substream(5, "dropout"), nn.Workspace(len(x)))
+        assert got.tobytes() == want.tobytes(), rows
 
 
 def test_blocked_network_step_is_bit_identical(monkeypatch, rng):
@@ -293,13 +304,11 @@ def test_row_scored_alone_equals_row_in_batch(rng):
     probs, trace = nn.forward_batch(params, xs, training=False, keep_trace=True)
     for i in range(len(xs)):
         alone, one = nn.forward_batch(params, xs[i:i + 1], training=False, keep_trace=True)
-        # every conv stage gives a row alone the bytes it gets in the batch
+        # every conv stage gives a row alone the bytes it gets in the batch,
+        # and so does the head, a per-row product rather than a GEMM
         assert one.dense_in.tobytes() == trace.dense_in[i:i + 1].tobytes(), i
-        # the head's GEMM rounds by row count (1, 2 and 32 rows all differ on
-        # the recorded build), so only the head applied to one row is exact
-        head = nn.softmax(nn.dense(trace.dense_in[i:i + 1], params.dense_w, params.dense_b))
-        assert alone.tobytes() == head.tobytes(), i
-        assert np.allclose(alone, probs[i:i + 1], rtol=1e-5, atol=0), i
+        assert one.logits.tobytes() == trace.logits[i:i + 1].tobytes(), i
+        assert alone.tobytes() == probs[i:i + 1].tobytes(), i
 
 
 def test_global_avg_pool_constant():
@@ -324,7 +333,9 @@ def test_dropout_zero_fraction():
     frac = float((out == 0).mean())
     assert 0.19 <= frac <= 0.21
     survivors = out[out != 0]
-    assert np.allclose(survivors, 1.0 / 0.8)
+    # the realised rate is 13107/65536, and survivors scale by its inverse keep rate
+    assert nn._drop_threshold() == 13107
+    assert np.all(survivors == np.float32(65536) / np.float32(65536 - 13107))
 
 
 def test_backward_mask_order_is_bit_identical(rng):
@@ -335,12 +346,11 @@ def test_backward_mask_order_is_bit_identical(rng):
     da = rng.normal(size=pool.shape).astype(np.float32)
     da[:, ::5] = -0.0
     da[:, 1::5] = 0.0
-    mask = (substream(2, "dropout").random(pool.shape) >= 0.2).astype(np.float32)
-    mask /= 0.8
+    mask = oracle.dropout_mask(substream(2, "dropout"), pool.shape)
     want = (da * mask) * (pool > 0)
     after = nn.dropout(pool.copy(), substream(2, "dropout"), nn.Workspace(len(pool)))
     assert after.tobytes() == (pool * mask).tobytes()
-    got = (da * (after > 0)) * (np.float32(1) / np.float32(0.8))
+    got = (da * (after > 0)) * mask.max()  # the survivor scale
     assert got.tobytes() == want.tobytes()  # signed zeros included
     assert np.signbit(want[want == 0]).any() and not np.signbit(want[want == 0]).all()
 
@@ -360,7 +370,7 @@ def test_dropout_gradients_match_unfused_reference(rng):
     a, kept = xs[..., None], []
     for kernel, bias in zip(params.conv_kernels, params.conv_biases):
         pooled, idx, z = oracle.stage_forward(a, kernel, bias)
-        mask = (draws.random(pooled.shape) >= nn.DROPOUT_RATE) / (1 - nn.DROPOUT_RATE)
+        mask = oracle.dropout_mask(draws, pooled.shape, np.float64)
         kept.append((a, z, idx, mask))
         a = pooled * mask
     probs = nn.softmax(nn.dense(nn.global_avg_pool(a), params.dense_w, params.dense_b))
@@ -411,8 +421,8 @@ def test_workspace_steps_are_bit_identical(monkeypatch):
     assert got == want
     # the first step, below capacity, sized every buffer for 32 rows
     assert all(ids == identities[0] for ids in identities)
-    assert set(ws.buffers) == {*(f"{role}{k}" for role in ("cols", "pooled", "idx")
-                                 for k in range(3)), "dz", "dx0", "dx1", "scratch", "keep"}
+    assert set(ws.buffers) == {*(f"{role}{k}" for role in ("pooled", "idx") for k in range(3)),
+                               "dx0", "dx1", "dkernel", "patches", "scratch", "dx_rows", "keep"}
     assert ws.forwards == len(schedule)
 
 
@@ -429,8 +439,40 @@ def test_workspace_grows_past_capacity(monkeypatch):
     want, _ = _step_schedule(monkeypatch, None, schedule)
     got, identities = _step_schedule(monkeypatch, nn.Workspace(4), schedule)
     assert got == want
-    assert identities[1]["cols0"] != identities[0]["cols0"]
+    assert identities[1]["pooled0"] != identities[0]["pooled0"]
     assert identities[2] == identities[1]
+
+
+def test_training_workspace_stays_under_per_row_bound(monkeypatch):
+    # a 32-row production-geometry step, its blocks shared by two workers
+    monkeypatch.setattr(nn, "usable_cpus", lambda: 2)
+    rows, workers, spec = 32, 2, nn.CnnSpec()
+    params = nn.init_params(substream(2, "init"), spec)
+    data = np.random.default_rng(5)
+    xs = data.normal(size=(rows, 40, 862)).astype(np.float32)
+    ys = np.eye(6, dtype=np.float32)[data.integers(0, 6, rows)]
+    ws = nn.Workspace(rows)
+    nn.weighted_gradient_step(params, nn.AdamState.for_params(params),
+                              [(1.0, xs, ys, "cross_entropy")], substream(3, "dropout"),
+                              1e-3, ws)
+    shapes = oracle.layer_shapes(spec, (40, 862))
+    pooled = [np.prod(s) for s in shapes[2:-2:2]]
+    inputs = [np.prod(shapes[0])] + pooled[:-1]
+    c_in = (1,) + spec.channels[:-1]
+    phase_rows = [4 * p * 4 for p in pooled]  # phase conv output or its gradient, float32
+    patch_rows = [4 * p // c * 4 * ci * 4 for p, c, ci in zip(pooled, spec.channels, c_in)]
+    # what every row needs: its pooled maps (float32) and argmax slots (int8),
+    # two input-gradient buffers, its kernel-gradient partial and its ReLU mask
+    per_row = (5 * sum(pooled) + 2 * 4 * max(inputs[1:])
+               + max(4 * ci * c * 4 for ci, c in zip(c_in, spec.channels)) + max(pooled))
+    # each worker's blocks of patches, phase output, dx rows and keep mask;
+    # a block holds about _BLOCK_BYTES of phase output, or one row when more
+    block = max(nn._BLOCK_BYTES, *phase_rows)
+    total = sum(buf.nbytes for buf in ws.buffers.values())
+    assert total <= rows * per_row + workers * 4 * 2 * block
+    # no patch matrix or phase-stacked conv gradient for the whole batch
+    assert max(buf.nbytes for buf in ws.buffers.values()) < rows * min(max(patch_rows),
+                                                                        max(phase_rows))
 
 
 def test_forward_zero_params_uniform():

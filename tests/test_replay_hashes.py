@@ -22,11 +22,11 @@ import pytest
 BUILD = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}
 
 EXPECTED = {
-    "baseline": "e0a4d92827befa1a7f21bc91f3ed4b263226dd06520a20982552593ee61fce3d",
-    "semi": "b4079a89c8b8f4f712d00809a27f9ec0909b78dd39173c4c3bb0f4917ef99711",
-    "drop=co_refinement": "32bd1a7b0efdebe016133282339201b28ebf8fd4a98cec129349e1c3e53e0198",
-    "drop=co_refurbishing": "b2573c6e4a0da8b2a513764698657604a599b52bd99262cbd310bbabcc561a6f",
-    "drop=both": "8bc32e89b2d1e0335a13f2dcedc5e3568fd76ad4bbcb8ca6918e3b74f572b0df",
+    "baseline": "0796c98cf02fbedfa73bc9c1b676e8ebea137af2582207fcb17d694370e6822a",
+    "semi": "57b0cb2d62a59ccfdf5636ec9fa868a71e496504d73d73386f8b2d456660c270",
+    "drop=co_refinement": "1876db36704fc90eb238e5d49710d788c10360461bc0597e1e97bf723160ba69",
+    "drop=co_refurbishing": "f5161e983f0752263a4d80e635913c01b16d977adf714140e78166cf3f29e4e3",
+    "drop=both": "561cf198402cdeb4c5152e464e63047ca7aef49ffa4769de17f3206924146024",
 }
 
 SRC = Path(__file__).resolve().parent.parent / "src"

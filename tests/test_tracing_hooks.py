@@ -9,9 +9,12 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from lungsound import dataset, nn, ssl, training
 from lungsound.rng import substream
+
+import nn_oracle as oracle
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -54,6 +57,16 @@ def test_tracer_hooks_one_training_step(rng, monkeypatch):
         assert m[f"nn.dropout.stage{k}.s"] > 0
     assert m["nn.weighted_gradient_step.calls"] == 1
     assert m["nn.trace_mb"] > 0
+    # the FLOP counts read the stage input and kernel off _conv_forward's
+    # arguments 0 and 1 and _conv_backward's 3 (x_shape), 2 (kernel) and 4
+    # (need_dx): two forwards per stage, and a backward that skips dx at stage 0
+    shapes = oracle.layer_shapes(spec, xs.shape[1:])
+    flops = 0.0
+    for k, c_out in enumerate(spec.channels):
+        (_, _, c_in), (conv_h, conv_w, _) = shapes[2 * k], shapes[2 * k + 1]
+        one = 2.0 * len(xs) * conv_h * conv_w * 4 * c_in * c_out
+        flops += one * (2 + (2 if k else 1))
+    assert m["nn.conv.gflop"] * 1e9 == pytest.approx(flops, rel=1e-12)
 
 
 def test_tracer_hooks_training_passes(rng):
