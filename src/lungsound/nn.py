@@ -18,21 +18,20 @@ to the pooled map. Rounding is monotone, so this equals conv + bias -> ReLU ->
 pool bit for bit. The one difference is the tie rule: the first-occurrence
 argmax that routes the gradient is taken before the bias is added, so it can
 differ from the unfused order only where adding the bias rounds two unequal
-values to a tie. The backward keeps the phase structure: the conv gradient of
-phase p is the pooled gradient masked by (argmax == p).
+values to a tie.
 
 A stage forward, its backward and the dropout draw run over blocks of
 examples sized by one byte budget, _BLOCK_BYTES (about 2 MB of phase conv
 output, or of its gradient, or of the dropout keep mask, per block). A block's
-temporaries (its phase patches, phase conv output or masked phase gradient,
-and dx row products) live in per-worker scratch that stays in cache and is
-reused across blocks; the pooled map, argmax slots and dx are written
-straight into full-size outputs, and dropout scales the pooled map in place.
-No patch matrix is kept: the backward rebuilds each block's patches from the
-stage input the trace already holds (the network input, or the previous
-stage's pooled map after dropout). Each example's kernel gradient is one GEMM
-over its four phases, into a (B, 4 * c_in, c_out) partial that the caller
-sums in example order. Blocking changes no result bit:
+temporaries (phase patches, phase conv output or masked phase gradient, input
+mask, dx row products) live in per-worker scratch that stays in cache. The
+pooled map and argmax slots are written into full-size outputs, and dropout
+scales the pooled map in place. No patch matrix is kept: the backward
+rebuilds each block's patches from the stage input the trace holds (the
+network input, or the previous pooled map after dropout), then writes dx
+over that block. Each example's kernel gradient is one GEMM over its four
+phases, into a (B, 4 * c_in, c_out) partial that the caller sums in example
+order. Blocking changes no result bit:
 - every elementwise step, and the max over phases, sees the same operands;
 - a GEMM row depends only on that row and the kernel, provided the BLAS
   rounds a row the same whatever the row count (and column count, for the
@@ -55,16 +54,14 @@ Every forward and backward runs in a Workspace. A training run
 training.predict_batch one to all its chunks; forward_batch builds one for
 its batch when given none. It holds one flat buffer per role, sized on first
 use for its `rows` (its largest batch), so later forwards reuse pages
-instead of taking freshly zeroed ones. The roles sized for the whole batch
-are each stage's pooled map and argmax slots, two dx buffers (stage i-1
-writes one while it reads stage i's) and the per-example kernel-gradient
-partials. The phase patches, the conv scratch (phase conv output or masked
-phase gradient) and the dx row products hold one block for each worker, and
-the dropout keep mask one block; backward_from_dp also takes the scratch for
-the batch's ReLU mask. A forward overwrites the previous trace's buffers, so
+instead of taking freshly zeroed ones. Only each stage's pooled map and
+argmax slots and the kernel-gradient partials are sized for the whole batch;
+the other roles hold one block per worker (the dropout keep mask one block).
+A forward overwrites the previous trace's buffers and a backward its maps
+(not the network input, which may be the caller's array), so
 loss_and_backward(trace, target, loss_kind), which differentiates with
 respect to the parameters the trace holds, refuses (StaleTrace) a trace
-whose workspace has run a forward since.
+whose workspace has run a forward since, or whose backward has run.
 
 The blocks of a stage forward and of its backward run with one worker per
 usable CPU (usable_cpus: the process's CPU affinity set). The caller's
@@ -89,10 +86,10 @@ least round(DROPOUT_RATE * 2**16) = 13107, so the realised rate is
 realised keep probability. It scales the pooled map in place and keeps no
 mask, so in training pool_out > 0 exactly where an entry was kept and is
 positive (a positive float times s > 1 stays positive). The backward masks
-by that, then multiplies by s. Against the dropout factor (0 or s) followed
-by the ReLU mask r (0 or 1), that is (d*1)*s vs (d*s)*1 where kept and
-positive, (d*0)*s vs (d*s)*0 where kept at zero, (d*0)*s vs (d*0)*r where
-dropped: the same float each time, a zero carrying d's sign.
+a map's gradient d by that, then multiplies by s. Against the dropout factor
+(0 or s) followed by the ReLU mask r (0 or 1), that is (d*1)*s vs (d*s)*1
+where kept and positive, (d*0)*s vs (d*s)*0 where kept at zero, (d*0)*s vs
+(d*0)*r where dropped: the same float each time, a zero carrying d's sign.
 """
 
 from __future__ import annotations
@@ -368,20 +365,18 @@ def _conv_forward(x, kernel, bias, keep_trace, ws, stage):
     return out, idx
 
 
-def _conv_backward(dy, x, kernel, x_shape, need_dx, idx, ws, stage):
+def _conv_backward(dy, x, kernel, x_shape, need_dx, idx, ws, scale):
     """Backward of the fused stage; returns (dx, dkernel, dbias).
 
-    dy is the gradient at the pooled map with the ReLU mask already applied;
-    x is the stage's input and x_shape its shape (the benchmark's tracer
-    reads it by position), and idx comes from _conv_forward. Each pooled gradient flows to the conv output its window
-    selected, so the conv gradient of phase p is dy * (idx == p). The blocks
-    run on ws's block pool. Each worker rebuilds its block's phase patches
-    from x and masks the block's phase gradients into its own scratch, both
-    example-major, so that each example's kernel gradient is one GEMM over
-    its four phases, into a partial that the caller sums in example order.
-    dx: the 2x2 taps of one phase cover disjoint pixels, so each phase adds
-    one product per kernel row ki, in phase order. db runs on the caller's
-    thread while the pool works. The arrays come from ws.
+    dy is the masked gradient at the pooled map (see backward_from_dp), x the
+    stage's input, x_shape its shape (the benchmark's tracer reads it by
+    position) and idx from _conv_forward. Each block on ws's pool rebuilds its
+    patches from x and masks its phase gradients dy * (idx == p) into its
+    worker's scratch, example-major, so each example's kernel gradient is one
+    GEMM, into a partial the caller sums in example order (db runs there
+    meanwhile). dx is then written over that block of x, one product per
+    phase and kernel row in phase order (a phase's 2x2 taps cover disjoint
+    pixels), masked by x > 0 and multiplied by scale, as dy was.
     """
     b, _, _, c_in = x_shape
     c_out = kernel.shape[3]
@@ -394,8 +389,9 @@ def _conv_backward(dy, x, kernel, x_shape, need_dx, idx, ws, stage):
                 row_bytes, per_worker=True)
     partials = _empty(ws, "dkernel", (b, 4 * c_in, c_out), dy.dtype, b)
     if need_dx:
-        # two buffers: the stage below reads this dx while it writes its own
-        dx = _empty(ws, f"dx{stage % 2}", x_shape, dy.dtype, b)
+        dx = x
+        live = _empty(ws, "live", (workers, step, *x_shape[1:]), bool, workers * step,
+                      row_bytes, per_worker=True)
         k_rows = [kernel[ki].reshape(2 * c_in, c_out).T for ki in range(2)]
         row_grad = _empty(ws, "dx_rows", (workers, step, hp * wp, 2 * c_in), dy.dtype,
                           workers * step, row_bytes, per_worker=True)
@@ -410,6 +406,7 @@ def _conv_backward(dy, x, kernel, x_shape, need_dx, idx, ws, stage):
         np.matmul(pc.transpose(0, 2, 1), dzb.reshape(n, 4 * hp * wp, c_out), out=partials[s])
         if not need_dx:
             return
+        keep = np.greater(x[s], 0, out=live[w, :n])
         dx[s] = 0
         for phase, (di, dj) in enumerate(_POOL_OFFSETS):
             for ki in range(2):
@@ -417,6 +414,8 @@ def _conv_backward(dy, x, kernel, x_shape, need_dx, idx, ws, stage):
                 g = np.matmul(dzb[:, phase], k_rows[ki], out=row_grad[w, :n])
                 r = di + ki
                 dx[s, r:r + 2 * hp:2, dj:dj + 2 * wp, :] += g.reshape(n, hp, 2 * wp, c_in)
+        np.multiply(dx[s], keep, out=dx[s])
+        dx[s] *= scale
 
     db = _run_blocks(ws, blocks, workers, block, lambda: dy.reshape(-1, c_out).sum(axis=0))
     dkernel = partials.sum(axis=0).reshape(2, 2, c_in, c_out)
@@ -535,6 +534,7 @@ class ForwardTrace:
     dense_in: np.ndarray = None         # (B, C_last)
     logits: np.ndarray = None
     probs: np.ndarray = None
+    spent: bool = False                 # a backward overwrote the maps with gradients
 
 
 def forward_batch(params: ModelParams, xs: np.ndarray, training: bool = False,
@@ -592,30 +592,24 @@ def _loss_and_dp(probs, targets, loss_kind):
 
 
 def backward_from_dp(trace: ForwardTrace, dp: np.ndarray) -> ModelParams:
-    """Backpropagate dL/dprobs through a kept trace; returns gradients."""
+    """Backpropagate dL/dprobs through a kept trace; returns gradients. Each
+    pooled map is overwritten by its gradient, masked by map > 0 and scaled
+    by the survivor scale in training, which spends the trace."""
     params = trace.params
+    trace.spent = True
     dlogits = _softmax_backward(trace.probs, dp).astype(params.dtype)
     grads = params.zeros_like()
     grads.dense_w[:] = trace.dense_in.T @ dlogits
     grads.dense_b[:] = dlogits.sum(axis=0)
     da = dlogits @ params.dense_w.T
-
-    gap_shape = trace.pool_out[-1].shape
-    da = np.broadcast_to(da[:, None, None, :] / (gap_shape[1] * gap_shape[2]),
-                         gap_shape).astype(params.dtype)
-
-    ws = trace.workspace
+    dy = trace.pool_out[-1]
+    np.multiply(da[:, None, None, :] / (dy.shape[1] * dy.shape[2]), dy > 0, out=dy)
+    scale = _keep_scale(params.dtype) if trace.training else params.dtype.type(1)
+    dy *= scale
     for i in reversed(range(len(params.conv_kernels))):
-        # relu and dropout masks in the pooled domain, in place on this
-        # function's own da (see the module docstring)
-        pool = trace.pool_out[i]
-        kept = np.greater(pool, 0, out=_empty(ws, "scratch", pool.shape, bool, len(pool)))
-        np.multiply(da, kept, out=da)
-        if trace.training:
-            da *= _keep_scale(da.dtype)
         x_in = trace.pool_out[i - 1] if i else trace.x
-        da, dk, db = _conv_backward(da, x_in, params.conv_kernels[i], x_in.shape, i > 0,
-                                    trace.pool_idx[i], ws, i)
+        dy, dk, db = _conv_backward(dy, x_in, params.conv_kernels[i], x_in.shape, i > 0,
+                                    trace.pool_idx[i], trace.workspace, scale)
         grads.conv_kernels[i][:] = dk
         grads.conv_biases[i][:] = db
     return grads
@@ -625,13 +619,15 @@ def loss_and_backward(trace: ForwardTrace, target: np.ndarray, loss_kind: str):
     """Loss plus gradients, with respect to the parameters the trace holds,
     for a trace produced by forward_batch().
 
-    Raises StaleTrace when the trace was not kept, or when a later forward
-    through its workspace reused its buffers.
+    Raises StaleTrace when the trace was not kept, was reused by a later
+    forward through its workspace, or was spent by a backward.
     """
     if trace.probs is None:
         raise StaleTrace("trace was not kept (forward ran with keep_trace=False)")
     if trace.stamp != trace.workspace.forwards:
         raise StaleTrace("a later forward reused this trace's workspace buffers")
+    if trace.spent:
+        raise StaleTrace("this trace's backward already ran: its maps hold gradients")
     targets = np.asarray(target, dtype=trace.probs.dtype)
     if targets.shape != trace.probs.shape:
         raise ShapeMismatch(f"targets {targets.shape} vs probs {trace.probs.shape}")

@@ -129,7 +129,10 @@ class FeatureNormalizer:
         return cls(mean=mean, std=np.maximum(std, 1e-6))
 
     def apply(self, mats: np.ndarray) -> np.ndarray:
-        return ((mats - self.mean[:, None]) / self.std[:, None]).astype(np.float32)
+        """Standardize float32 mats in place, PREDICT_CHUNK rows at a time; returns mats."""
+        for chunk in np.split(mats, range(PREDICT_CHUNK, len(mats), PREDICT_CHUNK)):
+            chunk[...] = (chunk - self.mean[:, None]) / self.std[:, None]
+        return mats
 
     def to_meta(self) -> dict:
         return {"norm_mean": self.mean.tolist(), "norm_std": self.std.tolist()}
@@ -280,20 +283,21 @@ def _prepare(cache: FeatureCache, split: SplitManifest):
 
     The normalizer is always fitted on labeled plus unlabeled training
     features (both are available at train time in every mode) so baseline
-    and semi runs see bit-identical inputs.
+    and semi runs see bit-identical inputs. Both pools are views of one
+    gather, standardized in place.
     """
     split.validate()
     split.check_cache(cache)
     lab_ids = np.asarray(split.train_labeled, dtype=np.int64)
     if len(lab_ids) == 0:
         raise NoUsableData("split has no labeled training recordings")
-    xs_lab = cache.gather(lab_ids)
     ys_lab = cache.classes[cache.rows(lab_ids)]
     if (ys_lab < 0).any():
         raise NoUsableData("labeled split contains recordings without a class")
-    xs_unlab = cache.gather(split.train_unlabeled)
-    norm = FeatureNormalizer.fit(np.concatenate([xs_lab, xs_unlab]))
-    return lab_ids, norm.apply(xs_lab), ys_lab, norm.apply(xs_unlab), norm
+    xs = cache.gather(np.concatenate([lab_ids, np.asarray(split.train_unlabeled, np.int64)]))
+    norm = FeatureNormalizer.fit(xs)
+    norm.apply(xs)
+    return lab_ids, xs[:len(lab_ids)], ys_lab, xs[len(lab_ids):], norm
 
 
 def _write_run(manifest: RunManifest, t0: float, out_dir, tag: str, params=None) -> None:

@@ -122,12 +122,14 @@ def test_fused_stage_backward_matches_oracle(rng, shape):
     pooled, idx = nn._conv_forward(x, k, b, True, ws, 0)
     _, want_idx, z = oracle.stage_forward(x, k, b)
     dy = rng.normal(size=pooled.shape)
-    dx, dk, db = nn._conv_backward(dy * (pooled > 0), x, k, x.shape, True, idx, ws, 0)
+    scale = nn._keep_scale(x.dtype)
+    # dx is written over (a copy of) x, masked by x > 0 and scaled
+    dx, dk, db = nn._conv_backward(dy * (pooled > 0), x.copy(), k, x.shape, True, idx, ws, scale)
     want_dx, want_dk, want_db = oracle.stage_backward(dy, x, k, z, want_idx)
-    assert np.allclose(dx, want_dx, rtol=1e-12, atol=1e-12)
+    assert np.allclose(dx, want_dx * (x > 0) * scale, rtol=1e-12, atol=1e-12)
     assert np.allclose(dk, want_dk, rtol=1e-12, atol=1e-12)
     assert np.allclose(db, want_db, rtol=1e-12, atol=1e-12)
-    no_dx, dk2, db2 = nn._conv_backward(dy * (pooled > 0), x, k, x.shape, False, idx, ws, 0)
+    no_dx, dk2, db2 = nn._conv_backward(dy * (pooled > 0), x, k, x.shape, False, idx, ws, scale)
     assert no_dx is None
     assert np.array_equal(dk2, dk) and np.array_equal(db2, db)
 
@@ -178,7 +180,8 @@ def test_blocked_stage_is_bit_identical(monkeypatch, rng, batch):
         ws = nn.Workspace(batch)
         pooled, idx = nn._conv_forward(x, k, b, True, ws, 0)
         inferred = nn._conv_forward(x, k, b, False, nn.Workspace(batch), 0)
-        dx, dk, db = nn._conv_backward(dy * (pooled > 0), x, k, x.shape, True, idx, ws, 0)
+        dx, dk, db = nn._conv_backward(dy * (pooled > 0), x.copy(), k, x.shape, True, idx, ws,
+                                       nn._keep_scale(x.dtype))
         monkeypatch.setattr(nn, "_BLOCK_BYTES", rows * drop_row)
         assert len(nn._blocks(batch, drop_row)[0]) == -(-batch // rows)
         dropped = nn.dropout(pooled.copy(), substream(1, "dropout"), nn.Workspace(batch))
@@ -212,8 +215,9 @@ def test_blocked_network_step_is_bit_identical(monkeypatch, rng):
 
     def step():
         _, trace = nn.forward_batch(params, xs, training=True, rng=substream(3, "dropout"))
+        maps = [a.copy() for a in trace.pool_out]  # the backward writes gradients over them
         _, grads = nn.loss_and_backward(trace, ys, "cross_entropy")
-        return [*trace.conv_cols, *trace.pool_out, *trace.pool_idx, *trace.drop_masks,
+        return [*trace.conv_cols, *maps, *trace.pool_out, *trace.pool_idx, *trace.drop_masks,
                 trace.probs, *grads.arrays()]
 
     want = step()
@@ -389,7 +393,7 @@ def _step_schedule(monkeypatch, ws, schedule):
     ("infer", rows) inference forwards; returns the bytes of every result
     array and, with a workspace, its buffer identities after each operation."""
     # stage 0 holds 4 * 11 * 19 * 3 floats of phase conv output per example:
-    # 3 examples per block there; three stages, so both dx buffers are used
+    # 3 examples per block there; three stages, two of which write dx over their input
     monkeypatch.setattr(nn, "_BLOCK_BYTES", 3 * 10032)
     spec = nn.CnnSpec(channels=(3, 4, 5))
     params = nn.init_params(substream(2, "init"), spec)
@@ -422,7 +426,7 @@ def test_workspace_steps_are_bit_identical(monkeypatch):
     # the first step, below capacity, sized every buffer for 32 rows
     assert all(ids == identities[0] for ids in identities)
     assert set(ws.buffers) == {*(f"{role}{k}" for role in ("pooled", "idx") for k in range(3)),
-                               "dx0", "dx1", "dkernel", "patches", "scratch", "dx_rows", "keep"}
+                               "dkernel", "patches", "scratch", "live", "dx_rows", "keep"}
     assert ws.forwards == len(schedule)
 
 
@@ -461,15 +465,19 @@ def test_training_workspace_stays_under_per_row_bound(monkeypatch):
     c_in = (1,) + spec.channels[:-1]
     phase_rows = [4 * p * 4 for p in pooled]  # phase conv output or its gradient, float32
     patch_rows = [4 * p // c * 4 * ci * 4 for p, c, ci in zip(pooled, spec.channels, c_in)]
-    # what every row needs: its pooled maps (float32) and argmax slots (int8),
-    # two input-gradient buffers, its kernel-gradient partial and its ReLU mask
-    per_row = (5 * sum(pooled) + 2 * 4 * max(inputs[1:])
-               + max(4 * ci * c * 4 for ci, c in zip(c_in, spec.channels)) + max(pooled))
-    # each worker's blocks of patches, phase output, dx rows and keep mask;
-    # a block holds about _BLOCK_BYTES of phase output, or one row when more
+    # what every row needs: its pooled maps (float32) and argmax slots (int8)
+    # and its kernel-gradient partial; dx is written over the pooled maps
+    per_row = 5 * sum(pooled) + max(4 * ci * c * 4 for ci, c in zip(c_in, spec.channels))
+    # each worker's blocks of patches (a patch row is at most two phase rows),
+    # phase output, and dx rows plus input mask (under one phase row
+    # together), and one dropout keep mask; a block holds about _BLOCK_BYTES
+    # of phase output, or one row when more
     block = max(nn._BLOCK_BYTES, *phase_rows)
+    assert all(p <= 2 * f for p, f in zip(patch_rows, phase_rows))
+    dx_rows = [p // c * 2 * ci * 4 for p, c, ci in zip(pooled, spec.channels, c_in)]
+    assert all(d + i <= f for d, i, f in zip(dx_rows[1:], inputs[1:], phase_rows[1:]))
     total = sum(buf.nbytes for buf in ws.buffers.values())
-    assert total <= rows * per_row + workers * 4 * 2 * block
+    assert total <= rows * per_row + (workers * 4 + 1) * block
     # no patch matrix or phase-stacked conv gradient for the whole batch
     assert max(buf.nbytes for buf in ws.buffers.values()) < rows * min(max(patch_rows),
                                                                         max(phase_rows))
@@ -548,6 +556,17 @@ def test_trace_reused_by_later_forward_is_stale(rng):
     nn.forward_batch(params, x, keep_trace=False, ws=ws)  # an inference forward reuses too
     with pytest.raises(StaleTrace):
         nn.loss_and_backward(second, target, "cross_entropy")
+
+
+def test_spent_trace_is_stale(rng):
+    params = nn.init_params(substream(4, "init"), SMALL)
+    x = rng.normal(size=(2, 8, 16)).astype(np.float32)
+    target = np.full((2, 6), 1 / 6)
+    _, trace = nn.forward_batch(params, x, training=True, rng=substream(4, "dropout"))
+    nn.loss_and_backward(trace, target, "cross_entropy")
+    # the backward wrote gradients over the trace's maps
+    with pytest.raises(StaleTrace, match="backward already ran"):
+        nn.loss_and_backward(trace, target, "cross_entropy")
 
 
 def test_gradient_check_cross_entropy():

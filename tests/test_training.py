@@ -1,6 +1,7 @@
 import json
 import logging
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -36,7 +37,7 @@ def memorization_cache(rng, n=10, unlabeled_fraction=0.0):
 
 def test_overfit_memorization_set(small_corpus):
     cache = small_corpus["cache"]
-    mats = training.FeatureNormalizer.fit(cache.matrices[:10]).apply(cache.matrices[:10])
+    mats = training.FeatureNormalizer.fit(cache.matrices[:10]).apply(cache.matrices[:10].copy())
     onehot = training.one_hot(cache.classes[:10])
     cfg = TrainConfig(epochs=200, batch_size=10, seed=1, validation_fraction=0.0)
     params = nn.init_params(substream(cfg.seed, "init"))
@@ -138,6 +139,21 @@ def test_early_stop_restores_best(small_corpus, small_split):
     _, val = training._stratified_validation(lab_ids, ys_lab, 0.2, cfg.seed)
     assert training._accuracy(params, xs_lab[val], ys_lab[val],
                               nn.Workspace(len(val))) == pytest.approx(best)
+
+
+def test_prepare_peak_memory_is_bounded(rng):
+    # one gather, standardized in place: the pools themselves plus fitting's
+    # float64 temporaries over them (3x); 96 pooled rows, so that the
+    # float64 temporaries of a 32-row chunk stay under fitting's
+    cache, split = memorization_cache(rng, n=120, unlabeled_fraction=0.5)
+    tracemalloc.start()
+    try:
+        _, xs_lab, _, xs_unlab, _ = training._prepare(cache, split)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(xs_lab) and len(xs_unlab)
+    assert peak <= 3.5 * (xs_lab.nbytes + xs_unlab.nbytes)
 
 
 def test_early_stopper_unit():
