@@ -291,20 +291,20 @@ def _phase_patches(x: np.ndarray, out: np.ndarray, by_example: bool = False) -> 
     """
     b, h, w, c = x.shape
     hp, wp = (h - 1) // 2, (w - 1) // 2
-    s0, s1, s2, s3 = x.strides
-    win = np.lib.stride_tricks.as_strided(
-        x, shape=(2, 2, b, hp, wp, 2, 2, c),
-        strides=(s1, s2, s0, 2 * s1, 2 * s2, s1, s2, s3), writeable=False)
-    if by_example:
-        win = win.transpose(2, 0, 1, 3, 4, 5, 6, 7)
-    out = out.reshape(win.shape, copy=False)
+    out = out.reshape(((b, 2, 2) if by_example else (2, 2, b)) + (hp, wp, 2, 2, c), copy=False)
+    out = out.transpose(1, 2, 0, 3, 4, 5, 6, 7) if by_example else out  # phase axes first
+    # pairs[r][q][b, i, u, j, v] is x[b, r + 2i + u, q + 2j + v]. Not as_strided: its
+    # interned keys regrew the ~1 MB intern table on any worker, so the heap varied by run
+    pairs = [[x[:, r:r + 2 * hp, q:q + 2 * wp].reshape(b, hp, 2, wp, 2, c, copy=False)
+              for q in range(2)] for r in range(2)]
     if c == 1:
         # a whole-patch copy would move one element per inner loop here;
         # copying tap by tap runs it along a row of windows (~4x faster)
         for ki, kj in _POOL_OFFSETS:
-            out[..., ki, kj, :] = win[..., ki, kj, :]
+            out[..., ki, kj, :] = pairs[ki][kj].transpose(2, 4, 0, 1, 3, 5)
     else:
-        out[...] = win
+        for di, dj in _POOL_OFFSETS:
+            out[di, dj] = pairs[di][dj].transpose(0, 1, 3, 2, 4, 5)
 
 
 def _conv_forward(x, kernel, bias, keep_trace, ws, stage):

@@ -134,6 +134,21 @@ def test_fused_stage_backward_matches_oracle(rng, shape):
     assert np.array_equal(dk2, dk) and np.array_equal(db2, db)
 
 
+@pytest.mark.parametrize("shape", STAGE_SHAPES)
+@pytest.mark.parametrize("by_example", [False, True])
+def test_phase_patches_match_im2col(rng, shape, by_example):
+    # a slice of a wider map: the input need not be contiguous
+    b, h, w, c = shape
+    x = rng.normal(size=(b, h, w + 3, c)).astype(np.float32)[:, :, 1:-2]
+    hp, wp = (h - 1) // 2, (w - 1) // 2
+    got = np.full(((b, 4) if by_example else (4, b)) + (hp, wp, 2, 2, c), np.nan, np.float32)
+    nn._phase_patches(x, got, by_example)
+    cols = oracle.im2col(x).reshape(b, h - 1, w - 1, 2, 2, c)
+    for p, (di, dj) in enumerate(nn._POOL_OFFSETS):
+        want = cols[:, di:di + 2 * hp:2, dj:dj + 2 * wp:2]
+        assert np.array_equal(got[:, p] if by_example else got[p], want), p
+
+
 def test_fused_stage_too_small_raises(rng):
     k = rng.normal(size=(2, 2, 1, 3)).astype(np.float32)
     b = np.zeros(3, dtype=np.float32)
@@ -270,6 +285,18 @@ def test_worker_count_changes_no_bit(monkeypatch):
                 assert ws.pool is not None and ws.pool._max_workers == workers - 1
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_workers_build_patches_without_as_strided(monkeypatch):
+    # as_strided reads __array_interface__, whose key strings are interned and
+    # dropped on every call, so the interpreter regrew its ~1 MB intern table
+    # on whichever thread came next; on the caller's thread that landed in
+    # the main heap and moved the process's peak memory from run to run
+    def no_as_strided(*args, **kwargs):
+        raise AssertionError("as_strided in a forward or backward")
+
+    monkeypatch.setattr(np.lib.stride_tricks, "as_strided", no_as_strided)
+    _steps_on_workers(monkeypatch, 2)
 
 
 def test_forked_child_builds_its_own_pool(monkeypatch):
