@@ -275,8 +275,10 @@ def build_feature_cache(entries, cfg: features.MfccConfig, out_path, jobs: int =
 
     Writes the binary cache (records sorted by recording id) and returns the
     list of per-file failures as (recording id, path, message). Files that
-    fail to decode are skipped, not fatal. With `jobs` > 1, that many threads
-    extract the entries.
+    fail to decode are skipped, not fatal. An entry that FeatureCache.load
+    would refuse (an id listed twice or outside u32, a class outside
+    UNLABELED..N_CLASSES-1) raises ValueError before any file is read. With
+    `jobs` > 1, that many threads extract the entries.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -284,6 +286,16 @@ def build_feature_cache(entries, cfg: features.MfccConfig, out_path, jobs: int =
         raise ValueError(f"cache records are fixed at {_CACHE_SHAPE}, "
                          f"config gives ({cfg.n_coefficients}, {cfg.target_frames})")
     work = [(int(rid), int(cls), path) for rid, cls, path in entries]
+    seen = set()
+    for rid, cls, path in work:
+        if not 0 <= rid <= 0xFFFFFFFF:
+            raise ValueError(f"recording id {rid} ({path}) does not fit in u32")
+        if rid in seen:
+            raise ValueError(f"recording id {rid} ({path}) is listed twice")
+        if not UNLABELED <= cls < N_CLASSES:
+            raise ValueError(f"recording {rid} ({path}) has class {cls}, "
+                             f"outside {UNLABELED}..{N_CLASSES - 1}")
+        seen.add(rid)
     results, failures = [], []
     # one job runs on the caller's thread: a worker thread gets a malloc arena
     # of its own, which keeps the freed extraction buffers resident

@@ -19,6 +19,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .audio_io import AudioClip
 from .errors import DegenerateFilter, SignalTooShort
 
+# OpenBLAS hands a product of at most this many multiply-adds (M·N·K) to its
+# small-matrix kernels, which round a row by the product's row count; past it
+# a row's bits do not depend on how many rows share the product
+SMALL_GEMM_MADDS = 10 ** 6
+
 
 @dataclass(frozen=True)
 class MfccConfig:
@@ -157,8 +162,11 @@ def extract_mfcc(clip: AudioClip, cfg: MfccConfig) -> np.ndarray:
     The waveform is zero-padded or truncated to clip_seconds before framing so
     short recordings map to constant silence columns rather than artificial
     discontinuities. Frames that read only that padding are not transformed:
-    their power rows are exact zeros. The mel and DCT products still run over
-    every frame, since BLAS rounds a row by its place in the product.
+    their mel energies are exact zeros. The mel product runs over the live
+    frames only, plus zero rows while it has at most SMALL_GEMM_MADDS
+    multiply-adds, so each row rounds as it would in the whole grid; the log
+    and the DCT run over every frame, since a DCT over fewer columns rounds
+    differently.
     """
     if clip.sample_rate != cfg.sample_rate:
         raise ValueError(f"clip is at {clip.sample_rate} Hz but the front end "
@@ -182,10 +190,12 @@ def extract_mfcc(clip: AudioClip, cfg: MfccConfig) -> np.ndarray:
 
     frames = frame_and_window(pre_emphasize(x, cfg.pre_emphasis), cfg)[:live]
     spec = np.fft.rfft(frames, n=cfg.n_fft, axis=1)
-    power = np.zeros((n_frames, cfg.n_fft // 2 + 1))
-    np.add(spec.real ** 2, spec.imag ** 2, out=power[:live])
     fb, dct = mfcc_matrices(cfg)
-    mel_energy = power @ fb.T
+    rows = min(max(live, SMALL_GEMM_MADDS // fb.size + 1), n_frames)
+    power = np.zeros((rows, fb.shape[1]))
+    np.add(spec.real ** 2, spec.imag ** 2, out=power[:live])
+    mel_energy = np.zeros((n_frames, cfg.n_mel_filters))
+    mel_energy[:rows] = power @ fb.T
     log_energy = np.log(np.maximum(mel_energy, cfg.log_floor))
     coeffs = dct @ log_energy.T
     return pad_or_truncate(coeffs, cfg.target_frames)

@@ -244,7 +244,7 @@ def test_cache_bytes_match_documented_layout(tmp_path, small_corpus):
     first, second = sorted(small_corpus["audio_dir"].glob("*.wav"))[:2]
     out = tmp_path / "cache.lsfc"
     # out of id order, an unlabeled record and a failure
-    failures = build_feature_cache([(7, 2, str(first)), (3, 9, str(bad)),
+    failures = build_feature_cache([(7, 2, str(first)), (3, 5, str(bad)),
                                     (1, dataset.UNLABELED, str(second))], cfg, out)
     assert [f[:2] for f in failures] == [(3, str(bad))]
     data = out.read_bytes()
@@ -347,6 +347,24 @@ def test_cache_shape_fixed(tmp_path):
     cfg = features.MfccConfig(clip_seconds=1.0, target_frames=44)
     with pytest.raises(ValueError):
         build_feature_cache([], cfg, tmp_path / "c.lsfc")
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([(1, 0, "a.wav"), (2, 1, "b.wav"), (1, 2, "c.wav")],
+     r"recording id 1 \(c\.wav\) is listed twice"),
+    ([(1, 0, "a.wav"), (2, 6, "b.wav"), (3, -2, "c.wav")], r"recording 2 \(b\.wav\) has class 6"),
+    ([(1, 0, "a.wav"), (2 ** 32, 1, "b.wav"), (-1, 1, "c.wav")],
+     r"recording id 4294967296 \(b\.wav\) does not fit in u32"),
+], ids=["duplicate-id", "class-outside-range", "id-outside-u32"])
+def test_cache_builder_refuses_entries_the_loader_rejects(tmp_path, monkeypatch, entries, message):
+    """Each entry is checked before any file is read, and no cache is written."""
+    def load_wav(*args, **kwargs):
+        pytest.fail("a WAV was read before the entries were checked")
+    monkeypatch.setattr(audio_io, "load_wav", load_wav)
+    out = tmp_path / "c.lsfc"
+    with pytest.raises(ValueError, match=message):
+        build_feature_cache(entries, features.MfccConfig(), out)
+    assert not out.exists()
 
 
 def test_parallel_extraction_matches_serial(tmp_path, small_corpus):

@@ -229,6 +229,24 @@ def test_short_clip_equals_whole_window_chain(rng, frame_length, hop_length):
                               _whole_window_chain(samples, cfg)), n
 
 
+@pytest.mark.parametrize("live, n", [(3, 2), (7, 2100), (8, 2600), (9, 3100), (89, 44100)])
+def test_live_frame_mel_product_matches_whole_grid_at_production_config(rng, live, n):
+    """The mel product runs over the live frames only, but over at least the
+    rows that lift it past SMALL_GEMM_MADDS (8 at this geometry), so the grid
+    equals the chain over every frame byte for byte on both sides of that
+    floor. Two samples already reach three frames, the fewest a clip can
+    have here; 44100 samples is a 2 s recording."""
+    cfg = MfccConfig()
+    fb, _ = features.mfcc_matrices(cfg)
+    assert features.SMALL_GEMM_MADDS // fb.size + 1 == 8
+    samples = rng.uniform(-0.5, 0.5, n)
+    padded = np.pad(samples, (0, 441000 - n))
+    frames = frame_and_window(pre_emphasize(padded, cfg.pre_emphasis), cfg)
+    assert np.count_nonzero(frames.any(axis=1)) == live
+    assert extract_mfcc(AudioClip(samples, 22050), cfg).tobytes() \
+        == _whole_window_chain(samples, cfg).tobytes()
+
+
 def test_extract_refuses_clip_at_another_rate():
     with pytest.raises(ValueError, match="44100 Hz.*22050 Hz"):
         extract_mfcc(AudioClip(np.zeros(44100), 44100), FAST)
