@@ -22,25 +22,27 @@ values to a tie.
 
 A stage forward, its backward and the dropout draw run over blocks of
 examples sized by one byte budget, _BLOCK_BYTES (about 2 MB of phase conv
-output, or of its gradient, or of the dropout keep mask, per block). A block's
-temporaries (phase patches, phase conv output or masked phase gradient, input
-mask, dx row products) live in per-worker scratch that stays in cache. The
-pooled map and argmax slots are written into full-size outputs, and dropout
-scales the pooled map in place. No patch matrix is kept: the backward
-rebuilds each block's patches from the stage input the trace holds (the
-network input, or the previous pooled map after dropout), then writes dx
-over that block. Each example's kernel gradient is one GEMM over its four
-phases, into a (B, 4 * c_in, c_out) partial that the caller sums in example
-order. Blocking changes no result bit:
+output, or of its gradient, or of the map dropout scales, per block). Every
+block of a stage has one example-major patch layout, (n, 4, Hp, Wp, 2, 2,
+C_in): each example's 2x2 patches grouped by pool phase (im2col by phase).
+So each product is one GEMM per block: the conv, into an (n, 4, Hp * Wp,
+C_out) phase map; dx, over the spent patches, then added into dx (col2im);
+and each example's kernel gradient over its four phases, into a (B, 4 *
+C_in, C_out) partial that the caller sums in example order. The patches,
+phase map and input mask are per-worker scratch that stays in cache. No
+patch matrix is kept: the backward rebuilds each block's patches from the
+stage input the trace holds (the network input, or the previous pooled map
+after dropout), then writes dx over that block. Blocking changes no result
+bit:
 - every elementwise step, and the max over phases, sees the same operands;
-- a GEMM row depends only on that row and the kernel, provided the BLAS
-  rounds a row the same whatever the row count (and column count, for the
-  dx products split by kernel row). That holds on the build recorded in
+- the BLAS is assumed to make a GEMM row depend only on that row and the
+  kernel, whatever the row count. That holds on the build recorded in
   tests/test_replay_hashes.py, which checks it through the trained
   parameters; a build where it fails breaks replay, not correctness;
 - each example's kernel-gradient GEMM has the same operands in any block,
   and the partials are summed in example order;
-- dx gets its contributions in the same order, phase by phase from zero;
+- dx gets its contributions in the same order, phase by phase from zero (a
+  phase's 2x2 taps cover disjoint pixels);
 - every dropout block but the last draws an even number of uint16 values
   (numpy draws two per 32-bit word and drops a half-used word at the end of
   a call), so the blocked draws continue one stream and the blocked mask
@@ -56,7 +58,7 @@ its batch when given none. It holds one flat buffer per role, sized on first
 use for its `rows` (its largest batch), so later forwards reuse pages
 instead of taking freshly zeroed ones. Only each stage's pooled map and
 argmax slots and the kernel-gradient partials are sized for the whole batch;
-the other roles hold one block per worker (the dropout keep mask one block).
+the other roles hold one block per worker.
 A forward overwrites the previous trace's buffers and a backward its maps
 (not the network input, which may be the caller's array), so
 loss_and_backward(trace, target, loss_kind), which differentiates with
@@ -179,9 +181,10 @@ def init_params(rng: np.random.Generator, spec: CnnSpec = CnnSpec(),
 # -- layer primitives ----------------------------------------------------
 
 _POOL_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
+_PHASE_IDS = np.arange(4, dtype=np.int8).reshape(4, 1, 1)  # slot ids, on a phase axis
 
-# bytes of phase conv output (or of its gradient, or of dropout draws) per
-# block of examples; see the module docstring
+# bytes of phase conv output (or of its gradient, or of the map dropout
+# scales) per block of examples; see the module docstring
 _BLOCK_BYTES = 2 << 20
 
 
@@ -248,8 +251,9 @@ def _run_blocks(ws, blocks, workers: int, work, first=None):
 @dataclass(eq=False)
 class Workspace:
     """The execution context of forwards and backwards: `rows` is the largest
-    batch it is sized for, `buffers` maps a role to its flat buffer (see
-    _empty), `forwards` counts forwards, and `pool` is the block pool (see
+    batch it is sized for, `buffers` maps a role (pooled{k}, idx{k}, dkernel;
+    per worker, patches, scratch, live) to its flat buffer (see _empty),
+    `forwards` counts forwards, and `pool` is the block pool (see
     _run_blocks), built in process `pool_pid`."""
 
     rows: int
@@ -259,40 +263,39 @@ class Workspace:
     pool_pid: int = field(default=0, init=False, repr=False)
 
 
-def _empty(ws, role, shape, dtype, n, row_bytes=None, per_worker=False):
+def _empty(ws, role, shape, dtype, row_bytes=None):
     """A view of shape and dtype on role's buffer in the workspace ws.
 
-    shape spans n examples: a whole batch, or one block of examples of
-    row_bytes each, or (per_worker) one such block for each worker. A buffer
-    is sized for as many examples as that request spans at ws.rows, or for n
-    when more; an old one is freed first.
+    shape is (examples, ...) for a whole batch, or, given row_bytes,
+    (workers, step, ...): one block of step examples of row_bytes each per
+    worker, as _blocks splits a batch. A buffer is sized for as many examples
+    as that request spans at ws.rows, or for as many as it spans now when
+    more; an old one is freed first.
     """
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
     if role not in ws.buffers or ws.buffers[role].size < nbytes:
         ws.buffers.pop(role, None)
-        cap = ws.rows
+        n, cap = shape[0], ws.rows
         if row_bytes is not None:
-            _, cap, workers = _blocks(ws.rows, row_bytes)
-            if per_worker:
-                cap *= workers
+            _, step, workers = _blocks(ws.rows, row_bytes)
+            n, cap = shape[0] * shape[1], step * workers
         ws.buffers[role] = np.empty(nbytes // max(1, n) * max(n, cap), np.uint8)
     return ws.buffers[role][:nbytes].view(dtype).reshape(shape)
 
 
-def _phase_patches(x: np.ndarray, out: np.ndarray, by_example: bool = False) -> None:
-    """Write the 2x2 patches of a (B, H, W, C) batch, grouped by pool phase,
-    into out of shape (4, B, Hp, Wp, 2, 2, C), or (B, 4, Hp, Wp, 2, 2, C)
-    when by_example.
+def _phase_patches(x: np.ndarray, out: np.ndarray) -> None:
+    """Write the 2x2 patches of a (B, H, W, C) batch, grouped by example and
+    pool phase, into the contiguous (B, 4, Hp, Wp, 2, 2, C) array out.
 
-    out[2*di + dj, :, i, j] (out[:, 2*di + dj, i, j] by example) is, for
-    i < Hp = (H-1)//2 and j < Wp = (W-1)//2, the patch whose conv output sits
-    at (2i + di, 2j + dj): slot (di, dj) of pool window (i, j). The odd
-    trailing conv row and column that pooling drops get no patch.
+    out[b, 2*di + dj, i, j] is, for i < Hp = (H-1)//2 and j < Wp = (W-1)//2,
+    example b's patch whose conv output sits at (2i + di, 2j + dj): slot
+    (di, dj) of pool window (i, j). The odd trailing conv row and column that
+    pooling drops get no patch.
     """
     b, h, w, c = x.shape
     hp, wp = (h - 1) // 2, (w - 1) // 2
-    out = out.reshape(((b, 2, 2) if by_example else (2, 2, b)) + (hp, wp, 2, 2, c), copy=False)
-    out = out.transpose(1, 2, 0, 3, 4, 5, 6, 7) if by_example else out  # phase axes first
+    # phase axes first: out[di, dj] is every example's phase (di, dj)
+    out = out.reshape(b, 2, 2, hp, wp, 2, 2, c, copy=False).transpose(1, 2, 0, 3, 4, 5, 6, 7)
     # pairs[r][q][b, i, u, j, v] is x[b, r + 2i + u, q + 2j + v]. Not as_strided: its
     # interned keys regrew the ~1 MB intern table on any worker, so the heap varied by run
     pairs = [[x[:, r:r + 2 * hp, q:q + 2 * wp].reshape(b, hp, 2, wp, 2, c, copy=False)
@@ -315,10 +318,10 @@ def _conv_forward(x, kernel, bias, keep_trace, ws, stage):
     the pooled map; rounding is monotone, so max(fl(a+b), fl(c+b)) ==
     fl(max(a, c) + b) and the result equals conv+bias -> ReLU -> pool exactly.
     The batch runs in blocks of examples on ws's block pool, each block's
-    phase patches in its worker's scratch, and the arrays come from ws (see
-    the module docstring). Returns (pooled, idx); idx is the within-window
-    argmax slot (row-major, first occurrence on ties, taken before the bias
-    is added), None unless keep_trace.
+    phase patches in its worker's scratch and its four phases in one GEMM,
+    and the arrays come from ws (see the module docstring). Returns (pooled,
+    idx); idx is the within-window argmax slot (row-major, first occurrence
+    on ties, taken before the bias is added), None unless keep_trace.
     """
     b, h, w, c_in = x.shape
     c_out = kernel.shape[3]
@@ -329,28 +332,23 @@ def _conv_forward(x, kernel, bias, keep_trace, ws, stage):
     k2 = kernel.reshape(4 * c_in, c_out)
     row_bytes = 4 * hp * wp * c_out * dtype.itemsize
     blocks, step, workers = _blocks(b, row_bytes)
-    out = _empty(ws, f"pooled{stage}", (b, hp, wp, c_out), dtype, b)
-    z = _empty(ws, "scratch", (workers, 4, step * hp * wp, c_out), dtype, workers * step,
-               row_bytes, per_worker=True)
-    patches = _empty(ws, "patches", (workers, 4, step, hp, wp, 2, 2, c_in), x.dtype,
-                     workers * step, row_bytes, per_worker=True)
+    out = _empty(ws, f"pooled{stage}", (b, hp, wp, c_out), dtype)
+    z = _empty(ws, "scratch", (workers, step, 4, hp, wp, c_out), dtype, row_bytes)
+    patches = _empty(ws, "patches", (workers, step, 4, hp, wp, 2, 2, c_in), x.dtype, row_bytes)
     bias_row = np.tile(bias, wp)  # one pooled row: long inner loops for the add
-    idx = _empty(ws, f"idx{stage}", out.shape, np.int8, b) if keep_trace else None
+    idx = _empty(ws, f"idx{stage}", out.shape, np.int8) if keep_trace else None
 
     def block(w, s):
         n = s.stop - s.start
-        rows = n * hp * wp
-        pc = patches[w, :, :n]
+        pc, zb = patches[w, :n], z[w, :n]
         _phase_patches(x[s], pc)
-        for phase in range(4):
-            np.matmul(pc[phase].reshape(rows, 4 * c_in), k2, out=z[w, phase, :rows])
-        zb = z[w, :, :rows].reshape(4, n, hp, wp, c_out)
+        np.matmul(pc.reshape(-1, 4 * c_in), k2, out=zb.reshape(-1, c_out))
         if keep_trace:
-            left = (zb[1] > zb[0]).view(np.int8)
-            right = (zb[3] > zb[2]).view(np.int8)
-        # the window maxima overwrite phases 0 and 2: no float temporaries
-        top = np.maximum(zb[0], zb[1], out=zb[0])
-        bottom = np.maximum(zb[2], zb[3], out=zb[2])
+            # the argmax column of each window row: [:, 0] the top, [:, 1] the bottom
+            col = (zb[:, 1::2] > zb[:, 0::2]).view(np.int8)
+        # the window rows' maxima overwrite phases 0 and 2: no float temporaries
+        row_max = np.maximum(zb[:, 0::2], zb[:, 1::2], out=zb[:, 0::2])
+        top, bottom = row_max[:, 0], row_max[:, 1]
         o = out[s]
         np.maximum(top, bottom, out=o)
         o.reshape(n * hp, wp * c_out, copy=False)[...] += bias_row
@@ -359,7 +357,7 @@ def _conv_forward(x, kernel, bias, keep_trace, ws, stage):
             # branch-free select of the slot; np.where is several times slower
             # on masks as irregular as these
             lower = (bottom > top).view(np.int8)
-            idx[s] = left + lower * (right + 2 - left)
+            idx[s] = col[:, 0] + lower * (col[:, 1] + 2 - col[:, 0])
 
     _run_blocks(ws, blocks, workers, block)
     return out, idx
@@ -371,49 +369,46 @@ def _conv_backward(dy, x, kernel, x_shape, need_dx, idx, ws, scale):
     dy is the masked gradient at the pooled map (see backward_from_dp), x the
     stage's input, x_shape its shape (the benchmark's tracer reads it by
     position) and idx from _conv_forward. Each block on ws's pool rebuilds its
-    patches from x and masks its phase gradients dy * (idx == p) into its
-    worker's scratch, example-major, so each example's kernel gradient is one
-    GEMM, into a partial the caller sums in example order (db runs there
-    meanwhile). dx is then written over that block of x, one product per
-    phase and kernel row in phase order (a phase's 2x2 taps cover disjoint
-    pixels), masked by x > 0 and multiplied by scale, as dy was.
+    patches from x and masks its phase gradients dy * (idx == p), all four
+    phases in one broadcast, into its worker's scratch, example-major, so
+    each example's kernel gradient is one GEMM, into a partial the caller
+    sums in example order (db runs there meanwhile). dx is one GEMM per
+    block, written over the spent patches and added into that block of x
+    phase by phase (a phase's 2x2 taps cover disjoint pixels), then masked by
+    x > 0 and multiplied by scale, as dy was.
     """
     b, _, _, c_in = x_shape
     c_out = kernel.shape[3]
     hp, wp = dy.shape[1:3]
     row_bytes = 4 * hp * wp * c_out * dy.dtype.itemsize
     blocks, step, workers = _blocks(b, row_bytes)
-    patches = _empty(ws, "patches", (workers, step, 4 * hp * wp, 4 * c_in), x.dtype,
-                     workers * step, row_bytes, per_worker=True)
-    dz = _empty(ws, "scratch", (workers, step, 4, hp * wp, c_out), dy.dtype, workers * step,
-                row_bytes, per_worker=True)
-    partials = _empty(ws, "dkernel", (b, 4 * c_in, c_out), dy.dtype, b)
+    patches = _empty(ws, "patches", (workers, step, 4, hp, wp, 2, 2, c_in), x.dtype, row_bytes)
+    dz = _empty(ws, "scratch", (workers, step, 4, hp * wp, c_out), dy.dtype, row_bytes)
+    partials = _empty(ws, "dkernel", (b, 4 * c_in, c_out), dy.dtype)
     if need_dx:
         dx = x
-        live = _empty(ws, "live", (workers, step, *x_shape[1:]), bool, workers * step,
-                      row_bytes, per_worker=True)
-        k_rows = [kernel[ki].reshape(2 * c_in, c_out).T for ki in range(2)]
-        row_grad = _empty(ws, "dx_rows", (workers, step, hp * wp, 2 * c_in), dy.dtype,
-                          workers * step, row_bytes, per_worker=True)
+        live = _empty(ws, "live", (workers, step, *x_shape[1:]), bool, row_bytes)
+        k2t = kernel.reshape(4 * c_in, c_out).T
 
     def block(w, s):
         n = s.stop - s.start
         pc, dzb = patches[w, :n], dz[w, :n]
-        _phase_patches(x[s], pc, by_example=True)
-        flat_dy, flat_idx = dy[s].reshape(n, hp * wp, c_out), idx[s].reshape(n, hp * wp, c_out)
-        for phase in range(4):
-            np.multiply(flat_dy, flat_idx == phase, out=dzb[:, phase])
-        np.matmul(pc.transpose(0, 2, 1), dzb.reshape(n, 4 * hp * wp, c_out), out=partials[s])
+        _phase_patches(x[s], pc)
+        np.multiply(dy[s].reshape(n, 1, hp * wp, c_out),
+                    idx[s].reshape(n, 1, hp * wp, c_out) == _PHASE_IDS, out=dzb)
+        np.matmul(pc.reshape(n, 4 * hp * wp, 4 * c_in).transpose(0, 2, 1),
+                  dzb.reshape(n, 4 * hp * wp, c_out), out=partials[s])
         if not need_dx:
             return
         keep = np.greater(x[s], 0, out=live[w, :n])
+        g = np.matmul(dzb.reshape(-1, c_out), k2t, out=pc.reshape(-1, 4 * c_in)).reshape(pc.shape)
         dx[s] = 0
         for phase, (di, dj) in enumerate(_POOL_OFFSETS):
             for ki in range(2):
                 # row 2i + di + ki of dx, columns (2j + dj + kj, c) of all windows j
-                g = np.matmul(dzb[:, phase], k_rows[ki], out=row_grad[w, :n])
                 r = di + ki
-                dx[s, r:r + 2 * hp:2, dj:dj + 2 * wp, :] += g.reshape(n, hp, 2 * wp, c_in)
+                d = dx[s, r:r + 2 * hp:2, dj:dj + 2 * wp].reshape(n, hp, wp, 2, c_in, copy=False)
+                d += g[:, phase, :, :, ki]
         np.multiply(dx[s], keep, out=dx[s])
         dx[s] *= scale
 
@@ -426,6 +421,7 @@ def _maxpool_core(x: np.ndarray) -> np.ndarray:
     """Unfused 2x2/stride-2 max pool; trailing odd rows/columns are dropped.
 
     The network pools inside _conv_forward; this serves the tests' oracle.
+    Held in src/ because perfbench/tracing.py wraps it by name (ROADMAP item 5).
     """
     b, h, w, c = x.shape
     if h < 2 or w < 2:
@@ -441,6 +437,7 @@ def maxpool2d_backward(dy: np.ndarray, idx: np.ndarray, x_shape) -> np.ndarray:
 
     The training path does this inside _conv_backward; this is the reference
     the fused stage is tested against.
+    Held in src/ because perfbench/tracing.py wraps it by name (ROADMAP item 5).
     """
     b, h, w, c = x_shape
     hp, wp = h // 2, w // 2
@@ -489,29 +486,27 @@ def _keep_scale(dtype):
     return dtype.type(65536) / dtype.type(65536 - _drop_threshold())
 
 
-def dropout(x: np.ndarray, rng: np.random.Generator, ws: Workspace) -> np.ndarray:
+def dropout(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Inverted dropout in place: zero each entry of x whose uint16 draw is
     below _drop_threshold(), scale survivors by _keep_scale; returns x.
 
-    The draws run block by block (the keep mask's scratch from ws). numpy
-    draws two uint16 values per 32-bit word and drops a half-used word at
-    the end of a call, so every block but the last holds an even number of
-    entries; successive draws then continue one stream, and x ends as
+    The draws run block by block, and each block of x is multiplied by its
+    keep mask (draws >= threshold) and then by the scale. numpy draws two
+    uint16 values per 32-bit word and drops a half-used word at the end of a
+    call, so every block but the last holds an even number of entries;
+    successive draws then continue one stream, and x ends as
     x * ((one full-shape draw >= threshold) * scale), rounded once.
     """
     row = x[:1].size
-    row_bytes = x.itemsize * row
-    step = _block_rows(len(x), row_bytes)
+    step = _block_rows(len(x), x.itemsize * row)
     if row % 2 and step % 2 and step < len(x):
         step += 1
-    keep = _empty(ws, "keep", (step,) + x.shape[1:], x.dtype, step, row_bytes)
     threshold, scale = _drop_threshold(), _keep_scale(x.dtype)
     for start in range(0, len(x), step):
-        n = min(step, len(x) - start)
-        draws = rng.integers(0, 65536, size=(n,) + x.shape[1:], dtype=np.uint16)
-        np.greater_equal(draws, threshold, out=keep[:n], casting="unsafe")
-        keep[:n] *= scale
-        x[start:start + n] *= keep[:n]
+        xb = x[start:start + step]
+        np.multiply(xb, rng.integers(0, 65536, size=xb.shape, dtype=np.uint16) >= threshold,
+                    out=xb)
+        xb *= scale
     return x
 
 
@@ -527,10 +522,12 @@ class ForwardTrace:
     x: np.ndarray                       # (B, H, W, 1)
     workspace: Workspace                # the stage arrays below are views of its buffers
     stamp: int                          # workspace.forwards once this forward began
-    conv_cols: list = field(default_factory=list)   # empty: the backward rebuilds patches
+    # conv_cols and drop_masks are always empty (the backward rebuilds patches,
+    # dropout keeps no mask); perfbench/tracing.py reads them (ROADMAP item 5)
+    conv_cols: list = field(default_factory=list)
     pool_out: list = field(default_factory=list)     # pooled maps, after dropout in training
     pool_idx: list = field(default_factory=list)
-    drop_masks: list = field(default_factory=list)   # empty: dropout keeps no mask
+    drop_masks: list = field(default_factory=list)
     dense_in: np.ndarray = None         # (B, C_last)
     logits: np.ndarray = None
     probs: np.ndarray = None
@@ -546,7 +543,8 @@ def forward_batch(params: ModelParams, xs: np.ndarray, training: bool = False,
     draws `rng` supplies. keep_trace (default: training) keeps the
     backward-pass intermediates. The stage arrays, and so the trace, live in
     the buffers of `ws`, or of a workspace built for this batch when none is
-    given.
+    given. No caller in src/ passes keep_trace; perfbench/workloads.py does,
+    and perfbench/tracing.py sizes the trace it leaves (ROADMAP item 5).
     """
     if training and rng is None:
         raise ValueError("training forward with dropout needs an rng")
@@ -561,7 +559,7 @@ def forward_batch(params: ModelParams, xs: np.ndarray, training: bool = False,
     for k, (kernel, bias) in enumerate(zip(params.conv_kernels, params.conv_biases)):
         a, idx = _conv_forward(a, kernel, bias, keep_trace, ws, k)
         if training:
-            dropout(a, rng, ws)
+            dropout(a, rng)
         if keep_trace:
             trace.pool_out.append(a)
             trace.pool_idx.append(idx)

@@ -135,18 +135,17 @@ def test_fused_stage_backward_matches_oracle(rng, shape):
 
 
 @pytest.mark.parametrize("shape", STAGE_SHAPES)
-@pytest.mark.parametrize("by_example", [False, True])
-def test_phase_patches_match_im2col(rng, shape, by_example):
+def test_phase_patches_match_im2col(rng, shape):
     # a slice of a wider map: the input need not be contiguous
     b, h, w, c = shape
     x = rng.normal(size=(b, h, w + 3, c)).astype(np.float32)[:, :, 1:-2]
     hp, wp = (h - 1) // 2, (w - 1) // 2
-    got = np.full(((b, 4) if by_example else (4, b)) + (hp, wp, 2, 2, c), np.nan, np.float32)
-    nn._phase_patches(x, got, by_example)
+    got = np.full((b, 4, hp, wp, 2, 2, c), np.nan, np.float32)
+    nn._phase_patches(x, got)
     cols = oracle.im2col(x).reshape(b, h - 1, w - 1, 2, 2, c)
     for p, (di, dj) in enumerate(nn._POOL_OFFSETS):
         want = cols[:, di:di + 2 * hp:2, dj:dj + 2 * wp:2]
-        assert np.array_equal(got[:, p] if by_example else got[p], want), p
+        assert np.array_equal(got[:, p], want), p
 
 
 def test_fused_stage_too_small_raises(rng):
@@ -186,7 +185,7 @@ def test_blocked_stage_is_bit_identical(monkeypatch, rng, batch):
     b = rng.normal(0.0, 0.5, size=8).astype(np.float32)
     dy = rng.normal(size=(batch, 4, 5, 8)).astype(np.float32)
     # per example: the phase conv output (and its gradient) is 4*4*5*8
-    # floats, the dropout keep mask 4*5*8 floats
+    # floats, the pooled map that dropout scales 4*5*8 floats
     stage_row, drop_row = 4 * 4 * 5 * 8 * 4, 4 * 5 * 8 * 4
 
     def run(rows):
@@ -199,7 +198,7 @@ def test_blocked_stage_is_bit_identical(monkeypatch, rng, batch):
                                        nn._keep_scale(x.dtype))
         monkeypatch.setattr(nn, "_BLOCK_BYTES", rows * drop_row)
         assert len(nn._blocks(batch, drop_row)[0]) == -(-batch // rows)
-        dropped = nn.dropout(pooled.copy(), substream(1, "dropout"), nn.Workspace(batch))
+        dropped = nn.dropout(pooled.copy(), substream(1, "dropout"))
         return pooled, idx, inferred[0], dropped, dx, dk, db
 
     want = run(batch)
@@ -218,7 +217,7 @@ def test_blocked_dropout_is_one_full_draw(monkeypatch, rng, shape):
     row_bytes = x[:1].nbytes
     for rows in range(1, len(x) + 1):
         monkeypatch.setattr(nn, "_BLOCK_BYTES", rows * row_bytes)
-        got = nn.dropout(x.copy(), substream(5, "dropout"), nn.Workspace(len(x)))
+        got = nn.dropout(x.copy(), substream(5, "dropout"))
         assert got.tobytes() == want.tobytes(), rows
 
 
@@ -359,7 +358,7 @@ def test_softmax_stability():
 
 def test_dropout_zero_fraction():
     x = np.ones(100000, dtype=np.float32)
-    out = nn.dropout(x, substream(9, "dropout"), nn.Workspace(len(x)))
+    out = nn.dropout(x, substream(9, "dropout"))
     assert out is x  # in place
     frac = float((out == 0).mean())
     assert 0.19 <= frac <= 0.21
@@ -379,7 +378,7 @@ def test_backward_mask_order_is_bit_identical(rng):
     da[:, 1::5] = 0.0
     mask = oracle.dropout_mask(substream(2, "dropout"), pool.shape)
     want = (da * mask) * (pool > 0)
-    after = nn.dropout(pool.copy(), substream(2, "dropout"), nn.Workspace(len(pool)))
+    after = nn.dropout(pool.copy(), substream(2, "dropout"))
     assert after.tobytes() == (pool * mask).tobytes()
     got = (da * (after > 0)) * mask.max()  # the survivor scale
     assert got.tobytes() == want.tobytes()  # signed zeros included
@@ -453,7 +452,7 @@ def test_workspace_steps_are_bit_identical(monkeypatch):
     # the first step, below capacity, sized every buffer for 32 rows
     assert all(ids == identities[0] for ids in identities)
     assert set(ws.buffers) == {*(f"{role}{k}" for role in ("pooled", "idx") for k in range(3)),
-                               "dkernel", "patches", "scratch", "live", "dx_rows", "keep"}
+                               "dkernel", "patches", "scratch", "live"}
     assert ws.forwards == len(schedule)
 
 
@@ -495,16 +494,15 @@ def test_training_workspace_stays_under_per_row_bound(monkeypatch):
     # what every row needs: its pooled maps (float32) and argmax slots (int8)
     # and its kernel-gradient partial; dx is written over the pooled maps
     per_row = 5 * sum(pooled) + max(4 * ci * c * 4 for ci, c in zip(c_in, spec.channels))
-    # each worker's blocks of patches (a patch row is at most two phase rows),
-    # phase output, and dx rows plus input mask (under one phase row
-    # together), and one dropout keep mask; a block holds about _BLOCK_BYTES
-    # of phase output, or one row when more
+    # each worker's blocks of patches (a patch row is at most two phase rows,
+    # and holds the dx products too), phase output, and input mask (bool, at
+    # most one phase row); a block holds about _BLOCK_BYTES of phase output,
+    # or one row when more
     block = max(nn._BLOCK_BYTES, *phase_rows)
     assert all(p <= 2 * f for p, f in zip(patch_rows, phase_rows))
-    dx_rows = [p // c * 2 * ci * 4 for p, c, ci in zip(pooled, spec.channels, c_in)]
-    assert all(d + i <= f for d, i, f in zip(dx_rows[1:], inputs[1:], phase_rows[1:]))
+    assert all(i <= f for i, f in zip(inputs[1:], phase_rows[1:]))
     total = sum(buf.nbytes for buf in ws.buffers.values())
-    assert total <= rows * per_row + (workers * 4 + 1) * block
+    assert total <= rows * per_row + workers * 4 * block
     # no patch matrix or phase-stacked conv gradient for the whole batch
     assert max(buf.nbytes for buf in ws.buffers.values()) < rows * min(max(patch_rows),
                                                                         max(phase_rows))
