@@ -20,36 +20,29 @@ argmax that routes the gradient is taken before the bias is added, so it can
 differ from the unfused order only where adding the bias rounds two unequal
 values to a tie.
 
-A stage forward, its backward and the dropout draw run over blocks of
-examples sized by one byte budget, _BLOCK_BYTES (about 2 MB of phase conv
-output, or of its gradient, or of the map dropout scales, per block). Every
-block of a stage has one example-major patch layout, (n, 4, Hp, Wp, 2, 2,
-C_in): each example's 2x2 patches grouped by pool phase (im2col by phase).
-So each product is one GEMM per block: the conv, into an (n, 4, Hp * Wp,
-C_out) phase map; dx, over the spent patches, then added into dx (col2im);
-and each example's kernel gradient over its four phases, into a (B, 4 *
-C_in, C_out) partial that the caller sums in example order. The patches,
-phase map and input mask are per-worker scratch that stays in cache. No
-patch matrix is kept: the backward rebuilds each block's patches from the
-stage input the trace holds (the network input, or the previous pooled map
-after dropout), then writes dx over that block. Blocking changes no result
-bit:
-- every elementwise step, and the max over phases, sees the same operands;
-- the BLAS is assumed to make a GEMM row depend only on that row and the
-  kernel, whatever the row count. That holds on the build recorded in
-  tests/test_replay_hashes.py, which checks it through the trained
-  parameters; a build where it fails breaks replay, not correctness;
-- each example's kernel-gradient GEMM has the same operands in any block,
-  and the partials are summed in example order;
-- dx gets its contributions in the same order, phase by phase from zero (a
-  phase's 2x2 taps cover disjoint pixels);
-- every dropout block but the last draws an even number of uint16 values
-  (numpy draws two per 32-bit word and drops a half-used word at the end of
-  a call), so the blocked draws continue one stream and the blocked mask
-  equals the mask of one full-shape draw.
+A stage forward and its backward run one example per block. A block's
+patches have one layout, (1, 4, Hp, Wp, 2, 2, C_in): the example's 2x2
+patches grouped by pool phase (im2col by phase). So each product is one GEMM
+per example: the conv, into a (4, Hp * Wp, C_out) phase map; dx, over the
+spent patches, then added into dx (col2im); and the kernel gradient over the
+four phases, into a (B, 4 * C_in, C_out) partial that the caller sums in
+example order. The patches, phase map and input mask are per-worker scratch
+that stays in cache. No patch matrix is kept: the backward rebuilds each
+example's patches from the stage input the trace holds (the network input,
+or the previous pooled map after dropout), then writes dx over that example.
+Every conv GEMM's row count is set by the stage geometry alone, so on any
+BLAS an example's bits depend neither on the other examples in its batch nor
+on the worker that ran it. What the examples of a batch share keeps that:
+- the caller sums the kernel-gradient partials in example order;
+- dropout draws one example per call, or two when an example holds an odd
+  number of entries, so every call but the last draws an even number of
+  uint16 values (numpy draws two per 32-bit word and drops a half-used word
+  at the end of a call); the draws continue one stream, and the mask equals
+  the mask of one full-shape draw.
 
 The dense head is a per-row product summed in input order, not a GEMM, so a
-row's probabilities do not depend on how many rows share its forward.
+row's probabilities do not depend on how many rows share its forward: a
+recording scores the same alone or in any batch.
 
 Every forward and backward runs in a Workspace. A training run
 (training._train) passes one to all its forwards and backwards, and
@@ -58,22 +51,23 @@ its batch when given none. It holds one flat buffer per role, sized on first
 use for its `rows` (its largest batch), so later forwards reuse pages
 instead of taking freshly zeroed ones. Only each stage's pooled map and
 argmax slots and the kernel-gradient partials are sized for the whole batch;
-the other roles hold one block per worker.
+the other roles hold one example per worker.
 A forward overwrites the previous trace's buffers and a backward its maps
 (not the network input, which may be the caller's array), so
 loss_and_backward(trace, target, loss_kind), which differentiates with
 respect to the parameters the trace holds, refuses (StaleTrace) a trace
 whose workspace has run a forward since, or whose backward has run.
 
-The blocks of a stage forward and of its backward run with one worker per
-usable CPU (usable_cpus: the process's CPU affinity set). The caller's
-thread is worker 0; each worker takes the next unclaimed block and writes
-only that block's slices of the outputs and its own slice of the scratch. A
-call with one block, or a process with one usable CPU, runs inline. The
+The examples of a stage forward and of its backward run with one worker per
+usable CPU (usable_cpus: the process's CPU affinity set), at most one per
+example. The caller's thread is worker 0; each worker takes the next
+unclaimed example and writes only that example's slices of the outputs and
+its own slice of the scratch. A batch of one, or a process with one usable
+CPU, runs inline. The
 first call that needs more workers builds the workspace's pool of
 usable_cpus() - 1 threads, whose threads end when the workspace is
 collected; a forked child builds its own, as the parent's threads did not
-come along. No result bit depends on the worker count: a block's arithmetic
+come along. No result bit depends on the worker count: an example's arithmetic
 is the same on any worker, and the work whose order matters stays on the
 caller's thread (the dropout draws, db, the sum of the kernel-gradient
 partials, the head, softmax and Adam); db runs there while the pool works.
@@ -183,27 +177,6 @@ def init_params(rng: np.random.Generator, spec: CnnSpec = CnnSpec(),
 _POOL_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
 _PHASE_IDS = np.arange(4, dtype=np.int8).reshape(4, 1, 1)  # slot ids, on a phase axis
 
-# bytes of phase conv output (or of its gradient, or of the map dropout
-# scales) per block of examples; see the module docstring
-_BLOCK_BYTES = 2 << 20
-
-
-def _block_rows(n: int, row_bytes: int) -> int:
-    """Examples per block: about _BLOCK_BYTES of row_bytes each, at most n."""
-    return min(max(1, _BLOCK_BYTES // max(1, row_bytes)), n)
-
-
-def _blocks(n: int, row_bytes: int):
-    """Split n examples into blocks of _block_rows(n, row_bytes) examples.
-
-    Returns (slices along the batch axis, the largest block's row count, the
-    workers that would run them: one per usable CPU, at most one per block).
-    """
-    step = _block_rows(n, row_bytes)
-    slices = [slice(s, min(s + step, n)) for s in range(0, n, max(1, step))]
-    return slices, step, min(usable_cpus(), len(slices))
-
-
 def usable_cpus() -> int:
     """CPUs this process may run on: its affinity set, or every CPU where the
     platform has no affinity call."""
@@ -212,25 +185,25 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_blocks(ws, blocks, workers: int, work, first=None):
-    """Call work(w, s) once for every block slice s, where w < workers names
+def _run_blocks(ws, n: int, workers: int, work, first=None):
+    """Call work(w, i) once for every example i < n, where w < workers names
     the worker that runs it and so its scratch slice; returns first().
 
-    Each worker takes the next unclaimed block until none is left. The
+    Each worker takes the next unclaimed example until none is left. The
     caller's thread is worker 0 and ws's pool runs the rest; the caller calls
-    `first` (when given) before it takes a block, so that work overlaps the
-    pool's. One worker runs inline and never touches the pool. Returns once
-    every block is done.
+    `first` (when given) before it takes an example, so that work overlaps
+    the pool's. One worker runs inline and never touches the pool. Returns
+    once every example is done.
     """
-    pending, lock = iter(blocks), threading.Lock()
+    pending, lock = iter(range(n)), threading.Lock()
 
     def drain(w):
         while True:
             with lock:
-                s = next(pending, None)
-            if s is None:
+                i = next(pending, None)
+            if i is None:
                 return
-            work(w, s)
+            work(w, i)
 
     futures = []
     if workers > 1:
@@ -252,8 +225,8 @@ def _run_blocks(ws, blocks, workers: int, work, first=None):
 class Workspace:
     """The execution context of forwards and backwards: `rows` is the largest
     batch it is sized for, `buffers` maps a role (pooled{k}, idx{k}, dkernel;
-    per worker, patches, scratch, live) to its flat buffer (see _empty),
-    `forwards` counts forwards, and `pool` is the block pool (see
+    one example per worker, patches, scratch, live) to its flat buffer (see
+    _empty), `forwards` counts forwards, and `pool` is the block pool (see
     _run_blocks), built in process `pool_pid`."""
 
     rows: int
@@ -263,22 +236,19 @@ class Workspace:
     pool_pid: int = field(default=0, init=False, repr=False)
 
 
-def _empty(ws, role, shape, dtype, row_bytes=None):
+def _empty(ws, role, shape, dtype, per_worker=False):
     """A view of shape and dtype on role's buffer in the workspace ws.
 
-    shape is (examples, ...) for a whole batch, or, given row_bytes,
-    (workers, step, ...): one block of step examples of row_bytes each per
-    worker, as _blocks splits a batch. A buffer is sized for as many examples
-    as that request spans at ws.rows, or for as many as it spans now when
+    shape is (examples, ...) for a whole batch, or, per_worker, (workers,
+    ...): one example per worker, as _run_blocks hands them out. A buffer is
+    sized for as many examples as that request spans at ws.rows (for
+    min(usable_cpus(), ws.rows) workers), or for as many as it spans now when
     more; an old one is freed first.
     """
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
     if role not in ws.buffers or ws.buffers[role].size < nbytes:
         ws.buffers.pop(role, None)
-        n, cap = shape[0], ws.rows
-        if row_bytes is not None:
-            _, step, workers = _blocks(ws.rows, row_bytes)
-            n, cap = shape[0] * shape[1], step * workers
+        n, cap = shape[0], min(usable_cpus(), ws.rows) if per_worker else ws.rows
         ws.buffers[role] = np.empty(nbytes // max(1, n) * max(n, cap), np.uint8)
     return ws.buffers[role][:nbytes].view(dtype).reshape(shape)
 
@@ -317,7 +287,7 @@ def _conv_forward(x, kernel, bias, keep_trace, ws, stage):
     elementwise max of the four phase maps. Bias and ReLU are applied once, on
     the pooled map; rounding is monotone, so max(fl(a+b), fl(c+b)) ==
     fl(max(a, c) + b) and the result equals conv+bias -> ReLU -> pool exactly.
-    The batch runs in blocks of examples on ws's block pool, each block's
+    The batch runs one example per block on ws's block pool, each example's
     phase patches in its worker's scratch and its four phases in one GEMM,
     and the arrays come from ws (see the module docstring). Returns (pooled,
     idx); idx is the within-window argmax slot (row-major, first occurrence
@@ -330,36 +300,33 @@ def _conv_forward(x, kernel, bias, keep_trace, ws, stage):
     hp, wp = (h - 1) // 2, (w - 1) // 2
     dtype = np.result_type(x.dtype, kernel.dtype)
     k2 = kernel.reshape(4 * c_in, c_out)
-    row_bytes = 4 * hp * wp * c_out * dtype.itemsize
-    blocks, step, workers = _blocks(b, row_bytes)
+    workers = min(usable_cpus(), b)
     out = _empty(ws, f"pooled{stage}", (b, hp, wp, c_out), dtype)
-    z = _empty(ws, "scratch", (workers, step, 4, hp, wp, c_out), dtype, row_bytes)
-    patches = _empty(ws, "patches", (workers, step, 4, hp, wp, 2, 2, c_in), x.dtype, row_bytes)
+    z = _empty(ws, "scratch", (workers, 4, hp, wp, c_out), dtype, per_worker=True)
+    patches = _empty(ws, "patches", (workers, 4, hp, wp, 2, 2, c_in), x.dtype, per_worker=True)
     bias_row = np.tile(bias, wp)  # one pooled row: long inner loops for the add
     idx = _empty(ws, f"idx{stage}", out.shape, np.int8) if keep_trace else None
 
-    def block(w, s):
-        n = s.stop - s.start
-        pc, zb = patches[w, :n], z[w, :n]
-        _phase_patches(x[s], pc)
-        np.matmul(pc.reshape(-1, 4 * c_in), k2, out=zb.reshape(-1, c_out))
+    def block(w, i):
+        zb = z[w]
+        _phase_patches(x[i:i + 1], patches[w:w + 1])
+        np.matmul(patches[w].reshape(-1, 4 * c_in), k2, out=zb.reshape(-1, c_out))
         if keep_trace:
-            # the argmax column of each window row: [:, 0] the top, [:, 1] the bottom
-            col = (zb[:, 1::2] > zb[:, 0::2]).view(np.int8)
+            # the argmax column of each window row: [0] the top, [1] the bottom
+            col = (zb[1::2] > zb[0::2]).view(np.int8)
         # the window rows' maxima overwrite phases 0 and 2: no float temporaries
-        row_max = np.maximum(zb[:, 0::2], zb[:, 1::2], out=zb[:, 0::2])
-        top, bottom = row_max[:, 0], row_max[:, 1]
-        o = out[s]
+        top, bottom = np.maximum(zb[0::2], zb[1::2], out=zb[0::2])
+        o = out[i]
         np.maximum(top, bottom, out=o)
-        o.reshape(n * hp, wp * c_out, copy=False)[...] += bias_row
+        o.reshape(hp, wp * c_out, copy=False)[...] += bias_row
         np.maximum(o, 0, out=o)
         if keep_trace:
             # branch-free select of the slot; np.where is several times slower
             # on masks as irregular as these
             lower = (bottom > top).view(np.int8)
-            idx[s] = col[:, 0] + lower * (col[:, 1] + 2 - col[:, 0])
+            idx[i] = col[0] + lower * (col[1] + 2 - col[0])
 
-    _run_blocks(ws, blocks, workers, block)
+    _run_blocks(ws, b, workers, block)
     return out, idx
 
 
@@ -368,51 +335,49 @@ def _conv_backward(dy, x, kernel, x_shape, need_dx, idx, ws, scale):
 
     dy is the masked gradient at the pooled map (see backward_from_dp), x the
     stage's input, x_shape its shape (the benchmark's tracer reads it by
-    position) and idx from _conv_forward. Each block on ws's pool rebuilds its
-    patches from x and masks its phase gradients dy * (idx == p), all four
-    phases in one broadcast, into its worker's scratch, example-major, so
-    each example's kernel gradient is one GEMM, into a partial the caller
-    sums in example order (db runs there meanwhile). dx is one GEMM per
-    block, written over the spent patches and added into that block of x
-    phase by phase (a phase's 2x2 taps cover disjoint pixels), then masked by
-    x > 0 and multiplied by scale, as dy was.
+    position) and idx from _conv_forward. Each example, a block on ws's
+    pool, rebuilds its patches from x and masks its phase gradients dy *
+    (idx == p), all four phases in one broadcast, into its worker's scratch,
+    so its kernel gradient is one GEMM, into a partial the caller sums in
+    example order (db runs there meanwhile). dx is one GEMM per example,
+    written over the spent patches and added into that example of x phase by
+    phase (a phase's 2x2 taps cover disjoint pixels), then masked by x > 0
+    and multiplied by scale, as dy was.
     """
     b, _, _, c_in = x_shape
     c_out = kernel.shape[3]
     hp, wp = dy.shape[1:3]
-    row_bytes = 4 * hp * wp * c_out * dy.dtype.itemsize
-    blocks, step, workers = _blocks(b, row_bytes)
-    patches = _empty(ws, "patches", (workers, step, 4, hp, wp, 2, 2, c_in), x.dtype, row_bytes)
-    dz = _empty(ws, "scratch", (workers, step, 4, hp * wp, c_out), dy.dtype, row_bytes)
+    workers = min(usable_cpus(), b)
+    patches = _empty(ws, "patches", (workers, 4, hp, wp, 2, 2, c_in), x.dtype, per_worker=True)
+    dz = _empty(ws, "scratch", (workers, 4, hp * wp, c_out), dy.dtype, per_worker=True)
     partials = _empty(ws, "dkernel", (b, 4 * c_in, c_out), dy.dtype)
     if need_dx:
         dx = x
-        live = _empty(ws, "live", (workers, step, *x_shape[1:]), bool, row_bytes)
+        live = _empty(ws, "live", (workers, *x_shape[1:]), bool, per_worker=True)
         k2t = kernel.reshape(4 * c_in, c_out).T
 
-    def block(w, s):
-        n = s.stop - s.start
-        pc, dzb = patches[w, :n], dz[w, :n]
-        _phase_patches(x[s], pc)
-        np.multiply(dy[s].reshape(n, 1, hp * wp, c_out),
-                    idx[s].reshape(n, 1, hp * wp, c_out) == _PHASE_IDS, out=dzb)
-        np.matmul(pc.reshape(n, 4 * hp * wp, 4 * c_in).transpose(0, 2, 1),
-                  dzb.reshape(n, 4 * hp * wp, c_out), out=partials[s])
+    def block(w, i):
+        pc, dzb = patches[w], dz[w]
+        _phase_patches(x[i:i + 1], patches[w:w + 1])
+        np.multiply(dy[i].reshape(1, hp * wp, c_out),
+                    idx[i].reshape(1, hp * wp, c_out) == _PHASE_IDS, out=dzb)
+        np.matmul(pc.reshape(1, 4 * hp * wp, 4 * c_in).transpose(0, 2, 1),
+                  dzb.reshape(1, 4 * hp * wp, c_out), out=partials[i:i + 1])
         if not need_dx:
             return
-        keep = np.greater(x[s], 0, out=live[w, :n])
+        keep = np.greater(x[i], 0, out=live[w])
         g = np.matmul(dzb.reshape(-1, c_out), k2t, out=pc.reshape(-1, 4 * c_in)).reshape(pc.shape)
-        dx[s] = 0
+        dx[i] = 0
         for phase, (di, dj) in enumerate(_POOL_OFFSETS):
             for ki in range(2):
-                # row 2i + di + ki of dx, columns (2j + dj + kj, c) of all windows j
+                # dx rows 2m + di + ki and columns (2j + dj + kj, c) of all windows (m, j)
                 r = di + ki
-                d = dx[s, r:r + 2 * hp:2, dj:dj + 2 * wp].reshape(n, hp, wp, 2, c_in, copy=False)
-                d += g[:, phase, :, :, ki]
-        np.multiply(dx[s], keep, out=dx[s])
-        dx[s] *= scale
+                d = dx[i, r:r + 2 * hp:2, dj:dj + 2 * wp].reshape(hp, wp, 2, c_in, copy=False)
+                d += g[phase, :, :, ki]
+        np.multiply(dx[i], keep, out=dx[i])
+        dx[i] *= scale
 
-    db = _run_blocks(ws, blocks, workers, block, lambda: dy.reshape(-1, c_out).sum(axis=0))
+    db = _run_blocks(ws, b, workers, block, lambda: dy.reshape(-1, c_out).sum(axis=0))
     dkernel = partials.sum(axis=0).reshape(2, 2, c_in, c_out)
     return (dx if need_dx else None), dkernel, db
 
@@ -490,17 +455,15 @@ def dropout(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Inverted dropout in place: zero each entry of x whose uint16 draw is
     below _drop_threshold(), scale survivors by _keep_scale; returns x.
 
-    The draws run block by block, and each block of x is multiplied by its
-    keep mask (draws >= threshold) and then by the scale. numpy draws two
-    uint16 values per 32-bit word and drops a half-used word at the end of a
-    call, so every block but the last holds an even number of entries;
-    successive draws then continue one stream, and x ends as
-    x * ((one full-shape draw >= threshold) * scale), rounded once.
+    The draws run one example per call, or two when an example holds an odd
+    number of entries, and each is multiplied by its keep mask (draws >=
+    threshold) and then by the scale. numpy draws two uint16 values per
+    32-bit word and drops a half-used word at the end of a call, so every
+    call but the last draws an even number; successive draws then continue
+    one stream, and x ends as x * ((one full-shape draw >= threshold) *
+    scale), rounded once.
     """
-    row = x[:1].size
-    step = _block_rows(len(x), x.itemsize * row)
-    if row % 2 and step % 2 and step < len(x):
-        step += 1
+    step = 2 if x[:1].size % 2 else 1
     threshold, scale = _drop_threshold(), _keep_scale(x.dtype)
     for start in range(0, len(x), step):
         xb = x[start:start + step]

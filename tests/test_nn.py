@@ -176,77 +176,111 @@ def _same_bytes(got, want):
                for g, w in zip(got, want, strict=True))
 
 
-# blocks of 3 examples: B=1, exactly one block, one block + 1, 3 blocks + 2
+def _matmul_rounding_by_row_count(monkeypatch):
+    """Make np.matmul scale each product by a factor that depends on how many
+    rows the call computes: a BLAS whose rounding of a row depends on the
+    row count, as the kernels of some builds do."""
+    matmul = np.matmul
+
+    def rounding(a, b, out=None):
+        got = matmul(a, b, out=out)
+        got *= 1 + 2.0 ** -20 * (a.size // a.shape[-1] % 7)
+        return got
+
+    monkeypatch.setattr(np, "matmul", rounding)
+
+
+# batches of one, three, four and eleven examples on two workers
 @pytest.mark.parametrize("batch", [1, 3, 4, 11])
 def test_blocked_stage_is_bit_identical(monkeypatch, rng, batch):
-    block = 3
+    # a stage over the batch gives each example the bits it gets alone, even
+    # on a BLAS that rounds by row count: every product is one example's
     x = rng.normal(size=(batch, 9, 12, 2)).astype(np.float32)  # 4x5 pool windows
     k = rng.normal(size=(2, 2, 2, 8)).astype(np.float32)
     b = rng.normal(0.0, 0.5, size=8).astype(np.float32)
     dy = rng.normal(size=(batch, 4, 5, 8)).astype(np.float32)
-    # per example: the phase conv output (and its gradient) is 4*4*5*8
-    # floats, the pooled map that dropout scales 4*5*8 floats
-    stage_row, drop_row = 4 * 4 * 5 * 8 * 4, 4 * 5 * 8 * 4
+    _matmul_rounding_by_row_count(monkeypatch)
+    monkeypatch.setattr(nn, "usable_cpus", lambda: 2)
 
-    def run(rows):
-        monkeypatch.setattr(nn, "_BLOCK_BYTES", rows * stage_row)
-        assert len(nn._blocks(batch, stage_row)[0]) == -(-batch // rows)
-        ws = nn.Workspace(batch)
-        pooled, idx = nn._conv_forward(x, k, b, True, ws, 0)
-        inferred = nn._conv_forward(x, k, b, False, nn.Workspace(batch), 0)
-        dx, dk, db = nn._conv_backward(dy * (pooled > 0), x.copy(), k, x.shape, True, idx, ws,
+    def run(s):
+        ws = nn.Workspace(len(x[s]))
+        pooled, idx = nn._conv_forward(x[s], k, b, True, ws, 0)
+        inferred = nn._conv_forward(x[s], k, b, False, nn.Workspace(len(x[s])), 0)[0]
+        masked = dy[s] * (pooled > 0)
+        dx, dk, db = nn._conv_backward(masked, x[s].copy(), k, x[s].shape, True, idx, ws,
                                        nn._keep_scale(x.dtype))
-        monkeypatch.setattr(nn, "_BLOCK_BYTES", rows * drop_row)
-        assert len(nn._blocks(batch, drop_row)[0]) == -(-batch // rows)
-        dropped = nn.dropout(pooled.copy(), substream(1, "dropout"))
-        return pooled, idx, inferred[0], dropped, dx, dk, db
+        return pooled.copy(), idx, inferred, dx, dk, db, masked
 
-    want = run(batch)
-    assert _same_bytes(run(block), want)
-    # the blocked draws are the stream of one full-shape draw, applied as the
-    # float32 factor (0 or the survivor scale) that one multiply would apply
-    full = oracle.dropout_mask(substream(1, "dropout"), want[0].shape)
-    assert _same_bytes([want[3]], [want[0] * full])
+    pooled, idx, inferred, dx, dk, db, masked = run(slice(None))
+    alone = [run(slice(i, i + 1)) for i in range(batch)]
+    for got, want in zip((pooled, idx, inferred, dx), zip(*alone)):
+        assert _same_bytes([got], [np.concatenate(want)])
+    # the caller sums the examples' kernel-gradient partials in example order,
+    # and db over the whole batch
+    partials = np.stack([one[4] for one in alone]).reshape(batch, -1)
+    assert _same_bytes([dk], [partials.sum(axis=0).reshape(dk.shape)])
+    assert _same_bytes([db], [masked.reshape(-1, 8).sum(axis=0)])
+    # dropout over the batch is each example's draw in turn, and one full-shape draw
+    dropped = nn.dropout(pooled.copy(), substream(1, "dropout"))
+    draws = substream(1, "dropout")
+    assert _same_bytes([dropped], [np.concatenate([nn.dropout(p.copy(), draws)
+                                                   for p in np.split(pooled, batch)])])
+    full = oracle.dropout_mask(substream(1, "dropout"), pooled.shape)
+    assert _same_bytes([dropped], [pooled * full])
 
 
 # entries per example: odd (15, 1, 27) and even (10)
 @pytest.mark.parametrize("shape", [(7, 3, 5), (6, 1), (5, 3, 3, 3), (9, 2, 5)])
-def test_blocked_dropout_is_one_full_draw(monkeypatch, rng, shape):
+def test_blocked_dropout_is_one_full_draw(rng, shape):
+    # one or, for an odd entry count, two examples per draw: every draw but
+    # the last takes an even number of uint16 values, so none drops half a word
     x = rng.normal(size=shape).astype(np.float32)
-    want = x * oracle.dropout_mask(substream(5, "dropout"), shape)
-    row_bytes = x[:1].nbytes
-    for rows in range(1, len(x) + 1):
-        monkeypatch.setattr(nn, "_BLOCK_BYTES", rows * row_bytes)
-        got = nn.dropout(x.copy(), substream(5, "dropout"))
-        assert got.tobytes() == want.tobytes(), rows
+    full = substream(5, "dropout")
+    want = x * oracle.dropout_mask(full, shape)
+    draws = substream(5, "dropout")
+    got = nn.dropout(x.copy(), draws)
+    assert got.tobytes() == want.tobytes()
+    assert draws.bit_generator.state == full.bit_generator.state  # the stream continues alike
 
 
-def test_blocked_network_step_is_bit_identical(monkeypatch, rng):
+def test_batch_scores_each_row_as_alone_on_a_rounding_blas(monkeypatch, rng):
     spec = nn.CnnSpec(channels=(3, 5))
     params = nn.init_params(substream(2, "init"), spec)
-    xs = rng.normal(size=(11, 12, 20)).astype(np.float32)
-    ys = np.eye(6, dtype=np.float32)[rng.integers(0, 6, 11)]
+    for bias in params.conv_biases:
+        bias[:] = rng.normal(0.0, 0.05, size=bias.shape)
+    xs = rng.normal(size=(7, 12, 20)).astype(np.float32)
+    _matmul_rounding_by_row_count(monkeypatch)
+    probs, _ = nn.forward_batch(params, xs)
+    alone = np.concatenate([nn.forward_batch(params, xs[i:i + 1])[0] for i in range(len(xs))])
+    assert probs.tobytes() == alone.tobytes()
 
-    def step():
-        _, trace = nn.forward_batch(params, xs, training=True, rng=substream(3, "dropout"))
-        maps = [a.copy() for a in trace.pool_out]  # the backward writes gradients over them
-        _, grads = nn.loss_and_backward(trace, ys, "cross_entropy")
-        return [*trace.conv_cols, *maps, *trace.pool_out, *trace.pool_idx, *trace.drop_masks,
-                trace.probs, *grads.arrays()]
 
-    want = step()
-    monkeypatch.setattr(nn, "_BLOCK_BYTES", 1)  # one example per block everywhere
-    assert _same_bytes(step(), want)
+def test_every_stage_runs_on_two_workers_at_16_rows(monkeypatch):
+    monkeypatch.setattr(nn, "usable_cpus", lambda: 2)
+    run_blocks, workers = nn._run_blocks, []
+
+    def counting(ws, n, w, work, first=None):
+        workers.append(w)
+        return run_blocks(ws, n, w, work, first)
+
+    monkeypatch.setattr(nn, "_run_blocks", counting)
+    params = nn.init_params(substream(2, "init"))
+    data = np.random.default_rng(5)
+    xs = data.normal(size=(16, 40, 862)).astype(np.float32)
+    ys = np.eye(6, dtype=np.float32)[data.integers(0, 6, 16)]
+    nn.weighted_gradient_step(params, nn.AdamState.for_params(params),
+                              [(1.0, xs, ys, "cross_entropy")], substream(3, "dropout"),
+                              1e-3, nn.Workspace(16))
+    assert workers == [2] * 8  # four stage forwards, then four stage backwards
 
 
 def _steps_on_workers(monkeypatch, workers):
     """A 16-row and a 48-row training step (forward, backward, Adam) and a
     32-row inference forward through one workspace, and the inference forward
-    again in a workspace of its own, in blocks of one example run by
-    `workers` workers; returns the bytes of every probability, gradient and
-    updated parameter, and the shared workspace."""
+    again in a workspace of its own, run by `workers` workers; returns the
+    bytes of every probability, gradient and updated parameter, and the
+    shared workspace."""
     monkeypatch.setattr(nn, "usable_cpus", lambda: workers)
-    monkeypatch.setattr(nn, "_BLOCK_BYTES", 1)
     params = nn.init_params(substream(2, "init"))
     state = nn.AdamState.for_params(params)
     ws = nn.Workspace(48)
@@ -303,7 +337,7 @@ def test_forked_child_builds_its_own_pool(monkeypatch):
     params = nn.init_params(substream(2, "init"))
     xs = np.random.default_rng(12).normal(size=(4, 40, 862)).astype(np.float32)
     ws = nn.Workspace(len(xs))
-    want, _ = nn.forward_batch(params, xs, keep_trace=False, ws=ws)  # four blocks at stage 0
+    want, _ = nn.forward_batch(params, xs, keep_trace=False, ws=ws)  # two workers
     assert ws.pool is not None
     ctx = multiprocessing.get_context("fork")
     receiver, sender = ctx.Pipe(duplex=False)
@@ -418,9 +452,7 @@ def _step_schedule(monkeypatch, ws, schedule):
     """Run ("step", rows) training steps (forward, backward, Adam) and
     ("infer", rows) inference forwards; returns the bytes of every result
     array and, with a workspace, its buffer identities after each operation."""
-    # stage 0 holds 4 * 11 * 19 * 3 floats of phase conv output per example:
-    # 3 examples per block there; three stages, two of which write dx over their input
-    monkeypatch.setattr(nn, "_BLOCK_BYTES", 3 * 10032)
+    # three stages, two of which write dx over their input
     spec = nn.CnnSpec(channels=(3, 4, 5))
     params = nn.init_params(substream(2, "init"), spec)
     state = nn.AdamState.for_params(params)
@@ -494,11 +526,10 @@ def test_training_workspace_stays_under_per_row_bound(monkeypatch):
     # what every row needs: its pooled maps (float32) and argmax slots (int8)
     # and its kernel-gradient partial; dx is written over the pooled maps
     per_row = 5 * sum(pooled) + max(4 * ci * c * 4 for ci, c in zip(c_in, spec.channels))
-    # each worker's blocks of patches (a patch row is at most two phase rows,
-    # and holds the dx products too), phase output, and input mask (bool, at
-    # most one phase row); a block holds about _BLOCK_BYTES of phase output,
-    # or one row when more
-    block = max(nn._BLOCK_BYTES, *phase_rows)
+    # each worker's one-example blocks of patches (a patch row is at most two
+    # phase rows, and holds the dx products too), phase output, and input mask
+    # (bool, at most one phase row)
+    block = max(phase_rows)
     assert all(p <= 2 * f for p, f in zip(patch_rows, phase_rows))
     assert all(i <= f for i, f in zip(inputs[1:], phase_rows[1:]))
     total = sum(buf.nbytes for buf in ws.buffers.values())

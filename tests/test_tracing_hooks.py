@@ -26,14 +26,13 @@ def _load_tracing():
     return module
 
 
-def test_tracer_hooks_one_training_step(rng, monkeypatch):
+def test_tracer_hooks_one_training_step(rng):
     tracing = _load_tracing()
     spec = nn.CnnSpec(channels=(2, 3))
     params = nn.init_params(substream(0, "init"), spec)
     xs = rng.normal(size=(4, 8, 16)).astype(np.float32)
     ys = np.eye(6, dtype=np.float32)[[0, 1, 2, 3]]
     originals = {name: getattr(nn, name) for name in ("_conv_forward", "_conv_backward")}
-    monkeypatch.setattr(nn, "_BLOCK_BYTES", 1)  # one example per block
     tracer = tracing.Tracer()
     tracing.install(tracer, spec.channels)
     try:
