@@ -22,23 +22,21 @@ values to a tie.
 
 A stage forward and its backward run one example per block. A block's
 patches have one layout, (1, 4, Hp, Wp, 2, 2, C_in): the example's 2x2
-patches grouped by pool phase (im2col by phase). So each product is one GEMM
-per example: the conv, into a (4, Hp * Wp, C_out) phase map; dx, over the
-spent patches, then added into dx (col2im); and the kernel gradient over the
-four phases, into a (B, 4 * C_in, C_out) partial that the caller sums in
-example order. The patches, phase map and input mask are per-worker scratch
-that stays in cache. No patch matrix is kept: the backward rebuilds each
-example's patches from the stage input the trace holds (the network input,
-or the previous pooled map after dropout), then writes dx over that example.
-Every conv GEMM's row count is set by the stage geometry alone, so on any
-BLAS an example's bits depend neither on the other examples in its batch nor
-on the worker that ran it. What the examples of a batch share keeps that:
-- the caller sums the kernel-gradient partials in example order;
-- dropout draws one example per call, or two when an example holds an odd
-  number of entries, so every call but the last draws an even number of
-  uint16 values (numpy draws two per 32-bit word and drops a half-used word
-  at the end of a call); the draws continue one stream, and the mask equals
-  the mask of one full-shape draw.
+patches grouped by pool phase (im2col by phase). The products are per
+example: the conv, one GEMM per phase into a (4, Hp * Wp, C_out) phase map;
+dx, one GEMM per kernel row into the two halves of the spent patches, each
+added into dx (col2im) a whole row of windows at a time; and the kernel
+gradient over the four phases, into a (B, 4 * C_in, C_out) partial that the
+caller sums in example order. The patches, phase map and input mask are
+per-worker scratch that stays in cache. No patch matrix is kept: the
+backward rebuilds each example's patches from the stage input the trace
+holds (the network input, or the previous pooled map after dropout), then
+writes dx over that example. Every conv GEMM's row count is set by the stage
+geometry alone, so on any BLAS an example's bits depend neither on the other
+examples in its batch nor on the worker that ran it. What the examples of a
+batch share keeps that: the caller sums the kernel-gradient partials in
+example order, and each example's dropout draws sit at a fixed place in one
+stream (below).
 
 The dense head is a per-row product summed in input order, not a GEMM, so a
 row's probabilities do not depend on how many rows share its forward: a
@@ -69,20 +67,30 @@ usable_cpus() - 1 threads, whose threads end when the workspace is
 collected; a forked child builds its own, as the parent's threads did not
 come along. No result bit depends on the worker count: an example's arithmetic
 is the same on any worker, and the work whose order matters stays on the
-caller's thread (the dropout draws, db, the sum of the kernel-gradient
-partials, the head, softmax and Adam); db runs there while the pool works.
+caller's thread (db, the sum of the kernel-gradient partials, the head,
+softmax and Adam); db runs there while the pool works.
 Every worker calls the BLAS, so BLAS threads times workers can oversubscribe
 the CPUs: pin OPENBLAS_NUM_THREADS=1, as replay needs anyway. Workers call
-numpy and _phase_patches only, never a function the benchmark's tracer wraps
-by name, because its span stack is not thread-safe.
+numpy, _phase_patches and the dropout draw only, never a function the
+benchmark's tracer wraps by name, because its span stack is not thread-safe.
 
 Dropout draws one uint16 per entry and keeps the entries whose draw is at
 least round(DROPOUT_RATE * 2**16) = 13107, so the realised rate is
 13107/65536; survivors are scaled by s = 65536/52429, the inverse of the
-realised keep probability. It scales the pooled map in place and keeps no
-mask, so in training pool_out > 0 exactly where an entry was kept and is
-positive (a positive float times s > 1 stays positive). The backward masks
-a map's gradient d by that, then multiplies by s. Against the dropout factor
+realised keep probability. A training forward takes the draws that uint16
+`integers` calls of whole examples, in example order, would take from the
+caller's generator, a PCG64 (ValueError otherwise). Each block draws its own
+example's values after the ReLU, on its worker, from a PCG64 of the
+workspace advanced to their place (O(log n) steps). Draw n of the stream is
+uint16 n % 4 of raw word n // 4, low half first: numpy splits a word into
+two 32-bit halves, and a half into two uint16. A generator that holds a
+buffered half starts one word back, at n = 2. Each stage starts at the next
+even n, as a call that draws an odd count drops its last half word. The
+forward then leaves the caller's generator where such calls would. The
+pooled map is scaled in place and no mask is kept, so in training
+pool_out > 0 exactly where an entry was kept and is positive (a positive
+float times s > 1 stays positive). The backward masks a map's gradient d by
+that, then multiplies by s. Against the dropout factor
 (0 or s) followed by the ReLU mask r (0 or 1), that is (d*1)*s vs (d*s)*1
 where kept and positive, (d*0)*s vs (d*s)*0 where kept at zero, (d*0)*s vs
 (d*0)*r where dropped: the same float each time, a zero carrying d's sign.
@@ -234,6 +242,7 @@ class Workspace:
     buffers: dict = field(default_factory=dict)
     pool: ThreadPoolExecutor | None = field(default=None, init=False, repr=False)
     pool_pid: int = field(default=0, init=False, repr=False)
+    generators: list = field(default_factory=list, init=False, repr=False)
 
 
 def _empty(ws, role, shape, dtype, per_worker=False):
@@ -280,7 +289,7 @@ def _phase_patches(x: np.ndarray, out: np.ndarray) -> None:
             out[di, dj] = pairs[di][dj].transpose(0, 1, 3, 2, 4, 5)
 
 
-def _conv_forward(x, kernel, bias, keep_trace, ws, stage):
+def _conv_forward(x, kernel, bias, keep_trace, ws, stage, drops=None):
     """Fused valid 2x2 conv -> ReLU -> 2x2/stride-2 max pool of a (B, H, W, C) batch.
 
     The conv is evaluated at the four pool phases, and pooling is the
@@ -288,10 +297,13 @@ def _conv_forward(x, kernel, bias, keep_trace, ws, stage):
     the pooled map; rounding is monotone, so max(fl(a+b), fl(c+b)) ==
     fl(max(a, c) + b) and the result equals conv+bias -> ReLU -> pool exactly.
     The batch runs one example per block on ws's block pool, each example's
-    phase patches in its worker's scratch and its four phases in one GEMM,
-    and the arrays come from ws (see the module docstring). Returns (pooled,
-    idx); idx is the within-window argmax slot (row-major, first occurrence
-    on ties, taken before the bias is added), None unless keep_trace.
+    phase patches in its worker's scratch and each phase in one GEMM, and the
+    arrays come from ws (see the module docstring). With `drops`, the
+    _DropStream of a training forward, each block then applies dropout to its
+    example with the draws at that example's place in the stream. Returns
+    (pooled, idx); idx is the within-window argmax slot (row-major, first
+    occurrence on ties, taken before the bias is added), None unless
+    keep_trace.
     """
     b, h, w, c_in = x.shape
     c_out = kernel.shape[3]
@@ -306,11 +318,15 @@ def _conv_forward(x, kernel, bias, keep_trace, ws, stage):
     patches = _empty(ws, "patches", (workers, 4, hp, wp, 2, 2, c_in), x.dtype, per_worker=True)
     bias_row = np.tile(bias, wp)  # one pooled row: long inner loops for the add
     idx = _empty(ws, f"idx{stage}", out.shape, np.int8) if keep_trace else None
+    if drops is not None:
+        first = drops.stage(out.size)
+        ws.generators += [np.random.PCG64(0) for _ in range(workers - len(ws.generators))]
 
     def block(w, i):
         zb = z[w]
         _phase_patches(x[i:i + 1], patches[w:w + 1])
-        np.matmul(patches[w].reshape(-1, 4 * c_in), k2, out=zb.reshape(-1, c_out))
+        # one GEMM per phase: at stage 0 one over all four is ~2x slower
+        np.matmul(patches[w].reshape(4, -1, 4 * c_in), k2, out=zb.reshape(4, -1, c_out))
         if keep_trace:
             # the argmax column of each window row: [0] the top, [1] the bottom
             col = (zb[1::2] > zb[0::2]).view(np.int8)
@@ -320,6 +336,8 @@ def _conv_forward(x, kernel, bias, keep_trace, ws, stage):
         np.maximum(top, bottom, out=o)
         o.reshape(hp, wp * c_out, copy=False)[...] += bias_row
         np.maximum(o, 0, out=o)
+        if drops is not None:
+            drops.apply(ws.generators[w], o, first + i * o.size)
         if keep_trace:
             # branch-free select of the slot; np.where is several times slower
             # on masks as irregular as these
@@ -339,10 +357,10 @@ def _conv_backward(dy, x, kernel, x_shape, need_dx, idx, ws, scale):
     pool, rebuilds its patches from x and masks its phase gradients dy *
     (idx == p), all four phases in one broadcast, into its worker's scratch,
     so its kernel gradient is one GEMM, into a partial the caller sums in
-    example order (db runs there meanwhile). dx is one GEMM per example,
-    written over the spent patches and added into that example of x phase by
-    phase (a phase's 2x2 taps cover disjoint pixels), then masked by x > 0
-    and multiplied by scale, as dy was.
+    example order (db runs there meanwhile). dx is one GEMM per kernel row,
+    written over a half of the spent patches and added into that example of
+    x phase by phase, a row of windows at a time (a phase's 2x2 taps cover
+    disjoint pixels), then masked by x > 0 and multiplied by scale, as dy was.
     """
     b, _, _, c_in = x_shape
     c_out = kernel.shape[3]
@@ -354,7 +372,7 @@ def _conv_backward(dy, x, kernel, x_shape, need_dx, idx, ws, scale):
     if need_dx:
         dx = x
         live = _empty(ws, "live", (workers, *x_shape[1:]), bool, per_worker=True)
-        k2t = kernel.reshape(4 * c_in, c_out).T
+        k_rows = kernel.reshape(2, 2 * c_in, c_out).transpose(0, 2, 1)  # one per kernel row
 
     def block(w, i):
         pc, dzb = patches[w], dz[w]
@@ -366,18 +384,21 @@ def _conv_backward(dy, x, kernel, x_shape, need_dx, idx, ws, scale):
         if not need_dx:
             return
         keep = np.greater(x[i], 0, out=live[w])
-        g = np.matmul(dzb.reshape(-1, c_out), k2t, out=pc.reshape(-1, 4 * c_in)).reshape(pc.shape)
+        # g[ki, phase, m] holds taps (kj, c) of kernel row ki for a row of windows
+        g = np.matmul(dzb.reshape(1, -1, c_out), k_rows, out=pc.reshape(2, -1, 2 * c_in))
+        g = g.reshape(2, 4, hp, wp * 2 * c_in)
         dx[i] = 0
         for phase, (di, dj) in enumerate(_POOL_OFFSETS):
             for ki in range(2):
                 # dx rows 2m + di + ki and columns (2j + dj + kj, c) of all windows (m, j)
                 r = di + ki
-                d = dx[i, r:r + 2 * hp:2, dj:dj + 2 * wp].reshape(hp, wp, 2, c_in, copy=False)
-                d += g[phase, :, :, ki]
+                d = dx[i, r:r + 2 * hp:2, dj:dj + 2 * wp].reshape(hp, wp * 2 * c_in, copy=False)
+                d += g[ki, phase]
         np.multiply(dx[i], keep, out=dx[i])
         dx[i] *= scale
 
-    db = _run_blocks(ws, b, workers, block, lambda: dy.reshape(-1, c_out).sum(axis=0))
+    # einsum sums each channel in row order, as sum(axis=0) does, ~4x faster
+    db = _run_blocks(ws, b, workers, block, lambda: np.einsum("ij->j", dy.reshape(-1, c_out)))
     dkernel = partials.sum(axis=0).reshape(2, 2, c_in, c_out)
     return (dx if need_dx else None), dkernel, db
 
@@ -451,25 +472,79 @@ def _keep_scale(dtype):
     return dtype.type(65536) / dtype.type(65536 - _drop_threshold())
 
 
+class _DropStream:
+    """The dropout draws of one forward (or one dropout call), by position in
+    the uint16 stream of a PCG64 generator; see the module docstring.
+
+    `base` is the generator's state with no buffered half, rewound one word
+    when it held one (`head`, the high half of that word); positions count
+    uint16 values from base's first word, and `end` is where the next stage's
+    draws start.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        if not isinstance(rng.bit_generator, np.random.PCG64):
+            raise ValueError(f"dropout needs a PCG64 generator, got "
+                             f"{type(rng.bit_generator).__name__}")
+        self.rng = rng
+        state = rng.bit_generator.state
+        self.head = state["uinteger"] if state["has_uint32"] else None
+        gen = np.random.PCG64(0)
+        gen.state = {**state, "has_uint32": 0}
+        if self.head is not None:
+            gen.advance(-1)
+        self.base = gen.state
+        self.end = 0 if self.head is None else 2
+
+    def stage(self, count: int) -> int:
+        """The position of the first of count draws; the next stage starts at
+        the next even position, as a call that draws an odd count drops its
+        last half word."""
+        start = self.end
+        self.end += count + count % 2
+        return start
+
+    def apply(self, gen, x: np.ndarray, first: int) -> None:
+        """Inverted dropout of x in place, with the draws at positions first,
+        first + 1, ..., taken by the PCG64 gen (whose state this overwrites)."""
+        w0 = first // 4
+        gen.state = self.base
+        gen.advance(w0)
+        raw = gen.random_raw(-(-(first + x.size) // 4) - w0)
+        if w0 == 0 and self.head is not None:
+            raw[0] = self.head << 32  # the buffered half, whatever drew since
+        draws = raw.astype("<u8", copy=False).view("<u2")[first - 4 * w0:][:x.size]
+        np.multiply(x, draws.reshape(x.shape) >= _drop_threshold(), out=x)
+        x *= _keep_scale(x.dtype)
+
+    def finish(self) -> None:
+        """Leave the generator as drawing the stream in uint16 calls would:
+        past the last 32-bit half used, the last word's high half buffered
+        when that half is unused."""
+        halves = self.end // 2
+        if halves == 0:
+            return
+        bg, words = self.rng.bit_generator, (halves + 1) // 2
+        bg.state = self.base
+        bg.advance(words - 1)
+        last = int(bg.random_raw())
+        if words == 1 and self.head is not None:
+            last = self.head << 32
+        bg.state = {**bg.state, "has_uint32": halves % 2, "uinteger": last >> 32}
+
+
 def dropout(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Inverted dropout in place: zero each entry of x whose uint16 draw is
     below _drop_threshold(), scale survivors by _keep_scale; returns x.
 
-    The draws run one example per call, or two when an example holds an odd
-    number of entries, and each is multiplied by its keep mask (draws >=
-    threshold) and then by the scale. numpy draws two uint16 values per
-    32-bit word and drops a half-used word at the end of a call, so every
-    call but the last draws an even number; successive draws then continue
-    one stream, and x ends as x * ((one full-shape draw >= threshold) *
-    scale), rounded once.
+    The draws are one full-shape uint16 draw from rng, a PCG64 generator
+    (ValueError otherwise), taken as raw words; x is multiplied by its keep
+    mask (draws >= threshold) and then by the scale, and rng ends where that
+    draw leaves it.
     """
-    step = 2 if x[:1].size % 2 else 1
-    threshold, scale = _drop_threshold(), _keep_scale(x.dtype)
-    for start in range(0, len(x), step):
-        xb = x[start:start + step]
-        np.multiply(xb, rng.integers(0, 65536, size=xb.shape, dtype=np.uint16) >= threshold,
-                    out=xb)
-        xb *= scale
+    stream = _DropStream(rng)
+    stream.apply(rng.bit_generator, x, stream.stage(x.size))
+    stream.finish()
     return x
 
 
@@ -503,16 +578,17 @@ def forward_batch(params: ModelParams, xs: np.ndarray, training: bool = False,
     """Forward pass over a (B, H, W) batch; returns (probs, trace).
 
     When training, each stage's pooled map gets dropout at DROPOUT_RATE, whose
-    draws `rng` supplies. keep_trace (default: training) keeps the
-    backward-pass intermediates. The stage arrays, and so the trace, live in
-    the buffers of `ws`, or of a workspace built for this batch when none is
-    given. No caller in src/ passes keep_trace; perfbench/workloads.py does,
+    draws `rng`, a PCG64 generator, supplies (see the module docstring).
+    keep_trace (default: training) keeps the backward-pass intermediates. The
+    stage arrays, and so the trace, live in the buffers of `ws`, or of a
+    workspace built for this batch when none is given. No caller in src/ passes keep_trace; perfbench/workloads.py does,
     and perfbench/tracing.py sizes the trace it leaves (ROADMAP item 5).
     """
     if training and rng is None:
         raise ValueError("training forward with dropout needs an rng")
     if keep_trace is None:
         keep_trace = training
+    drops = _DropStream(rng) if training else None
     a = np.ascontiguousarray(xs, dtype=params.dtype)[..., None]
     if ws is None:
         ws = Workspace(len(a))
@@ -520,12 +596,12 @@ def forward_batch(params: ModelParams, xs: np.ndarray, training: bool = False,
     trace = ForwardTrace(params=params, training=training, x=a, workspace=ws,
                          stamp=ws.forwards)
     for k, (kernel, bias) in enumerate(zip(params.conv_kernels, params.conv_biases)):
-        a, idx = _conv_forward(a, kernel, bias, keep_trace, ws, k)
-        if training:
-            dropout(a, rng)
+        a, idx = _conv_forward(a, kernel, bias, keep_trace, ws, k, drops)
         if keep_trace:
             trace.pool_out.append(a)
             trace.pool_idx.append(idx)
+    if training:
+        drops.finish()
     gap = global_avg_pool(a)
     logits = dense(gap, params.dense_w, params.dense_b)
     probs = softmax(logits)

@@ -7,9 +7,10 @@ unfused network ran, a loop-style max pool, ReLU and their backward passes.
 It also holds helpers only tests call: the activation shapes and parameter
 count a CnnSpec implies, the loss without gradients and the inference-mode
 loss of mixmatch's two mixed batches, the dropout factor of one full-shape
-draw, the soft-label predicate, the `neutralize` fixture under which the SSL
-passes degenerate to supervision, and the finite-difference gradient check
-with its kink-margin probe.
+draw, dropout drawn per example from uint16 calls, the soft-label predicate,
+the `neutralize` fixture under which the SSL passes degenerate to
+supervision, and the finite-difference gradient check with its kink-margin
+probe.
 """
 
 import numpy as np
@@ -152,6 +153,22 @@ def dropout_mask(rng, shape, dtype=np.float32):
     threshold = round(nn.DROPOUT_RATE * 65536)
     keep = rng.integers(0, 65536, size=shape, dtype=np.uint16) >= threshold
     return keep.astype(dtype) * (dtype(65536) / dtype(65536 - threshold))
+
+
+def dropout_by_example(x, rng):
+    """Inverted dropout of x in place, drawn the way nn.dropout drew it before
+    it took raw words: one uint16 `integers` call per example, or per two when
+    an example holds an odd number of entries, so every call but the last
+    draws an even count; each block is multiplied by its keep mask, then by
+    the survivor scale. Returns x."""
+    step = 2 if x[:1].size % 2 else 1
+    threshold, scale = nn._drop_threshold(), nn._keep_scale(x.dtype)
+    for start in range(0, len(x), step):
+        xb = x[start:start + step]
+        np.multiply(xb, rng.integers(0, 65536, size=xb.shape, dtype=np.uint16) >= threshold,
+                    out=xb)
+        xb *= scale
+    return x
 
 
 def forward_probs(params, xs):

@@ -243,6 +243,71 @@ def test_blocked_dropout_is_one_full_draw(rng, shape):
     assert draws.bit_generator.state == full.bit_generator.state  # the stream continues alike
 
 
+def _start(rng, kind):
+    """Leave rng at a word boundary ("word"), holding the unused high half of
+    its last word ("half"), or holding a half buffered before a later 64-bit
+    draw ("stale"); returns rng."""
+    if kind != "word":
+        rng.integers(0, 65536, size=1, dtype=np.uint16)  # one 32-bit half: the other is kept
+    if kind == "stale":
+        rng.random()  # a 64-bit draw leaves the buffered half in place
+    return rng
+
+
+# stage maps of 231 and 75 entries per example, five examples: odd counts
+# everywhere, so calls that draw whole examples drop half words at odd places
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("start", ["word", "half", "stale"])
+def test_training_forward_draws_the_per_example_stream(monkeypatch, rng, workers, start):
+    monkeypatch.setattr(nn, "usable_cpus", lambda: workers)
+    params = nn.init_params(substream(2, "init"), nn.CnnSpec(channels=(3, 5)))
+    for bias in params.conv_biases:
+        bias[:] = 10.0  # every pooled entry positive, so the map shows the whole mask
+    xs = rng.normal(size=(5, 15, 23)).astype(np.float32)
+    got = _start(substream(3, "dropout"), start)
+    _, trace = nn.forward_batch(params, xs, training=True, rng=got)
+    want = _start(substream(3, "dropout"), start)
+    a, ws = xs[..., None], nn.Workspace(len(xs))
+    for k, (kernel, bias) in enumerate(zip(params.conv_kernels, params.conv_biases)):
+        a = oracle.dropout_by_example(nn._conv_forward(a, kernel, bias, False, ws, k)[0].copy(),
+                                      want)
+        assert (a == 0).any() and (a > 0).any()
+        assert trace.pool_out[k].tobytes() == a.tobytes(), k
+    assert got.bit_generator.state == want.bit_generator.state
+
+
+@pytest.mark.parametrize("start", ["word", "half", "stale"])
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 4, 5, 9])
+def test_dropout_is_one_uint16_draw_from_any_start(rng, start, size):
+    x = rng.uniform(1.0, 2.0, size=size).astype(np.float32)
+    want = _start(substream(8, "dropout"), start)
+    factor = oracle.dropout_mask(want, x.shape)
+    got = _start(substream(8, "dropout"), start)
+    assert nn.dropout(x.copy(), got).tobytes() == (x * factor).tobytes()
+    assert got.bit_generator.state == want.bit_generator.state
+
+
+def test_dropout_refuses_a_generator_that_is_not_pcg64(rng):
+    mt = np.random.Generator(np.random.MT19937(0))
+    params = nn.init_params(substream(2, "init"), SMALL)
+    with pytest.raises(ValueError, match="PCG64"):
+        nn.forward_batch(params, rng.normal(size=(2, 12, 20)), training=True, rng=mt)
+    with pytest.raises(ValueError, match="PCG64"):
+        nn.dropout(np.ones(4, np.float32), mt)
+
+
+def test_bias_gradient_sums_rows_in_order_at_production_stage0(rng):
+    # 16 rows of the 40x862 grid: 130,720 rows of 16 channels, one of them all -0.0
+    x = rng.normal(size=(16, 40, 862, 1)).astype(np.float32)
+    k = nn.init_params(substream(2, "init")).conv_kernels[0]
+    ws = nn.Workspace(len(x))
+    _, idx = nn._conv_forward(x, k, np.zeros(16, np.float32), True, ws, 0)
+    dy = rng.normal(size=(16, 19, 430, 16)).astype(np.float32)
+    dy[..., 3] = -0.0
+    _, _, db = nn._conv_backward(dy, x, k, x.shape, False, idx, ws, np.float32(1))
+    assert db.tobytes() == dy.reshape(-1, 16).sum(axis=0).tobytes()
+
+
 def test_batch_scores_each_row_as_alone_on_a_rounding_blas(monkeypatch, rng):
     spec = nn.CnnSpec(channels=(3, 5))
     params = nn.init_params(substream(2, "init"), spec)
