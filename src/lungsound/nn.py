@@ -234,8 +234,9 @@ class Workspace:
     """The execution context of forwards and backwards: `rows` is the largest
     batch it is sized for, `buffers` maps a role (pooled{k}, idx{k}, dkernel;
     one example per worker, patches, scratch, live) to its flat buffer (see
-    _empty), `forwards` counts forwards, and `pool` is the block pool (see
-    _run_blocks), built in process `pool_pid`."""
+    _empty), `forwards` counts forwards, `pool` is the block pool (see
+    _run_blocks), built in process `pool_pid`, and `generators` holds each
+    worker's PCG64 for its dropout draws (see _DropStream)."""
 
     rows: int
     forwards: int = 0
@@ -581,8 +582,9 @@ def forward_batch(params: ModelParams, xs: np.ndarray, training: bool = False,
     draws `rng`, a PCG64 generator, supplies (see the module docstring).
     keep_trace (default: training) keeps the backward-pass intermediates. The
     stage arrays, and so the trace, live in the buffers of `ws`, or of a
-    workspace built for this batch when none is given. No caller in src/ passes keep_trace; perfbench/workloads.py does,
-    and perfbench/tracing.py sizes the trace it leaves (ROADMAP item 5).
+    workspace built for this batch when none is given. No caller in src/
+    passes keep_trace; perfbench/workloads.py does, and perfbench/tracing.py
+    sizes the trace it leaves (ROADMAP item 5).
     """
     if training and rng is None:
         raise ValueError("training forward with dropout needs an rng")
